@@ -236,7 +236,12 @@ def read_summary_csv(path) -> dict:
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0].split(",") != list(SUMMARY_COLUMNS):
         raise ValueError(f"{path}: expected header {','.join(SUMMARY_COLUMNS)}")
-    rows = [[float(p) for p in line.split(",")] for line in text[1:]]
+    rows = []
+    for ln, line in enumerate(text[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != len(SUMMARY_COLUMNS):
+            raise ValueError(f"{path}:{ln}: expected {len(SUMMARY_COLUMNS)} fields")
+        rows.append([float(p) for p in parts])
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows)

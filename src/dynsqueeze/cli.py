@@ -21,7 +21,7 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_digest, load_config
 from .electronics import TARGETS, fit_pwl, max_error, save_pwl_table
-from .gate import GateCalibrationError, calibrate_signs
+from .gate import CONVENTIONS, GateCalibrationError, calibrate_signs
 from .harness import (
     MEASUREMENT_ANGLES,
     MomentEstimates,
@@ -65,6 +65,11 @@ def cmd_simulate(args) -> int:
         "sign calibration: beamsplitter %+d, lo %+d, feedforward %+d"
         % conventions
     )
+    if conventions != CONVENTIONS:
+        raise GateCalibrationError(
+            f"calibrated sign conventions {tuple(conventions)} differ from the "
+            f"model's {tuple(CONVENTIONS)}"
+        )
     records = run_experiment(cfg, seed)
     est = estimate_moments(records)
     out = _outdir(args)

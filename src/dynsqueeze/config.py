@@ -78,6 +78,13 @@ class RunConfig:
             if not np.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
 
+        def integer(name, minimum):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+            if v < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {v}")
+
         for name in ("ancilla_db", "control_phase_rad", "input_phase_rad",
                      "input_x_amplitude", "input_p_amplitude"):
             finite(name)
@@ -103,18 +110,20 @@ class RunConfig:
                 raise ConfigError("control_samples exceed control_amplitude")
         elif self.control_samples is not None:
             raise ConfigError("control_samples only apply to the custom waveform")
-        if self.bins_per_period < 2:
-            raise ConfigError("bins_per_period must be >= 2")
-        if self.n_periods < 2:
-            raise ConfigError("the grid must span at least 2 control periods")
-        if self.n_trials < 2:
-            raise ConfigError("n_trials must be >= 2")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        if self.pwl_segments < 1:
-            raise ConfigError("pwl_segments must be >= 1")
+        integer("bins_per_period", 2)
+        integer("n_periods", 2)  # the grid spans at least 2 control periods
+        integer("n_trials", 2)
+        integer("seed", 0)
+        integer("pwl_segments", 1)
         if not self.pwl_lo < self.pwl_hi:
             raise ConfigError(f"need pwl_lo < pwl_hi, got [{self.pwl_lo}, {self.pwl_hi}]")
+        if self.use_pwl_electronics and not (
+            self.pwl_lo <= -self.control_amplitude <= self.control_amplitude <= self.pwl_hi
+        ):
+            raise ConfigError(
+                f"control_amplitude {self.control_amplitude} leaves the look-up-table range "
+                f"[{self.pwl_lo}, {self.pwl_hi}], where the tables would clamp"
+            )
         for name in ("optical_delay_ns", "electronics_latency_ns"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:

@@ -25,6 +25,7 @@ import numpy as np
 from .homodyne import HomodyneOutcome, homodyne_measure, pure_loss
 from .states import (
     GaussianState,
+    _scalar_or_array,
     db_to_variance,
     make_coherent,
     make_squeezed_vacuum,
@@ -62,7 +63,10 @@ CONVENTIONS = SignConventions(1, 1, 1)
 
 @dataclass(frozen=True)
 class GateParams:
-    """Operating point of the gate for one time bin.
+    """Operating point of the gate for one time bin, or for a batch of bins.
+
+    ``kappa`` and the two overrides may be arrays (one entry per bin), which
+    must broadcast together and against the batch axes of the input state.
 
     Attributes:
         kappa: Shear strength.
@@ -74,15 +78,19 @@ class GateParams:
         hd1_efficiency: Detection efficiency of the feed-forward homodyne.
     """
 
-    kappa: float
+    kappa: float | np.ndarray
     ancilla_vx: float = DEFAULT_ANCILLA_VX
-    feedforward_gain_override: float | None = None
-    lo_phase_override: float | None = None
+    feedforward_gain_override: float | np.ndarray | None = None
+    lo_phase_override: float | np.ndarray | None = None
     feedforward_sign: int = CONVENTIONS.feedforward_sign
     hd1_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.kappa):
+        for name in ("kappa", "feedforward_gain_override", "lo_phase_override"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _scalar_or_array(value))
+        if not np.all(np.isfinite(self.kappa)):
             raise ValueError("kappa must be finite")
         if not np.isfinite(self.ancilla_vx) or self.ancilla_vx <= 0.0:
             raise ValueError(f"ancilla_vx must be positive, got {self.ancilla_vx}")
@@ -92,18 +100,18 @@ class GateParams:
             raise ValueError(f"hd1_efficiency must lie in (0, 1], got {self.hd1_efficiency}")
 
     @property
-    def lo_phase(self) -> float:
+    def lo_phase(self) -> float | np.ndarray:
         """Local-oscillator phase: arctan(kappa) unless overridden."""
         if self.lo_phase_override is not None:
-            return float(self.lo_phase_override)
-        return float(np.arctan(self.kappa))
+            return self.lo_phase_override
+        return _scalar_or_array(np.arctan(self.kappa))
 
     @property
-    def feedforward_gain(self) -> float:
+    def feedforward_gain(self) -> float | np.ndarray:
         """Feed-forward gain: sqrt(1 + kappa^2) unless overridden."""
         if self.feedforward_gain_override is not None:
-            return float(self.feedforward_gain_override)
-        return float(np.sqrt(1.0 + self.kappa**2))
+            return self.feedforward_gain_override
+        return _scalar_or_array(np.sqrt(1.0 + self.kappa**2))
 
 
 def ideal_shear_map(kappa: float) -> SymplecticTransform:
@@ -156,18 +164,27 @@ def closed_form_output(state: GaussianState, params: GateParams) -> GaussianStat
     p_out = sqrt(2) p_in + (kappa/sqrt(2)) x_in + (kappa/sqrt(2)) x_s term by
     term.  This deliberately ignores the phase/gain overrides and detection
     efficiency: it is the reference the hardware model is checked against.
+    The batch axes of ``state`` and ``params.kappa`` broadcast together.
     """
     if state.n_modes != 1:
         raise ValueError("gate acts on a single mode")
     k = params.kappa
     vs = params.ancilla_vx
-    mx, mp = state.mean
-    vx, vp, cxp = state.cov[0, 0], state.cov[1, 1], state.cov[0, 1]
-    mean = np.array([mx / np.sqrt(2.0), np.sqrt(2.0) * mp + k * mx / np.sqrt(2.0)])
-    out_vx = 0.5 * (vx + vs)
-    out_vp = 2.0 * vp + 0.5 * k**2 * (vx + vs) + 2.0 * k * cxp
-    out_c = 0.5 * k * (vx - vs) + cxp
-    return GaussianState(1, mean, np.array([[out_vx, out_c], [out_c, out_vp]]))
+    mx, mp = state.mean[..., 0], state.mean[..., 1]
+    vx, vp, cxp = state.cov[..., 0, 0], state.cov[..., 1, 1], state.cov[..., 0, 1]
+    mean = np.stack(
+        np.broadcast_arrays(mx / np.sqrt(2.0), np.sqrt(2.0) * mp + k * mx / np.sqrt(2.0)),
+        axis=-1,
+    )
+    out_vx, out_vp, out_c = np.broadcast_arrays(
+        0.5 * (vx + vs),
+        2.0 * vp + 0.5 * k**2 * (vx + vs) + 2.0 * k * cxp,
+        0.5 * k * (vx - vs) + cxp,
+    )
+    cov = np.stack(
+        [np.stack([out_vx, out_c], axis=-1), np.stack([out_c, out_vp], axis=-1)], axis=-2
+    )
+    return GaussianState(1, mean, cov)
 
 
 def _premeasurement_state(
@@ -193,15 +210,18 @@ def _feedforward_map(params: GateParams, conventions: SignConventions) -> np.nda
     The homodyne reads q = sin(l*theta) x_m + cos(l*theta) p_m and the output is
     x_out = x_kept, p_out = p_kept + f * g * q, which as a 2x4 matrix is exact
     for both the ensemble mean and covariance of the record-discarded output.
+    Array-valued parameters give a stack of shape (..., 2, 4).
     """
-    theta = conventions.lo_sign * params.lo_phase
-    fg = conventions.feedforward_sign * params.feedforward_sign * params.feedforward_gain
-    return np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [fg * np.sin(theta), fg * np.cos(theta), 0.0, 1.0],
-        ]
+    theta, fg = np.broadcast_arrays(
+        conventions.lo_sign * params.lo_phase,
+        conventions.feedforward_sign * params.feedforward_sign * params.feedforward_gain,
     )
+    c = np.zeros(theta.shape + (2, 4))
+    c[..., 0, 2] = 1.0
+    c[..., 1, 0] = fg * np.sin(theta)
+    c[..., 1, 1] = fg * np.cos(theta)
+    c[..., 1, 3] = 1.0
+    return c
 
 
 def _output_state(
@@ -209,9 +229,9 @@ def _output_state(
 ) -> GaussianState:
     joint = _premeasurement_state(state, params, conventions)
     c = _feedforward_map(params, conventions)
-    mean = c @ joint.mean
-    cov = c @ joint.cov @ c.T
-    return GaussianState(1, mean, 0.5 * (cov + cov.T))
+    mean = (c @ joint.mean[..., None])[..., 0]
+    cov = c @ joint.cov @ c.swapaxes(-1, -2)
+    return GaussianState(1, mean, 0.5 * (cov + cov.swapaxes(-1, -2)))
 
 
 def gate_output_state(state: GaussianState, params: GateParams) -> GaussianState:
@@ -254,22 +274,18 @@ def calibrate_signs() -> SignConventions:
         GateCalibrationError: If zero or several combinations match.
     """
     probe = make_coherent(1.3, -0.7)
-    kappas = (-2.0, -1.0, 0.5, 2.0)
+    params = GateParams(kappa=np.array([-2.0, -1.0, 0.5, 2.0]), ancilla_vx=0.24494)
+    want = closed_form_output(probe, params)
     matches = []
     for b in (1, -1):
         for lo in (1, -1):
             for f in (1, -1):
                 cand = SignConventions(b, lo, f)
-                worst = 0.0
-                for k in kappas:
-                    params = GateParams(kappa=k, ancilla_vx=0.24494)
-                    got = _output_state(probe, params, cand)
-                    want = closed_form_output(probe, params)
-                    worst = max(
-                        worst,
-                        float(np.max(np.abs(got.cov - want.cov))),
-                        float(np.max(np.abs(got.mean - want.mean))),
-                    )
+                got = _output_state(probe, params, cand)
+                worst = max(
+                    float(np.max(np.abs(got.cov - want.cov))),
+                    float(np.max(np.abs(got.mean - want.mean))),
+                )
                 if worst < CALIBRATION_TOL:
                     matches.append(cand)
     if len(matches) != 1:

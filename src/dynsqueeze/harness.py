@@ -151,33 +151,32 @@ def generate_traces(cfg: RunConfig) -> Traces:
     return Traces(t, kappa, np.asarray(mean_x), np.asarray(mean_p))
 
 
-def run_output_states(cfg: RunConfig) -> list[GaussianState]:
-    """Per-bin gate output states through the full physical pipeline.
+def run_output_states(cfg: RunConfig) -> GaussianState:
+    """Gate output states through the full physical pipeline, one per bin.
 
+    Returns a single batched state whose batch axis runs over the time bins.
     With use_pwl_electronics the local-oscillator phase and feed-forward gain
     come from the fitted broken-line tables instead of the exact functions.
     """
-    traces = generate_traces(cfg)
-    vx = db_to_variance(cfg.ancilla_db)
-    theta_lut = gain_lut = None
+    return _output_states(cfg, generate_traces(cfg))
+
+
+def _output_states(cfg: RunConfig, traces: Traces) -> GaussianState:
+    gain_override = cfg.feedforward_gain_override
+    lo_phase_override = None
     if cfg.use_pwl_electronics:
-        theta_lut = fit_pwl("arctan", cfg.pwl_segments, cfg.pwl_lo, cfg.pwl_hi)
-        gain_lut = fit_pwl("sqrt1px2", cfg.pwl_segments, cfg.pwl_lo, cfg.pwl_hi)
-    states = []
-    for k, mx, mp in zip(traces.kappa, traces.mean_x, traces.mean_p):
-        gain_override = cfg.feedforward_gain_override
-        if gain_lut is not None:
-            gain_override = gain_lut(k)
-        params = GateParams(
-            kappa=float(k),
-            ancilla_vx=vx,
-            feedforward_gain_override=gain_override,
-            lo_phase_override=None if theta_lut is None else theta_lut(k),
-            feedforward_sign=cfg.feedforward_sign,
-            hd1_efficiency=cfg.hd1_efficiency,
-        )
-        states.append(gate_output_state(make_coherent(float(mx), float(mp)), params))
-    return states
+        n, lo, hi = cfg.pwl_segments, cfg.pwl_lo, cfg.pwl_hi
+        lo_phase_override = fit_pwl("arctan", n, lo, hi)(traces.kappa)
+        gain_override = fit_pwl("sqrt1px2", n, lo, hi)(traces.kappa)
+    params = GateParams(
+        kappa=traces.kappa,
+        ancilla_vx=db_to_variance(cfg.ancilla_db),
+        feedforward_gain_override=gain_override,
+        lo_phase_override=lo_phase_override,
+        feedforward_sign=cfg.feedforward_sign,
+        hd1_efficiency=cfg.hd1_efficiency,
+    )
+    return gate_output_state(make_coherent(traces.mean_x, traces.mean_p), params)
 
 
 @dataclass(frozen=True)
@@ -246,16 +245,10 @@ def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet
     """
     if seed is None:
         seed = cfg.seed
-    states = run_output_states(cfg)
     traces = generate_traces(cfg)
-    means = {
-        angle: np.array([quadrature_mean(s, angle) for s in states])
-        for angle in MEASUREMENT_ANGLES
-    }
-    sigmas = {
-        angle: np.sqrt([quadrature_variance(s, angle) for s in states])
-        for angle in MEASUREMENT_ANGLES
-    }
+    states = _output_states(cfg, traces)
+    means = {angle: quadrature_mean(states, angle) for angle in MEASUREMENT_ANGLES}
+    sigmas = {angle: np.sqrt(quadrature_variance(states, angle)) for angle in MEASUREMENT_ANGLES}
     children = np.random.SeedSequence(seed).spawn(len(MEASUREMENT_ANGLES))
     samples = {}
     for angle, child in zip(MEASUREMENT_ANGLES, children):
@@ -325,21 +318,11 @@ def theory_traces(cfg: RunConfig) -> TheoryTraces:
     """
     traces = generate_traces(cfg)
     vx = db_to_variance(cfg.ancilla_db)
-    outs = [
-        closed_form_output(
-            make_coherent(float(mx), float(mp)),
-            GateParams(kappa=float(k), ancilla_vx=vx),
-        )
-        for k, mx, mp in zip(traces.kappa, traces.mean_x, traces.mean_p)
-    ]
-    mean = {
-        angle: np.array([quadrature_mean(s, angle) for s in outs])
-        for angle in MEASUREMENT_ANGLES
-    }
-    variance = {
-        angle: np.array([quadrature_variance(s, angle) for s in outs])
-        for angle in MEASUREMENT_ANGLES
-    }
+    outs = closed_form_output(
+        make_coherent(traces.mean_x, traces.mean_p), GateParams(kappa=traces.kappa, ancilla_vx=vx)
+    )
+    mean = {angle: quadrature_mean(outs, angle) for angle in MEASUREMENT_ANGLES}
+    variance = {angle: quadrature_variance(outs, angle) for angle in MEASUREMENT_ANGLES}
     simplified = 1.0 + 0.5 * traces.kappa**2 * (0.5 + vx)
     return TheoryTraces(traces.time_us, traces.kappa, mean, variance, simplified)
 

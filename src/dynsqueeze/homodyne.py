@@ -55,8 +55,11 @@ def homodyne_measure(
     remaining state.
 
     Raises:
-        ValueError: If the measured variance is below 1e-12 (singular conditioning).
+        ValueError: If ``state`` is a batch, or the measured variance is below
+            1e-12 (singular conditioning).
     """
+    if state.batch_shape:
+        raise ValueError("homodyne_measure takes a single state, not a batch")
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
     axis = float(np.mod(angle, np.pi))
@@ -81,7 +84,8 @@ def pure_loss(state: GaussianState, mode: int, efficiency: float) -> GaussianSta
     """Mix one mode with vacuum on a beamsplitter of the given transmittance.
 
     Means scale by sqrt(efficiency); the mode's covariance block relaxes toward
-    the vacuum value, C -> eta C + (1 - eta)/2 on that block.
+    the vacuum value, C -> eta C + (1 - eta)/2 on that block.  A batched state
+    is attenuated member by member.
     """
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
@@ -93,5 +97,5 @@ def pure_loss(state: GaussianState, mode: int, efficiency: float) -> GaussianSta
     mean = state.mean * scale
     cov = state.cov * np.outer(scale, scale)
     sl = slice(2 * mode, 2 * mode + 2)
-    cov[sl, sl] += (1.0 - efficiency) * SHOT_NOISE_VARIANCE * np.eye(2)
+    cov[..., sl, sl] += (1.0 - efficiency) * SHOT_NOISE_VARIANCE * np.eye(2)
     return GaussianState(state.n_modes, mean, cov)

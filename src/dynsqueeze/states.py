@@ -33,49 +33,57 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+def _scalar_or_array(values) -> float | np.ndarray:
+    """A float for a 0-d result, the float array itself otherwise."""
+    values = np.asarray(values, dtype=float)
+    return float(values) if values.ndim == 0 else values
+
+
 def variance_to_db(variance: float) -> float:
     """Quadrature variance to dB relative to the shot-noise value 1/2."""
     variance = np.asarray(variance, dtype=float)
     if np.any(variance <= 0.0):
         raise ValueError("variance must be positive to express in dB")
-    out = 10.0 * np.log10(variance / SHOT_NOISE_VARIANCE)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(10.0 * np.log10(variance / SHOT_NOISE_VARIANCE))
 
 
 def db_to_variance(db: float) -> float:
     """Inverse of :func:`variance_to_db`."""
     db = np.asarray(db, dtype=float)
-    out = SHOT_NOISE_VARIANCE * 10.0 ** (db / 10.0)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(SHOT_NOISE_VARIANCE * 10.0 ** (db / 10.0))
 
 
 def symplectic_eigenvalues(cov) -> np.ndarray:
-    """Symplectic eigenvalues of a covariance matrix, sorted ascending.
+    """Symplectic eigenvalues of a covariance matrix or a stack of them, sorted ascending.
 
-    Computed as the moduli of the eigenvalues of i*Omega*cov, which come in
-    +/- pairs; one representative per pair is returned.  Physical states have
-    every symplectic eigenvalue >= 1/2.
+    Computed as the moduli of the eigenvalues of Omega*cov, which come in
+    +/- i*nu pairs; one representative per pair is returned, so a stack of
+    shape (..., 2n, 2n) gives shape (..., n).  Physical states have every
+    symplectic eigenvalue >= 1/2.
     """
     if isinstance(cov, GaussianState):
         cov = cov.cov
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    vals = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ cov)))
-    return 0.5 * (vals[::2] + vals[1::2])
+    n = cov.shape[-1] // 2
+    vals = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ cov)), axis=-1)
+    return 0.5 * (vals[..., ::2] + vals[..., 1::2])
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Gaussian state given by its quadrature means and covariance matrix.
+    """Gaussian state, or a batch of them, given by quadrature means and covariances.
 
-    Both arrays are copied and made read-only at construction.  Construction
-    validates shapes, symmetry of the covariance (to 1e-10), finiteness, and
-    physicality: every symplectic eigenvalue must be >= 1/2 - 1e-9.
+    Leading axes of ``mean`` and ``cov`` are a batch axis: one state per time
+    bin, say.  A state without leading axes is a batch of one.  Both arrays
+    are copied and made read-only at construction.  Construction validates
+    the whole batch at once: shapes, symmetry of every covariance (to 1e-10),
+    finiteness, and physicality (every symplectic eigenvalue >= 1/2 - 1e-9).
+    Indexing or iterating over a batched state yields its members.
 
     Attributes:
         n_modes: Number of optical modes.
-        mean: Quadrature means, shape (2 * n_modes,), interleaved ordering.
-        cov: Quadrature covariance matrix, shape (2*n_modes, 2*n_modes).
+        mean: Quadrature means, shape (..., 2 * n_modes), interleaved ordering.
+        cov: Quadrature covariance matrices, shape (..., 2*n_modes, 2*n_modes).
     """
 
     n_modes: int
@@ -88,15 +96,18 @@ class GaussianState:
             raise ValueError("state needs at least one mode")
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.cov, dtype=float)
-        if mean.shape != (2 * n,):
-            raise ValueError(f"mean must have shape ({2 * n},), got {mean.shape}")
-        if cov.shape != (2 * n, 2 * n):
-            raise ValueError(f"cov must have shape ({2 * n}, {2 * n}), got {cov.shape}")
+        if mean.ndim < 1 or mean.shape[-1] != 2 * n:
+            raise ValueError(f"mean must have shape (..., {2 * n}), got {mean.shape}")
+        if cov.shape != mean.shape + (2 * n,):
+            raise ValueError(
+                f"cov must have shape {mean.shape + (2 * n,)} to match the mean, got {cov.shape}"
+            )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("moments must be finite")
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
+        cov_t = cov.swapaxes(-1, -2)
+        if np.max(np.abs(cov - cov_t)) > SYMMETRY_TOL:
             raise ValueError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
+        cov = 0.5 * (cov + cov_t)
         nu_min = float(symplectic_eigenvalues(cov).min())
         if nu_min < SHOT_NOISE_VARIANCE - PHYSICALITY_TOL:
             raise ValueError(
@@ -107,6 +118,22 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """Shape of the batch axes; () for a single state."""
+        return self.mean.shape[:-1]
+
+    def __getitem__(self, index) -> "GaussianState":
+        if not self.batch_shape:
+            raise TypeError("a single state cannot be indexed")
+        return GaussianState(self.n_modes, self.mean[index], self.cov[index])
+
+    def __iter__(self):
+        if not self.batch_shape:
+            raise TypeError("a single state cannot be iterated over")
+        for i in range(self.batch_shape[0]):
+            yield self[i]
+
 
 def make_vacuum(n_modes: int = 1) -> GaussianState:
     """Vacuum in every mode: zero means, covariance (1/2) * identity."""
@@ -115,9 +142,14 @@ def make_vacuum(n_modes: int = 1) -> GaussianState:
     )
 
 
-def make_coherent(x: float, p: float) -> GaussianState:
-    """Single-mode coherent state: vacuum covariance displaced to mean (x, p)."""
-    return GaussianState(1, np.array([x, p], dtype=float), SHOT_NOISE_VARIANCE * np.eye(2))
+def make_coherent(x, p) -> GaussianState:
+    """Coherent state: vacuum covariance displaced to mean (x, p).
+
+    Array-valued ``x`` and ``p`` (broadcast together) give a batch of states.
+    """
+    mean = np.stack(np.broadcast_arrays(x, p), axis=-1)
+    cov = np.broadcast_to(SHOT_NOISE_VARIANCE * np.eye(2), mean.shape + (2,))
+    return GaussianState(1, mean, cov)
 
 
 def make_squeezed_vacuum(vx: float) -> GaussianState:
@@ -133,12 +165,18 @@ def make_squeezed_vacuum(vx: float) -> GaussianState:
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state of two registers; ``a`` keeps the lower mode indices."""
+    """Product state of two registers; ``a`` keeps the lower mode indices.
+
+    Batch axes broadcast, so a single ancilla pairs with every member of a batch.
+    """
     n = a.n_modes + b.n_modes
-    mean = np.concatenate([a.mean, b.mean])
-    cov = np.zeros((2 * n, 2 * n))
-    cov[: 2 * a.n_modes, : 2 * a.n_modes] = a.cov
-    cov[2 * a.n_modes :, 2 * a.n_modes :] = b.cov
+    batch = np.broadcast_shapes(a.batch_shape, b.batch_shape)
+    mean = np.concatenate(
+        [np.broadcast_to(s.mean, batch + s.mean.shape[-1:]) for s in (a, b)], axis=-1
+    )
+    cov = np.zeros(batch + (2 * n, 2 * n))
+    cov[..., : 2 * a.n_modes, : 2 * a.n_modes] = a.cov
+    cov[..., 2 * a.n_modes :, 2 * a.n_modes :] = b.cov
     return GaussianState(n, mean, cov)
 
 
@@ -152,16 +190,21 @@ def quadrature_direction(angle: float, mode: int, n_modes: int) -> np.ndarray:
     return u
 
 
-def quadrature_mean(state: GaussianState, angle: float, mode: int = 0) -> float:
+def quadrature_mean(state: GaussianState, angle: float, mode: int = 0):
+    """Mean of the rotated quadrature x*cos(angle) + p*sin(angle) of one mode.
+
+    A float for a single state, an array over the batch axes otherwise.
+    """
     u = quadrature_direction(angle, mode, state.n_modes)
-    return float(u @ state.mean)
+    return _scalar_or_array(state.mean @ u)
 
 
-def quadrature_variance(state: GaussianState, angle: float, mode: int = 0) -> float:
+def quadrature_variance(state: GaussianState, angle: float, mode: int = 0):
     """Variance of the rotated quadrature x*cos(angle) + p*sin(angle) of one mode.
 
     angle = 0 gives the x variance, pi/2 the p variance, and pi/4 the variance
-    of (x + p) / sqrt(2).
+    of (x + p) / sqrt(2).  A float for a single state, an array over the batch
+    axes otherwise.
     """
     u = quadrature_direction(angle, mode, state.n_modes)
-    return float(u @ state.cov @ u)
+    return _scalar_or_array(u @ state.cov @ u)

@@ -56,15 +56,18 @@ class SymplecticTransform:
 
 
 def apply(transform: SymplecticTransform, state: GaussianState) -> GaussianState:
-    """Propagate a state through a transform: m -> S m + d, C -> S C S^T."""
+    """Propagate a state through a transform: m -> S m + d, C -> S C S^T.
+
+    A batched state is propagated member by member through the same transform.
+    """
     if transform.n_modes != state.n_modes:
         raise ValueError(
             f"mode count mismatch: transform has {transform.n_modes}, state has {state.n_modes}"
         )
     s = transform.matrix
-    mean = s @ state.mean + transform.displacement
+    mean = state.mean @ s.T + transform.displacement
     cov = s @ state.cov @ s.T
-    return GaussianState(state.n_modes, mean, 0.5 * (cov + cov.T))
+    return GaussianState(state.n_modes, mean, 0.5 * (cov + cov.swapaxes(-1, -2)))
 
 
 def compose(*transforms: SymplecticTransform) -> SymplecticTransform:

@@ -222,3 +222,15 @@ def test_read_summary_rejects_bad_header(tmp_path):
     path.write_text("nope\n")
     with pytest.raises(ValueError):
         read_summary_csv(path)
+
+
+def test_read_summary_rejects_short_row(tmp_path):
+    est, _ = _theory_moments(RunConfig(bins_per_period=4))
+    rows, _ = summarize(est)
+    path = tmp_path / "summary.csv"
+    write_summary_csv(path, rows)
+    lines = path.read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:-2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"summary\.csv:4: expected 11 fields"):
+        read_summary_csv(path)

@@ -5,6 +5,7 @@ import pytest
 
 from dynsqueeze import (
     GateCalibrationError,
+    SignConventions,
     HomodyneRecordSet,
     RunConfig,
     config_digest,
@@ -155,6 +156,24 @@ def test_calibration_failure_exits_2(cfg_path, tmp_path, monkeypatch, capsys):
     rc = _simulate(cfg_path, tmp_path / "sim")
     assert rc == 2
     assert "internal check failed: forced" in capsys.readouterr().err
+
+
+def test_calibration_mismatch_exits_2(cfg_path, tmp_path, monkeypatch, capsys):
+    # a calibration that singles out a convention other than the model's
+    monkeypatch.setattr("dynsqueeze.cli.calibrate_signs", lambda: SignConventions(1, -1, 1))
+    rc = _simulate(cfg_path, tmp_path / "sim")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal check failed" in err and "(1, -1, 1)" in err
+    assert not (tmp_path / "sim" / "moments_x.csv").exists()
+
+
+def test_non_integer_grid_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"bins_per_period": 50.5}))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "bins_per_period must be an integer" in capsys.readouterr().err
 
 
 def test_circuits_writes_both_tables(tmp_path, capsys):

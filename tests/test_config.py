@@ -69,6 +69,15 @@ def test_invalid_json_rejected(tmp_path):
         {"pwl_segments": 0},
         {"pwl_lo": 2.0, "pwl_hi": -2.0},
         {"optical_delay_ns": -1.0},
+        {"bins_per_period": 50.5},
+        {"bins_per_period": 50.0},
+        {"n_periods": True},
+        {"n_trials": 1000.0},
+        {"n_trials": "1000"},
+        {"pwl_segments": 16.0},
+        {"use_pwl_electronics": True, "control_amplitude": 3.0},
+        {"use_pwl_electronics": True, "pwl_lo": -1.5},
+        {"use_pwl_electronics": True, "pwl_hi": 1.0},
     ],
 )
 def test_validation_rejects(overrides):
@@ -83,3 +92,10 @@ def test_digest_is_stable_and_sensitive():
     c = config_from_dict({"seed": 2, "n_trials": 100})
     assert config_digest(a) != config_digest(c)
     assert len(config_digest(a)) == 64
+
+
+def test_lookup_range_only_binds_the_table_electronics():
+    # the look-up tables may cover exactly the control range
+    assert config_from_dict({"use_pwl_electronics": True}).control_amplitude == 2.0
+    # exact electronics have no table to leave
+    assert config_from_dict({"control_amplitude": 3.0}).pwl_hi == 2.0

@@ -172,3 +172,9 @@ def test_pure_loss_validation():
         pure_loss(make_vacuum(), 0, 1.2)
     with pytest.raises(ValueError):
         pure_loss(make_vacuum(), 1, 0.5)
+
+
+def test_measure_rejects_a_batch(rng):
+    batch = tensor(make_coherent([1.0, 2.0], [0.0, 0.5]), make_vacuum())
+    with pytest.raises(ValueError, match="single state"):
+        homodyne_measure(batch, 0, 0.0, rng)
