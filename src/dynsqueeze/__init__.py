@@ -18,12 +18,7 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_digest, load_config, save_config
 from .electronics import (
-    DelayModel,
     PiecewiseLinearFunction,
-    SignalChainStage,
-    apply_chain,
-    delay_signal,
-    eval_pwl,
     fit_pwl,
     load_pwl_table,
     max_error,
@@ -38,7 +33,6 @@ from .gate import (
     closed_form_output,
     decompose_shear,
     gate_output_state,
-    ideal_shear_map,
     simulate_gate_shot,
 )
 from .harness import (

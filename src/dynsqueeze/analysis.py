@@ -12,11 +12,10 @@ the principal-axis angle phi; the minimum-variance axis sits at -phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .harness import MEASUREMENT_ANGLES, MomentEstimates, TheoryTraces
+from .harness import MEASUREMENT_ANGLES, MomentEstimates, TheoryTraces, read_table, write_table
 from .states import variance_to_db
 
 SUMMARY_COLUMNS = (
@@ -44,8 +43,6 @@ RESIDUAL_COLUMNS = (
     "d_var_p",
     "d_var_pi4",
 )
-
-_FMT = "{:.12g}"
 
 _X, _P, _PI4 = MEASUREMENT_ANGLES
 
@@ -195,57 +192,32 @@ def summarize(
 
 def write_summary_csv(path, rows: list[VarianceSummary]) -> None:
     """Summary rows in the flat schema; squeezing levels are stored in dB."""
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for r in rows:
-        plus_db = variance_to_db(r.sigma_plus2) if r.valid else np.nan
-        minus_db = variance_to_db(r.sigma_minus2) if r.valid else np.nan
-        vals = [
-            str(r.bin_index),
-            _FMT.format(r.time_us),
-            _FMT.format(r.kappa),
-            _FMT.format(r.sigma_x2),
-            _FMT.format(r.sigma_p2),
-            _FMT.format(r.sigma_pi4_2),
-            _FMT.format(r.sigma_xp),
-            _FMT.format(plus_db),
-            _FMT.format(minus_db),
-            _FMT.format(r.phi_rad),
-            str(int(r.valid)),
-        ]
-        lines.append(",".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+
+    def column(name, dtype=float):
+        return np.array([getattr(r, name) for r in rows], dtype=dtype)
+
+    valid = column("valid", bool)
+    plus_db, minus_db = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+    plus_db[valid] = variance_to_db(column("sigma_plus2")[valid])
+    minus_db[valid] = variance_to_db(column("sigma_minus2")[valid])
+    write_table(path, SUMMARY_COLUMNS, (
+        column("bin_index", int), column("time_us"), column("kappa"),
+        column("sigma_x2"), column("sigma_p2"), column("sigma_pi4_2"), column("sigma_xp"),
+        plus_db, minus_db, column("phi_rad"), valid,
+    ))
 
 
 def write_residuals_csv(path, res: Residuals) -> None:
-    lines = [",".join(RESIDUAL_COLUMNS)]
-    for b in range(len(res.time_us)):
-        vals = [str(b)] + [
-            _FMT.format(v)
-            for v in (
-                res.time_us[b], res.kappa[b],
-                res.d_mean[_X][b], res.d_mean[_P][b], res.d_mean[_PI4][b],
-                res.d_variance[_X][b], res.d_variance[_P][b], res.d_variance[_PI4][b],
-            )
-        ]
-        lines.append(",".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, RESIDUAL_COLUMNS, (
+        np.arange(len(res.time_us)), res.time_us, res.kappa,
+        res.d_mean[_X], res.d_mean[_P], res.d_mean[_PI4],
+        res.d_variance[_X], res.d_variance[_P], res.d_variance[_PI4],
+    ))
 
 
 def read_summary_csv(path) -> dict:
     """Summary CSV back to a dict of columns (arrays; ``valid`` as bool)."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0].split(",") != list(SUMMARY_COLUMNS):
-        raise ValueError(f"{path}: expected header {','.join(SUMMARY_COLUMNS)}")
-    rows = []
-    for ln, line in enumerate(text[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(SUMMARY_COLUMNS):
-            raise ValueError(f"{path}:{ln}: expected {len(SUMMARY_COLUMNS)} fields")
-        rows.append([float(p) for p in parts])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows)
-    out = {col: data[:, i] for i, col in enumerate(SUMMARY_COLUMNS)}
+    out = read_table(path, SUMMARY_COLUMNS)
     out["bin_index"] = out["bin_index"].astype(int)
     out["valid"] = out["valid"].astype(bool)
     return out

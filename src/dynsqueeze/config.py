@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """All knobs of a simulated run.
 
-    Frequencies are in MHz and times in ns; amplitudes are in the
+    Frequencies are in MHz and times in us; amplitudes are in the
     shot-noise units used everywhere else (vacuum variance 1/2).
     """
 
@@ -57,8 +57,6 @@ class RunConfig:
     pwl_segments: int = 16
     pwl_lo: float = -2.0
     pwl_hi: float = 2.0
-    optical_delay_ns: float = 43.4
-    electronics_latency_ns: float = 10.0
 
     def __post_init__(self) -> None:
         if self.control_samples is not None:
@@ -124,10 +122,6 @@ class RunConfig:
                 f"control_amplitude {self.control_amplitude} leaves the look-up-table range "
                 f"[{self.pwl_lo}, {self.pwl_hi}], where the tables would clamp"
             )
-        for name in ("optical_delay_ns", "electronics_latency_ns"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be >= 0, got {v}")
 
     @property
     def n_bins(self) -> int:

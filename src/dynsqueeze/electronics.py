@@ -1,10 +1,11 @@
-"""Analog feed-forward electronics: look-up tables, gain stages, delays.
+"""Analog feed-forward electronics: piecewise-linear look-up tables.
 
 The local-oscillator phase arctan(kappa) and the feed-forward gain
 sqrt(1 + kappa^2) have to be produced in real time by analog circuits, which
 realize them as clamped piecewise-linear (broken-line) approximations.  This
-module fits those tables, models gain/offset stages with latency, and applies
-fractional-sample delays.
+module fits those tables, measures their worst-case error and saves/loads
+them as text.  With ``use_pwl_electronics`` the harness runs the gate off
+these tables instead of the exact functions.
 """
 
 from __future__ import annotations
@@ -81,11 +82,6 @@ class PiecewiseLinearFunction:
     def __call__(self, x):
         out = np.interp(x, self.xs, self.ys, left=self.clamp_below, right=self.clamp_above)
         return float(out) if np.ndim(x) == 0 else out
-
-
-def eval_pwl(f: PiecewiseLinearFunction, x):
-    """Evaluate a broken-line function; clamps outside the breakpoint range."""
-    return f(x)
 
 
 def _lookup_target(target: str):
@@ -212,88 +208,3 @@ def load_pwl_table(path) -> PiecewiseLinearFunction:
         raise ValueError(f"{path}: need at least two breakpoints")
     xs, ys = zip(*rows)
     return PiecewiseLinearFunction(np.array(xs), np.array(ys))
-
-
-@dataclass(frozen=True)
-class SignalChainStage:
-    """One analog stage: y = gain * x + offset, contributing a fixed latency."""
-
-    gain: float
-    offset: float = 0.0
-    latency_ns: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.gain) or self.gain == 0.0:
-            raise ValueError(f"gain must be finite and nonzero, got {self.gain}")
-        if not np.isfinite(self.offset):
-            raise ValueError("offset must be finite")
-        if not np.isfinite(self.latency_ns) or self.latency_ns < 0.0:
-            raise ValueError(f"latency_ns must be >= 0, got {self.latency_ns}")
-
-    def compensation(self) -> "SignalChainStage":
-        """Stage undoing this one's gain and offset: y = x/g - o/g, zero latency.
-
-        An inverting amplifier (g < 0) is undone by another inverting stage;
-        latency cannot be undone and is not part of the compensation.
-        """
-        return SignalChainStage(1.0 / self.gain, -self.offset / self.gain, 0.0)
-
-
-def delay_signal(signal, delay_ns: float, sample_period_ns: float):
-    """Delay a uniformly sampled signal by a fractional number of samples.
-
-    Linear interpolation between neighbouring samples; the edges hold the
-    first/last value.  Negative delays advance the signal.
-    """
-    if sample_period_ns <= 0.0 or not np.isfinite(sample_period_ns):
-        raise ValueError(f"sample_period_ns must be positive, got {sample_period_ns}")
-    y = np.asarray(signal, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("signal must be a nonempty 1-d array")
-    shift = delay_ns / sample_period_ns
-    if shift == 0.0:
-        return y.copy()
-    idx = np.arange(y.size, dtype=float)
-    return np.interp(idx - shift, idx, y, left=y[0], right=y[-1])
-
-
-def apply_chain(signal, stages, sample_period_ns: float):
-    """Run a sampled signal through gain/offset stages plus their total latency.
-
-    Gains and offsets act pointwise in order; the summed latency is applied
-    once at the end as a fractional-sample delay.
-    """
-    y = np.asarray(signal, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("signal must be a nonempty 1-d array")
-    if sample_period_ns <= 0.0 or not np.isfinite(sample_period_ns):
-        raise ValueError(f"sample_period_ns must be positive, got {sample_period_ns}")
-    y = y.copy()
-    total_latency = 0.0
-    for stage in stages:
-        y = stage.gain * y + stage.offset
-        total_latency += stage.latency_ns
-    return delay_signal(y, total_latency, sample_period_ns)
-
-
-@dataclass(frozen=True)
-class DelayModel:
-    """Propagation delay of the optical path vs latency of the electronics.
-
-    The optical output is delayed (free-space path) so the electronic signal
-    arrives in time; what matters downstream is the residual mismatch.
-    """
-
-    optical_delay_ns: float = 43.4
-    electronics_latency_ns: float = 10.0
-
-    def __post_init__(self) -> None:
-        for name in ("optical_delay_ns", "electronics_latency_ns"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
-
-    @property
-    def mismatch_ns(self) -> float:
-        """Residual timing error, optical delay minus electronics latency."""
-        return self.optical_delay_ns - self.electronics_latency_ns

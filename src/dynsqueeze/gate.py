@@ -31,7 +31,7 @@ from .states import (
     make_squeezed_vacuum,
     tensor,
 )
-from .symplectic import SymplecticTransform, apply, beamsplitter, shear
+from .symplectic import apply, beamsplitter
 
 DEFAULT_ANCILLA_VX = db_to_variance(-3.1)
 
@@ -112,11 +112,6 @@ class GateParams:
         if self.feedforward_gain_override is not None:
             return self.feedforward_gain_override
         return _scalar_or_array(np.sqrt(1.0 + self.kappa**2))
-
-
-def ideal_shear_map(kappa: float) -> SymplecticTransform:
-    """The target unitary map alone: x -> x, p -> p + kappa x."""
-    return shear(kappa)
 
 
 @dataclass(frozen=True)

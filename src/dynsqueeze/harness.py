@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_digest
+from .config import VALID_WAVEFORMS, RunConfig, config_digest
 from .electronics import fit_pwl
 from .gate import GateParams, closed_form_output, gate_output_state
 from .states import (
@@ -42,7 +42,16 @@ MOMENTS_COLUMNS = (
     "se_var",
 )
 
-_FMT = "{:.12g}"
+_FMT = "{:.12g}".format
+
+# RunConfig fields that theory_traces leaves at their ideal values: it is the
+# reference for the gate as designed, not for the configured hardware.
+THEORY_IGNORES = (
+    "feedforward_sign",
+    "feedforward_gain_override",
+    "hd1_efficiency",
+    "use_pwl_electronics",
+)
 
 
 def label_for_angle(angle: float) -> str:
@@ -59,7 +68,9 @@ class ControlSignal:
 
     ``sine`` and ``square`` are periodic analytic waveforms; ``custom`` cycles
     through an explicit list of per-bin values.  In every case
-    |kappa| <= amplitude.
+    |kappa| <= amplitude.  The square wave is +amplitude over the first half
+    of each cycle and -amplitude over the second; a bin on a half-cycle
+    boundary (to within 1e-9 of a half cycle) starts the new half.
     """
 
     waveform: str
@@ -69,7 +80,7 @@ class ControlSignal:
     samples: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.waveform not in ("sine", "square", "custom"):
+        if self.waveform not in VALID_WAVEFORMS:
             raise ValueError(f"unknown waveform {self.waveform!r}")
         if self.frequency_mhz <= 0.0 or self.amplitude <= 0.0:
             raise ValueError("frequency and amplitude must be positive")
@@ -90,7 +101,10 @@ class ControlSignal:
         phase = 2.0 * np.pi * self.frequency_mhz * t + self.phase_rad
         if self.waveform == "sine":
             return self.amplitude * np.sin(phase)
-        return self.amplitude * np.sign(np.sin(phase))
+        halves = phase / np.pi
+        nearest = np.round(halves)
+        halves = np.where(np.abs(halves - nearest) < 1e-9, nearest, halves)
+        return np.where(np.floor(halves) % 2 == 0, self.amplitude, -self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -124,30 +138,18 @@ class Traces:
     mean_p: np.ndarray
 
 
-def control_from_config(cfg: RunConfig) -> ControlSignal:
-    return ControlSignal(
-        cfg.control_waveform,
-        cfg.control_frequency_mhz,
-        cfg.control_amplitude,
-        cfg.control_phase_rad,
-        cfg.control_samples,
-    )
-
-
-def modulation_from_config(cfg: RunConfig) -> InputModulation:
-    return InputModulation(
-        cfg.input_x_amplitude,
-        cfg.input_p_amplitude,
-        cfg.input_frequency_mhz,
-        cfg.input_phase_rad,
-    )
-
-
 def generate_traces(cfg: RunConfig) -> Traces:
     """Sample control and input-modulation traces on the configured grid."""
     t = np.arange(cfg.n_bins) * cfg.bin_width_us
-    kappa = control_from_config(cfg).sample_bins(cfg.n_bins, cfg.bin_width_us)
-    mean_x, mean_p = modulation_from_config(cfg).means(t)
+    control = ControlSignal(
+        cfg.control_waveform, cfg.control_frequency_mhz, cfg.control_amplitude,
+        cfg.control_phase_rad, cfg.control_samples,
+    )
+    modulation = InputModulation(
+        cfg.input_x_amplitude, cfg.input_p_amplitude, cfg.input_frequency_mhz, cfg.input_phase_rad
+    )
+    mean_x, mean_p = modulation.means(t)
+    kappa = control.sample_bins(cfg.n_bins, cfg.bin_width_us)
     return Traces(t, kappa, np.asarray(mean_x), np.asarray(mean_p))
 
 
@@ -315,6 +317,7 @@ def theory_traces(cfg: RunConfig) -> TheoryTraces:
 
     Deliberately computed from the scalar input-output relations (not the
     pipeline), so Monte Carlo vs theory comparisons cross independent routes.
+    The fields in ``THEORY_IGNORES`` do not enter: this is the ideal gate.
     """
     traces = generate_traces(cfg)
     vx = db_to_variance(cfg.ancilla_db)
@@ -327,40 +330,68 @@ def theory_traces(cfg: RunConfig) -> TheoryTraces:
     return TheoryTraces(traces.time_us, traces.kappa, mean, variance, simplified)
 
 
-def _write_rows(path, angle, time_us, kappa, mean, variance, se_mean, se_var) -> None:
-    lines = [",".join(MOMENTS_COLUMNS)]
-    for b in range(len(time_us)):
-        vals = (angle, b, time_us[b], kappa[b], mean[b], variance[b], se_mean[b], se_var[b])
-        lines.append(
-            ",".join(_FMT.format(v) if not isinstance(v, int) else str(v) for v in vals)
-        )
+def write_table(path, columns, arrays) -> None:
+    """Write equal-length columns as CSV: a header line, then one row per entry.
+
+    Integer and boolean columns print as integers, float columns as
+    ``{:.12g}``; a scalar is repeated down its column.
+    """
+    if len(arrays) != len(columns):
+        raise ValueError(f"{len(columns)} columns but {len(arrays)} arrays")
+    cells = []
+    for col in np.broadcast_arrays(*(np.asarray(a) for a in arrays)):
+        if col.dtype.kind in "biu":
+            cells.append([str(int(v)) for v in col.tolist()])
+        else:
+            cells.append([_FMT(v) for v in col.tolist()])
+    lines = [",".join(columns), *(",".join(row) for row in zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_table(path, columns) -> dict[str, np.ndarray]:
+    """Read a CSV written by :func:`write_table`; one float array per column.
+
+    The header must equal ``columns``, every row must carry one field per
+    column, and there must be at least one row.
+    """
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines or lines[0].split(",") != list(columns):
+        raise ValueError(f"{path}: expected header {','.join(columns)}")
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise ValueError(f"{path}:{ln}: expected {len(columns)} fields")
+        rows.append([float(p) for p in parts])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    data = np.asarray(rows)
+    return {col: data[:, i] for i, col in enumerate(columns)}
+
+
+def _write_moments(path, angle, grid, mean, variance, se_mean, se_var) -> None:
+    """Moments-schema rows on the time/kappa grid of ``grid``."""
+    bins = np.arange(len(grid.time_us))
+    columns = (angle, bins, grid.time_us, grid.kappa, mean, variance, se_mean, se_var)
+    write_table(path, MOMENTS_COLUMNS, columns)
 
 
 def write_moments_csv(path, est: MomentEstimates, angle: float) -> None:
     """One angle's per-bin moments in the flat schema shared with theory files."""
-    _write_rows(
-        path, angle, est.time_us, est.kappa,
-        est.mean[angle], est.variance[angle], est.se_mean[angle], est.se_var[angle],
+    _write_moments(
+        path, angle, est, est.mean[angle], est.variance[angle], est.se_mean[angle], est.se_var[angle]
     )
 
 
 def write_theory_csv(path, theory: TheoryTraces, angle: float) -> None:
     """Theory predictions in the moments schema; standard errors are zero."""
-    zeros = np.zeros_like(theory.time_us)
-    _write_rows(
-        path, angle, theory.time_us, theory.kappa,
-        theory.mean[angle], theory.variance[angle], zeros, zeros,
-    )
+    _write_moments(path, angle, theory, theory.mean[angle], theory.variance[angle], 0.0, 0.0)
 
 
 def write_simplified_csv(path, theory: TheoryTraces) -> None:
     """The shortcut p-variance trace, same schema, angle fixed to pi/2."""
-    zeros = np.zeros_like(theory.time_us)
-    _write_rows(
-        path, np.pi / 2.0, theory.time_us, theory.kappa,
-        theory.mean[np.pi / 2.0], theory.p_variance_simplified, zeros, zeros,
-    )
+    p = np.pi / 2.0
+    _write_moments(path, p, theory, theory.mean[p], theory.p_variance_simplified, 0.0, 0.0)
 
 
 def read_moments_csv(path) -> dict:
@@ -369,22 +400,8 @@ def read_moments_csv(path) -> dict:
     Returns a dict with the scalar ``angle`` and one array per remaining
     column.  The header and the constancy of the angle column are enforced.
     """
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0].split(",") != list(MOMENTS_COLUMNS):
-        raise ValueError(f"{path}: expected header {','.join(MOMENTS_COLUMNS)}")
-    rows = []
-    for ln, line in enumerate(text[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(MOMENTS_COLUMNS):
-            raise ValueError(f"{path}:{ln}: expected {len(MOMENTS_COLUMNS)} fields")
-        rows.append([float(p) for p in parts])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows)
-    angles = np.unique(data[:, 0])
+    data = read_table(path, MOMENTS_COLUMNS)
+    angles = np.unique(data.pop("angle_rad"))
     if angles.size != 1:
         raise ValueError(f"{path}: mixed angles {angles} in one file")
-    out = {"angle": float(angles[0])}
-    for i, col in enumerate(MOMENTS_COLUMNS[1:], start=1):
-        out[col] = data[:, i]
-    return out
+    return {"angle": float(angles[0]), **data}

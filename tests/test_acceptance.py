@@ -24,7 +24,6 @@ from dynsqueeze import (
     estimate_moments,
     fit_pwl,
     gate_output_state,
-    ideal_shear_map,
     make_coherent,
     max_error,
     quadrature_variance,
@@ -33,6 +32,7 @@ from dynsqueeze import (
     run_output_states,
     save_config,
     scan_extrema,
+    shear,
     summarize,
     symplectic_eigenvalues,
     theory_traces,
@@ -142,7 +142,7 @@ def test_criterion_04_pipeline_matches_closed_form():
 def test_criterion_05_shear_decomposition_recomposes():
     for kappa in np.linspace(-3.0, 3.0, 1000):
         d = decompose_shear(float(kappa))
-        target = ideal_shear_map(float(kappa)).matrix
+        target = shear(float(kappa)).matrix
         assert np.max(np.abs(d.recompose() - target)) <= 1e-12
         contract, expand = d.squeeze_factors
         assert abs(contract * expand - 1.0) <= 1e-12

@@ -76,6 +76,23 @@ def test_theory_outputs_and_gap_note(cfg_path, tmp_path, capsys):
         assert (out / name).exists()
 
 
+def test_theory_default_config_prints_no_ideal_model_note(cfg_path, tmp_path, capsys):
+    assert main(["theory", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert "ignores" not in capsys.readouterr().out
+
+
+def test_theory_notes_hardware_fields_it_ignores(tmp_path, capsys):
+    path = tmp_path / "lossy.json"
+    lossy = RunConfig(bins_per_period=5, hd1_efficiency=0.8, feedforward_sign=-1)
+    save_config(lossy, path)
+    assert main(["theory", "--config", str(path), "--out", str(tmp_path)]) == 0
+    notes = [ln for ln in capsys.readouterr().out.splitlines() if "ignores" in ln]
+    assert notes == [
+        "note: theory models the ideal gate and ignores feedforward_sign, hd1_efficiency; "
+        "residuals against a run with these settings are not failures."
+    ]
+
+
 def test_analyze_with_theory_residuals(cfg_path, tmp_path, capsys):
     sim, th, an = tmp_path / "sim", tmp_path / "th", tmp_path / "an"
     assert _simulate(cfg_path, sim) == 0
@@ -135,11 +152,24 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "knaob" in capsys.readouterr().err
 
 
+def test_removed_delay_key_exits_1(tmp_path, capsys):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"electronics_latency_ns": 10.0}))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
+    assert rc == 1
+    assert "electronics_latency_ns" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_usage_errors_fold_to_exit_1(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["simulate", "--bogus"]) == 1
     assert main(["analyze"]) == 1  # --moments is required
+    # flags a subcommand would ignore are refused
+    assert main(["theory", "--seed", "3"]) == 1
+    assert main(["analyze", "--config", "x.json", "--moments", "a.csv", "b.csv", "c.csv"]) == 1
+    assert main(["circuits", "--seed", "3"]) == 1
     capsys.readouterr()
 
 

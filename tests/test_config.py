@@ -1,9 +1,50 @@
 import json
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynsqueeze import ConfigError, RunConfig, config_digest, load_config, save_config
-from dynsqueeze.config import config_from_dict
+from dynsqueeze.config import VALID_WAVEFORMS, config_from_dict
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+
+# A valid value range for every RunConfig field.  The amplitude stays inside
+# the narrowest table range and the custom samples inside the smallest
+# amplitude, so any single field can change without breaking another's check.
+FIELD_VALUES = {
+    "ancilla_db": _FINITE,
+    "feedforward_sign": st.sampled_from([-1, 1]),
+    "feedforward_gain_override": st.none() | _FINITE,
+    "hd1_efficiency": st.floats(min_value=1e-3, max_value=1.0),
+    "control_waveform": st.sampled_from(VALID_WAVEFORMS),
+    "control_frequency_mhz": _POSITIVE,
+    "control_amplitude": st.floats(min_value=0.5, max_value=2.0),
+    "control_phase_rad": _FINITE,
+    "control_samples": st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=1, max_size=5),
+    "input_x_amplitude": _FINITE,
+    "input_p_amplitude": _FINITE,
+    "input_frequency_mhz": _POSITIVE,
+    "input_phase_rad": _FINITE,
+    "bins_per_period": st.integers(2, 10**4),
+    "n_periods": st.integers(2, 100),
+    "n_trials": st.integers(2, 10**7),
+    "seed": st.integers(0, 2**64 - 1),
+    "use_pwl_electronics": st.booleans(),
+    "pwl_segments": st.integers(1, 64),
+    "pwl_lo": st.floats(min_value=-4.0, max_value=-2.0),
+    "pwl_hi": st.floats(min_value=2.0, max_value=4.0),
+}
+
+
+@st.composite
+def configs(draw):
+    values = {name: draw(strategy) for name, strategy in FIELD_VALUES.items()}
+    if values["control_waveform"] != "custom":
+        values["control_samples"] = None
+    return RunConfig(**values)
 
 
 def test_defaults():
@@ -16,8 +57,6 @@ def test_defaults():
     assert cfg.n_trials == 10851
     assert cfg.n_bins == 200
     assert cfg.bin_width_us == pytest.approx(0.01)
-    assert cfg.optical_delay_ns == 43.4
-    assert cfg.electronics_latency_ns == 10.0
     assert not cfg.use_pwl_electronics
 
 
@@ -68,7 +107,6 @@ def test_invalid_json_rejected(tmp_path):
         {"seed": -1},
         {"pwl_segments": 0},
         {"pwl_lo": 2.0, "pwl_hi": -2.0},
-        {"optical_delay_ns": -1.0},
         {"bins_per_period": 50.5},
         {"bins_per_period": 50.0},
         {"n_periods": True},
@@ -78,11 +116,51 @@ def test_invalid_json_rejected(tmp_path):
         {"use_pwl_electronics": True, "control_amplitude": 3.0},
         {"use_pwl_electronics": True, "pwl_lo": -1.5},
         {"use_pwl_electronics": True, "pwl_hi": 1.0},
+        {"control_waveform": "custom", "control_samples": [0.0, float("nan")]},
     ],
 )
 def test_validation_rejects(overrides):
     with pytest.raises(ConfigError):
         config_from_dict(overrides)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"optical_delay_ns": -1.0}, {"optical_delay_ns": 43.4}, {"electronics_latency_ns": 10.0}],
+)
+def test_removed_delay_keys_rejected(tmp_path, raw):
+    # a config saved while the unused delay fields existed must not load
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    (key,) = raw
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+def test_field_values_cover_every_field():
+    assert set(FIELD_VALUES) == {f.name for f in fields(RunConfig)}
+
+
+@given(configs())
+@settings(max_examples=200, deadline=None)
+def test_json_round_trip_keeps_config_and_digest(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    save_config(cfg, path)
+    loaded = load_config(path)
+    assert loaded == cfg
+    assert config_digest(loaded) == config_digest(cfg)
+
+
+@given(configs(), st.sampled_from(sorted(FIELD_VALUES)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_digest_changes_with_any_single_field(cfg, name, data):
+    value = data.draw(FIELD_VALUES[name])
+    try:
+        changed = replace(cfg, **{name: value})
+    except ConfigError:
+        assume(False)  # e.g. samples on a non-custom waveform
+    assume(changed != cfg)
+    assert config_digest(changed) != config_digest(cfg)
 
 
 def test_digest_is_stable_and_sensitive():

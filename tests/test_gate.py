@@ -11,7 +11,6 @@ from dynsqueeze import (
     compose,
     decompose_shear,
     gate_output_state,
-    ideal_shear_map,
     make_coherent,
     make_vacuum,
     rotation,
@@ -47,8 +46,8 @@ def test_param_overrides_and_validation():
         GateParams(kappa=1.0, hd1_efficiency=0.0)
 
 
-def test_ideal_shear_map_matrix():
-    t = ideal_shear_map(2.0)
+def test_target_shear_matrix():
+    t = shear(2.0)
     assert np.array_equal(t.matrix, [[1.0, 0.0], [2.0, 1.0]])
     omega = symplectic_form(1)
     assert np.max(np.abs(t.matrix @ omega @ t.matrix.T - omega)) < 1e-15
@@ -137,7 +136,7 @@ def test_wrong_sign_conventions_are_detectable(conv):
 def test_decomposition_recomposes_to_shear():
     for k in np.linspace(-2.0, 2.0, 41):
         d = decompose_shear(k)
-        assert np.max(np.abs(d.recompose() - ideal_shear_map(k).matrix)) < 1e-12
+        assert np.max(np.abs(d.recompose() - shear(k).matrix)) < 1e-12
         assert d.squeeze_factors[0] * d.squeeze_factors[1] == pytest.approx(1.0, abs=1e-12)
         assert d.lam == pytest.approx(0.5 * np.arctan(k / 2.0), abs=1e-15)
 

@@ -58,6 +58,17 @@ def test_square_control_levels():
     assert set(np.round(nonzero, 12)) == {-2.0, 2.0}
 
 
+@pytest.mark.parametrize("bpp", [2, 4, 7, 98, 100, 1000])
+def test_square_control_edges(bpp):
+    # each period: ceil(bpp/2) bins at +A, then the rest at -A, none at 0;
+    # a bin exactly on a half-period boundary starts the new half (at 98 bins
+    # some boundary phases land an ulp short of a multiple of pi)
+    tr = generate_traces(RunConfig(control_waveform="square", bins_per_period=bpp))
+    high = -(-bpp // 2)
+    want = np.array([2.0] * high + [-2.0] * (bpp - high))
+    assert np.array_equal(tr.kappa, np.tile(want, 2))
+
+
 def test_custom_control_tiles():
     cfg = RunConfig(
         control_waveform="custom",
