@@ -46,6 +46,7 @@ from .harness import (
     generate_traces,
     run_experiment,
     run_output_states,
+    simulate_moments,
     theory_traces,
 )
 from .homodyne import HomodyneOutcome, homodyne_measure, pure_loss

@@ -47,27 +47,36 @@ RESIDUAL_COLUMNS = (
 _X, _P, _PI4 = MEASUREMENT_ANGLES
 
 
-def reconstruct_variance_matrix(sigma_x2: float, sigma_p2: float, sigma_pi4_2: float) -> np.ndarray:
+def reconstruct_variance_matrix(sigma_x2, sigma_p2, sigma_pi4_2) -> np.ndarray:
     """2x2 covariance from the three measured quadrature variances.
 
-    The result is not guaranteed positive-definite: statistical noise can push
-    the reconstructed cross term outside the physical cone.  Callers flag that
-    case instead of failing (see :func:`summarize`).
+    Scalars give one (2, 2) matrix; equal-shape arrays give a (..., 2, 2)
+    batch, validated as a whole.  The result is not guaranteed
+    positive-definite: statistical noise can push the reconstructed cross
+    term outside the physical cone.  Callers flag that case instead of
+    failing (see :func:`summarize`).
     """
-    for name, v in (("sigma_x2", sigma_x2), ("sigma_p2", sigma_p2), ("sigma_pi4_2", sigma_pi4_2)):
-        if not np.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-    if sigma_x2 <= 0.0 or sigma_p2 <= 0.0:
+    sx2, sp2, spi4 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                           for v in (sigma_x2, sigma_p2, sigma_pi4_2)))
+    for name, v in (("sigma_x2", sx2), ("sigma_p2", sp2), ("sigma_pi4_2", spi4)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite, got {v[~np.isfinite(v)].flat[0]}")
+    if np.any(sx2 <= 0.0) or np.any(sp2 <= 0.0):
         raise ValueError("quadrature variances must be positive")
-    c = sigma_pi4_2 - 0.5 * (sigma_x2 + sigma_p2)
-    return np.array([[sigma_x2, c], [c, sigma_p2]])
+    c = spi4 - 0.5 * (sx2 + sp2)
+    return np.stack([np.stack([sx2, c], axis=-1), np.stack([c, sp2], axis=-1)], axis=-2)
 
 
 def is_positive_definite(matrix: np.ndarray) -> bool:
-    return bool(np.linalg.eigvalsh(np.asarray(matrix, dtype=float)).min() > 0.0)
+    return bool(np.all(_positive_definite(matrix)))
 
 
-def diagonalize(matrix) -> tuple[float, float, float]:
+def _positive_definite(matrix) -> np.ndarray:
+    """Per-matrix positive-definiteness of a (..., 2, 2) symmetric batch."""
+    return np.linalg.eigvalsh(np.asarray(matrix, dtype=float)).min(axis=-1) > 0.0
+
+
+def diagonalize(matrix):
     """Principal variances and axis angle of a 2x2 covariance.
 
     Returns (sigma_plus^2, sigma_minus^2, phi) with
@@ -77,25 +86,30 @@ def diagonalize(matrix) -> tuple[float, float, float]:
     reduced to (-pi/4, pi/4].  sigma_minus^2 is the variance along the axis at
     angle -phi and sigma_plus^2 the one at -phi + pi/2; whenever
     sigma_p^2 >= sigma_x^2 (always true for this gate on vacuum-variance
-    inputs) these are the max/min variance pair.
+    inputs) these are the max/min variance pair.  One (2, 2) matrix gives
+    three floats; a (..., 2, 2) batch gives three (...) arrays, and one
+    asymmetric or non-positive-definite member rejects the batch.
     """
     v = np.asarray(matrix, dtype=float)
-    if v.shape != (2, 2):
+    if v.shape[-2:] != (2, 2):
         raise ValueError(f"need a 2x2 matrix, got shape {v.shape}")
-    if abs(v[0, 1] - v[1, 0]) > 1e-10:
+    a, b, c = v[..., 0, 0], v[..., 1, 1], v[..., 0, 1]
+    if np.any(np.abs(c - v[..., 1, 0]) > 1e-10):
         raise ValueError("matrix must be symmetric")
     if not is_positive_definite(v):
         raise ValueError("matrix must be positive definite")
-    a, b, c = v[0, 0], v[1, 1], v[0, 1]
     phi = 0.5 * np.arctan2(-2.0 * c, a - b)
-    if phi > np.pi / 4.0:
-        phi -= np.pi / 2.0
-    elif phi <= -np.pi / 4.0:
-        phi += np.pi / 2.0
+    phi = np.where(phi > np.pi / 4.0, phi - np.pi / 2.0,
+                   np.where(phi <= -np.pi / 4.0, phi + np.pi / 2.0, phi))
+    # Squares as products: numpy's float64 scalar ``** 2`` is not always
+    # correctly rounded, so one matrix and a batch would differ in the last ulp.
     sin, cos = np.sin(phi), np.cos(phi)
-    sigma_plus2 = a * sin**2 + b * cos**2 + 2.0 * c * sin * cos
-    sigma_minus2 = a * cos**2 + b * sin**2 - 2.0 * c * sin * cos
-    return float(sigma_plus2), float(sigma_minus2), float(phi)
+    sin2, cos2 = sin * sin, cos * cos
+    sigma_plus2 = a * sin2 + b * cos2 + 2.0 * c * sin * cos
+    sigma_minus2 = a * cos2 + b * sin2 - 2.0 * c * sin * cos
+    if v.ndim == 2:
+        return float(sigma_plus2), float(sigma_minus2), float(phi)
+    return sigma_plus2, sigma_minus2, phi
 
 
 def scan_extrema(matrix, n_angles: int = 10000) -> tuple[float, float, float, float]:
@@ -154,25 +168,24 @@ def summarize(
     for angle in MEASUREMENT_ANGLES:
         if angle not in moments.variance:
             raise ValueError(f"moments are missing angle {angle}")
-    rows = []
-    for b in range(len(moments.time_us)):
-        sx2 = float(moments.variance[_X][b])
-        sp2 = float(moments.variance[_P][b])
-        spi4 = float(moments.variance[_PI4][b])
-        valid = sx2 > 0.0 and sp2 > 0.0
-        sxp = splus = sminus = phi = np.nan
-        if valid:
-            v = reconstruct_variance_matrix(sx2, sp2, spi4)
-            sxp = float(v[0, 1])
-            valid = is_positive_definite(v)
-            if valid:
-                splus, sminus, phi = diagonalize(v)
-        rows.append(
-            VarianceSummary(
-                b, float(moments.time_us[b]), float(moments.kappa[b]),
-                sx2, sp2, spi4, sxp, splus, sminus, phi, valid,
-            )
-        )
+    sx2, sp2, spi4 = (np.asarray(moments.variance[a], dtype=float) for a in MEASUREMENT_ANGLES)
+    n_bins = len(moments.time_us)
+    sxp, splus, sminus, phi = (np.full(n_bins, np.nan) for _ in range(4))
+    valid = (sx2 > 0.0) & (sp2 > 0.0)
+    v = reconstruct_variance_matrix(sx2[valid], sp2[valid], spi4[valid])
+    sxp[valid] = v[:, 0, 1]
+    definite = _positive_definite(v)
+    valid[valid] = definite
+    splus[valid], sminus[valid], phi[valid] = diagonalize(v[definite])
+    rows = [
+        VarianceSummary(b, *values, bool(ok))
+        for b, (*values, ok) in enumerate(zip(
+            np.asarray(moments.time_us, dtype=float).tolist(),
+            np.asarray(moments.kappa, dtype=float).tolist(),
+            sx2.tolist(), sp2.tolist(), spi4.tolist(), sxp.tolist(),
+            splus.tolist(), sminus.tolist(), phi.tolist(), valid.tolist(),
+        ))
+    ]
     residuals = None
     if theory is not None:
         if len(theory.time_us) != len(moments.time_us) or (

@@ -132,8 +132,16 @@ class RunConfig:
         return 1.0 / (self.control_frequency_mhz * self.bins_per_period)
 
 
+# Fields annotated float (or float | None); an int given for one is written
+# as a float, so configs that compare equal share one canonical form.
+_FLOAT_FIELDS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "float | None"))
+
+
 def to_json_dict(cfg: RunConfig) -> dict:
     d = asdict(cfg)
+    for name in _FLOAT_FIELDS:
+        if d[name] is not None:
+            d[name] = float(d[name])
     if d["control_samples"] is not None:
         d["control_samples"] = list(d["control_samples"])
     return d

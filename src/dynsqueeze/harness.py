@@ -10,12 +10,14 @@ material for the variance analysis.
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import VALID_WAVEFORMS, RunConfig, config_digest
+from .config import VALID_WAVEFORMS, ConfigError, RunConfig, config_digest
 from .electronics import fit_pwl
 from .gate import GateParams, closed_form_output, gate_output_state
 from .states import (
@@ -43,6 +45,10 @@ MOMENTS_COLUMNS = (
 )
 
 _FMT = "{:.12g}".format
+
+# Shots are drawn and reduced in blocks of whole trials of about this many
+# bytes, so the moments need memory for a few blocks, whatever n_trials is.
+_BLOCK_BYTES = 1 << 20
 
 # RunConfig fields that theory_traces leaves at their ideal values: it is the
 # reference for the gate as designed, not for the configured hardware.
@@ -221,7 +227,7 @@ class HomodyneRecordSet:
             arrays[f"samples_{i}"] = block
         arrays["angles"] = np.array(list(self.samples))
         meta = json.dumps({"seed": self.seed, "config_digest": self.config_digest})
-        np.savez_compressed(path, meta=np.array(meta), **arrays)
+        np.savez(path, meta=np.array(meta), **arrays)
 
     @classmethod
     def load(cls, path) -> "HomodyneRecordSet":
@@ -237,27 +243,63 @@ class HomodyneRecordSet:
             )
 
 
+def _block_rows(n_bins: int) -> int:
+    """Trials per sampling/reduction block: about ``_BLOCK_BYTES`` of float64."""
+    return max(1, _BLOCK_BYTES // (8 * n_bins))
+
+
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _shot_blocks(
+    cfg: RunConfig, seed: int, rows: int
+) -> tuple[Traces, dict[float, Iterator[np.ndarray]]]:
+    """The time grid and, per angle, its shots as (rows, n_bins) blocks in trial order.
+
+    Each angle draws from its own child stream of ``seed``.  ``Generator.normal``
+    continues its stream from one call to the next, so the blocks stacked are
+    bit-identical to drawing all (n_trials, n_bins) shots in one call, whatever
+    ``rows`` is.
+    """
+    traces = generate_traces(cfg)
+    states = _output_states(cfg, traces)
+
+    def blocks(angle, child):
+        rng = np.random.default_rng(child)
+        loc = quadrature_mean(states, angle)
+        scale = np.sqrt(quadrature_variance(states, angle))
+        for start in range(0, cfg.n_trials, rows):
+            yield rng.normal(loc, scale, size=(min(rows, cfg.n_trials - start), cfg.n_bins))
+
+    children = np.random.SeedSequence(seed).spawn(len(MEASUREMENT_ANGLES))
+    return traces, {a: blocks(a, c) for a, c in zip(MEASUREMENT_ANGLES, children)}
+
+
 def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet:
     """Simulate the repeated-shot run and return the raw homodyne records.
 
     Every bin's output state is Gaussian, so the n_trials samples per (angle,
     bin) are drawn directly from the projected normal law.  Each angle gets an
     independent child stream of the seed; identical (config, seed) pairs give
-    bit-identical records.
+    bit-identical records.  Raises ConfigError before drawing anything when
+    the records (3 x n_trials x n_bins float64) would not fit in physical
+    memory; :func:`simulate_moments` needs no such room.
     """
     if seed is None:
         seed = cfg.seed
-    traces = generate_traces(cfg)
-    states = _output_states(cfg, traces)
-    means = {angle: quadrature_mean(states, angle) for angle in MEASUREMENT_ANGLES}
-    sigmas = {angle: np.sqrt(quadrature_variance(states, angle)) for angle in MEASUREMENT_ANGLES}
-    children = np.random.SeedSequence(seed).spawn(len(MEASUREMENT_ANGLES))
-    samples = {}
-    for angle, child in zip(MEASUREMENT_ANGLES, children):
-        rng = np.random.default_rng(child)
-        samples[angle] = rng.normal(
-            means[angle], sigmas[angle], size=(cfg.n_trials, cfg.n_bins)
+    need = len(MEASUREMENT_ANGLES) * cfg.n_trials * cfg.n_bins * 8
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(
+            f"raw records of {cfg.n_trials} trials x {cfg.n_bins} bins need "
+            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
         )
+    traces, streams = _shot_blocks(cfg, seed, cfg.n_trials)
+    samples = {angle: next(blocks) for angle, blocks in streams.items()}
     return HomodyneRecordSet(
         traces.time_us, traces.kappa, samples, int(seed), config_digest(cfg)
     )
@@ -280,20 +322,69 @@ class MomentEstimates:
     se_var: dict[float, np.ndarray]
 
 
-def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
-    """Sample mean/variance per (angle, bin); needs at least two trials."""
-    n = records.n_trials
+def _fold_moments(blocks) -> tuple[int, np.ndarray, np.ndarray]:
+    """Per-bin (count, mean, M2) of (rows, n_bins) blocks, one block at a time.
+
+    Each block's mean and M2 (sum of squared deviations) come from two passes
+    over it; blocks merge by the pairwise update of Chan, Golub & LeVeque
+    (1979).  Equal blocks in equal order give bit-identical results.
+    """
+    n, mean, m2 = 0, 0.0, 0.0
+    for block in blocks:
+        k = len(block)
+        block_mean = block.mean(axis=0)
+        dev = block - block_mean
+        dev *= dev
+        block_m2 = dev.sum(axis=0)
+        if n == 0:
+            n, mean, m2 = k, block_mean, block_m2
+            continue
+        total = n + k
+        delta = block_mean - mean
+        mean = mean + delta * (k / total)
+        m2 = m2 + block_m2 + delta * delta * (n * k / total)
+        n = total
+    return n, mean, m2
+
+
+def _moment_estimates(time_us, kappa, folds: dict) -> MomentEstimates:
+    n = next(iter(folds.values()))[0]
     if n < 2:
         raise ValueError("need at least two trials to estimate a variance")
     mean, var, sem, sev = {}, {}, {}, {}
-    for angle, block in records.samples.items():
-        m = block.mean(axis=0)
-        v = block.var(axis=0, ddof=1)
+    for angle, (_n, m, m2) in folds.items():
+        v = m2 / (n - 1)
         mean[angle] = m
         var[angle] = v
         sem[angle] = np.sqrt(v / n)
         sev[angle] = v * np.sqrt(2.0 / (n - 1))
-    return MomentEstimates(records.time_us, records.kappa, n, mean, var, sem, sev)
+    return MomentEstimates(time_us, kappa, n, mean, var, sem, sev)
+
+
+def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
+    """Sample mean/variance per (angle, bin); needs at least two trials.
+
+    The stored shots are reduced in the row blocks :func:`simulate_moments`
+    draws them in, so both give bit-identical moments for one (config, seed).
+    """
+    rows = _block_rows(len(records.time_us))
+    folds = {
+        angle: _fold_moments(block[i : i + rows] for i in range(0, len(block), rows))
+        for angle, block in records.samples.items()
+    }
+    return _moment_estimates(records.time_us, records.kappa, folds)
+
+
+def simulate_moments(cfg: RunConfig, seed: int | None = None) -> MomentEstimates:
+    """``estimate_moments(run_experiment(cfg, seed))`` without holding the records.
+
+    Each block of shots is reduced and dropped as soon as it is drawn, so
+    memory does not grow with n_trials; the moments are bit-identical.
+    """
+    seed = cfg.seed if seed is None else seed
+    traces, streams = _shot_blocks(cfg, seed, _block_rows(cfg.n_bins))
+    folds = {angle: _fold_moments(blocks) for angle, blocks in streams.items()}
+    return _moment_estimates(traces.time_us, traces.kappa, folds)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,52 @@ def test_minus_axis_is_minimum_when_p_dominates(a, extra, corr):
     assert min(d, np.pi - d) < np.pi / 20000 + 1e-12
 
 
+def test_batched_analysis_equals_scalar_calls_on_theory_grid():
+    th = theory_traces(RunConfig())
+    v = reconstruct_variance_matrix(th.variance[X], th.variance[P], th.variance[PI4])
+    assert v.shape == (200, 2, 2)
+    plus2, minus2, phi = diagonalize(v)
+    for b in range(200):
+        one = reconstruct_variance_matrix(
+            float(th.variance[X][b]), float(th.variance[P][b]), float(th.variance[PI4][b])
+        )
+        assert np.array_equal(one, v[b])
+        assert diagonalize(one) == (plus2[b], minus2[b], phi[b])
+
+
+def test_batched_validation_rejects_one_bad_member():
+    good = np.stack([0.5 * np.eye(2)] * 4)
+    asym, indefinite = good.copy(), good.copy()
+    asym[2, 0, 1] = 0.1
+    indefinite[1] = [[0.5, 4.5], [4.5, 0.5]]
+    for batch in (asym, indefinite):
+        with pytest.raises(ValueError):
+            diagonalize(batch)
+    ones = np.ones(4)
+    with pytest.raises(ValueError):
+        reconstruct_variance_matrix(ones, np.array([1.0, 1.0, np.nan, 1.0]), ones)
+    with pytest.raises(ValueError):
+        reconstruct_variance_matrix(np.array([1.0, -1.0, 1.0, 1.0]), ones, ones)
+
+
+def test_summarize_equals_scalar_calls_on_noisy_input():
+    # five trials per bin leave many reconstructed matrices outside the cone
+    est = estimate_moments(run_experiment(RunConfig(n_trials=5, seed=3)))
+    rows, _ = summarize(est)
+    assert 0 < sum(not r.valid for r in rows) < len(rows)
+    for b, r in enumerate(rows):
+        sx2, sp2, spi4 = (float(est.variance[a][b]) for a in MEASUREMENT_ANGLES)
+        assert (r.bin_index, r.time_us, r.kappa) == (b, est.time_us[b], est.kappa[b])
+        assert (r.sigma_x2, r.sigma_p2, r.sigma_pi4_2) == (sx2, sp2, spi4)
+        v = reconstruct_variance_matrix(sx2, sp2, spi4)
+        assert r.sigma_xp == v[0, 1]
+        assert r.valid == is_positive_definite(v)
+        if r.valid:
+            assert (r.sigma_plus2, r.sigma_minus2, r.phi_rad) == diagonalize(v)
+        else:
+            assert np.isnan([r.sigma_plus2, r.sigma_minus2, r.phi_rad]).all()
+
+
 def test_scan_extrema_on_known_matrix():
     v = np.array([[2.0, 0.0], [0.0, 0.5]])
     minval, argmin, maxval, argmax = scan_extrema(v, 10000)

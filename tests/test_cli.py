@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,33 @@ def test_simulate_save_records(cfg_path, tmp_path):
     records = HomodyneRecordSet.load(out / "records.npz")
     assert records.n_trials == 400
     assert records.config_digest == config_digest(SMALL)
+
+
+def test_streamed_and_saved_moments_are_identical(cfg_path, tmp_path):
+    streamed, saved = tmp_path / "streamed", tmp_path / "saved"
+    assert _simulate(cfg_path, streamed) == 0
+    assert _simulate(cfg_path, saved, ("--save-records",)) == 0
+    assert not (streamed / "records.npz").exists()
+    for name in MOMENT_FILES:
+        assert (streamed / name).read_bytes() == (saved / name).read_bytes()
+
+
+def test_records_beyond_physical_memory_exit_1(tmp_path, capsys):
+    # 3 x 1e6 trials x 2e5 bins x 8 bytes = 4.8 TB of records
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n_trials": 10**6, "bins_per_period": 10**5}))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = _simulate(huge, out, ("--save-records",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "physical memory" in err
+    assert not out.exists()
+    assert peak < 16 * 2**20
 
 
 def test_theory_outputs_and_gap_note(cfg_path, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynsqueeze import ConfigError, RunConfig, config_digest, load_config, save_config
-from dynsqueeze.config import VALID_WAVEFORMS, config_from_dict
+from dynsqueeze.config import _FLOAT_FIELDS, VALID_WAVEFORMS, config_from_dict
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
@@ -170,6 +170,43 @@ def test_digest_is_stable_and_sensitive():
     c = config_from_dict({"seed": 2, "n_trials": 100})
     assert config_digest(a) != config_digest(c)
     assert len(config_digest(a)) == 64
+
+
+# An integer value that is valid for each float-typed field.
+INT_SPELLINGS = {
+    "ancilla_db": -3,
+    "feedforward_gain_override": 1,
+    "hd1_efficiency": 1,
+    "control_frequency_mhz": 2,
+    "control_amplitude": 1,
+    "control_phase_rad": 1,
+    "input_x_amplitude": 2,
+    "input_p_amplitude": 1,
+    "input_frequency_mhz": 4,
+    "input_phase_rad": -1,
+    "pwl_lo": -3,
+    "pwl_hi": 3,
+}
+
+
+def test_int_spellings_cover_every_float_field():
+    assert set(INT_SPELLINGS) == set(_FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("name", sorted(INT_SPELLINGS))
+def test_int_and_float_spellings_share_a_digest(name):
+    as_int = config_from_dict({name: INT_SPELLINGS[name]})
+    as_float = config_from_dict({name: float(INT_SPELLINGS[name])})
+    assert as_int == as_float
+    assert config_digest(as_int) == config_digest(as_float)
+
+
+def test_default_digest_is_pinned():
+    # Taken before ints in float fields were written as floats; the defaults
+    # are all floats there, so their canonical JSON did not change.
+    assert config_digest(RunConfig()) == (
+        "4931e266c5a204751a537a00d561a48e7e25324e83e938f6c8e0a51166704541"
+    )
 
 
 def test_lookup_range_only_binds_the_table_electronics():

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,10 +19,13 @@ from dynsqueeze import (
     quadrature_variance,
     run_experiment,
     run_output_states,
+    simulate_moments,
     theory_traces,
 )
 from dynsqueeze.harness import (
     HomodyneRecordSet,
+    _block_rows,
+    _shot_blocks,
     label_for_angle,
     read_moments_csv,
     write_moments_csv,
@@ -189,6 +196,80 @@ def test_record_set_round_trip(tmp_path):
     assert np.array_equal(back.time_us, rec.time_us)
     for angle in MEASUREMENT_ANGLES:
         assert np.array_equal(back.samples[angle], rec.samples[angle])
+
+
+ROWS_200 = _block_rows(200)
+
+
+@pytest.mark.parametrize(
+    "n_trials", [ROWS_200 // 2, ROWS_200, 2 * ROWS_200 + 7], ids=["below", "equal", "uneven"]
+)
+def test_streamed_moments_equal_moments_of_records(n_trials):
+    cfg = RunConfig(n_trials=n_trials, seed=31)
+    stored = estimate_moments(run_experiment(cfg))
+    streamed = simulate_moments(cfg)
+    assert streamed.n_trials == stored.n_trials == n_trials
+    for angle in MEASUREMENT_ANGLES:
+        for field in ("mean", "variance", "se_mean", "se_var"):
+            assert np.array_equal(getattr(streamed, field)[angle], getattr(stored, field)[angle])
+
+
+def test_records_and_streamed_blocks_match_pinned_sha256():
+    # The pin was taken before shots were drawn in row blocks.  At 2000 bins
+    # x 150 trials the streamed path draws three blocks (65 + 65 + 20 rows).
+    cfg = RunConfig(bins_per_period=1000, n_periods=2, n_trials=150, seed=99)
+    rows = _block_rows(cfg.n_bins)
+    assert cfg.n_trials > 2 * rows
+    pin = "4c1b77cc342944dacd4ca1ee8ddcbb8020faa193f9a84131fc2fa15ef0940b3e"
+    rec = run_experiment(cfg)
+    whole, streamed = hashlib.sha256(), hashlib.sha256()
+    for angle, blocks in _shot_blocks(cfg, cfg.seed, rows)[1].items():
+        whole.update(np.ascontiguousarray(rec.samples[angle]))
+        for block in blocks:
+            streamed.update(np.ascontiguousarray(block))
+    assert whole.hexdigest() == streamed.hexdigest() == pin
+
+
+def test_compressed_records_still_load(tmp_path):
+    rec = run_experiment(SMALL)
+    path = tmp_path / "old.npz"
+    meta = json.dumps({"seed": rec.seed, "config_digest": rec.config_digest})
+    np.savez_compressed(
+        path, meta=np.array(meta), time_us=rec.time_us, kappa=rec.kappa,
+        **{f"samples_{i}": rec.samples[a] for i, a in enumerate(rec.angles)},
+        angles=np.array(rec.angles),
+    )
+    back = HomodyneRecordSet.load(path)
+    assert (back.seed, back.config_digest) == (rec.seed, rec.config_digest)
+    assert back.angles == rec.angles
+    for angle in MEASUREMENT_ANGLES:
+        assert np.array_equal(back.samples[angle], rec.samples[angle])
+
+
+def test_saved_records_are_uncompressed(tmp_path):
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    rec.save(path)
+    raw = 8 * len(MEASUREMENT_ANGLES) * SMALL.n_trials * SMALL.n_bins
+    assert raw <= path.stat().st_size < raw + 8192
+
+
+def _streamed_peak(n_trials):
+    cfg = RunConfig(n_trials=n_trials)
+    simulate_moments(cfg)  # first call pays for one-off imports and caches
+    tracemalloc.start()
+    try:
+        simulate_moments(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_memory_does_not_grow_with_trials():
+    block_bytes = 8 * ROWS_200 * 200
+    assert _streamed_peak(20000) - _streamed_peak(2000) < block_bytes
+    # the records themselves would be 3 x 20000 x 200 doubles (96 MB)
+    assert _streamed_peak(20000) < 8 * block_bytes
 
 
 def test_theory_traces_simplified_matches_full_p_variance():
