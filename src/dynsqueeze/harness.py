@@ -44,8 +44,6 @@ MOMENTS_COLUMNS = (
     "se_var",
 )
 
-_FMT = "{:.12g}".format
-
 # Shots are drawn and reduced in blocks of whole trials of about this many
 # bytes, so the moments need memory for a few blocks, whatever n_trials is.
 _BLOCK_BYTES = 1 << 20
@@ -260,8 +258,11 @@ def _shot_blocks(
 ) -> tuple[Traces, dict[float, Iterator[np.ndarray]]]:
     """The time grid and, per angle, its shots as (rows, n_bins) blocks in trial order.
 
-    Each angle draws from its own child stream of ``seed``.  ``Generator.normal``
-    continues its stream from one call to the next, so the blocks stacked are
+    Each angle draws from its own child stream of ``seed``.  A block is
+    ``loc + scale * z`` over standard normals ``z``, scaled and shifted in
+    place: the same numbers, in the same order, as
+    ``Generator.normal(loc, scale, size)``, without its per-element broadcast.
+    The stream continues from one call to the next, so the blocks stacked are
     bit-identical to drawing all (n_trials, n_bins) shots in one call, whatever
     ``rows`` is.
     """
@@ -273,7 +274,10 @@ def _shot_blocks(
         loc = quadrature_mean(states, angle)
         scale = np.sqrt(quadrature_variance(states, angle))
         for start in range(0, cfg.n_trials, rows):
-            yield rng.normal(loc, scale, size=(min(rows, cfg.n_trials - start), cfg.n_bins))
+            block = rng.standard_normal((min(rows, cfg.n_trials - start), cfg.n_bins))
+            block *= scale
+            block += loc
+            yield block
 
     children = np.random.SeedSequence(seed).spawn(len(MEASUREMENT_ANGLES))
     return traces, {a: blocks(a, c) for a, c in zip(MEASUREMENT_ANGLES, children)}
@@ -424,40 +428,53 @@ def theory_traces(cfg: RunConfig) -> TheoryTraces:
 def write_table(path, columns, arrays) -> None:
     """Write equal-length columns as CSV: a header line, then one row per entry.
 
-    Integer and boolean columns print as integers, float columns as
-    ``{:.12g}``; a scalar is repeated down its column.
+    Integer and boolean columns print as integers (``%d``), float columns as
+    ``%.12g`` (the same bytes as ``{:.12g}``); a scalar is repeated down its
+    column.
     """
     if len(arrays) != len(columns):
         raise ValueError(f"{len(columns)} columns but {len(arrays)} arrays")
-    cells = []
-    for col in np.broadcast_arrays(*(np.asarray(a) for a in arrays)):
-        if col.dtype.kind in "biu":
-            cells.append([str(int(v)) for v in col.tolist()])
-        else:
-            cells.append([_FMT(v) for v in col.tolist()])
-    lines = [",".join(columns), *(",".join(row) for row in zip(*cells))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    cols = np.broadcast_arrays(*(np.asarray(a) for a in arrays))
+    row = ",".join("%d" if c.dtype.kind in "biu" else "%.12g" for c in cols) + "\n"
+    body = "".join([row % values for values in zip(*(c.tolist() for c in cols))])
+    Path(path).write_text(",".join(columns) + "\n" + body)
 
 
 def read_table(path, columns) -> dict[str, np.ndarray]:
     """Read a CSV written by :func:`write_table`; one float array per column.
 
-    The header must equal ``columns``, every row must carry one field per
-    column, and there must be at least one row.
+    The header must equal ``columns``, every row must carry one number per
+    column, and there must be at least one row.  A bad row is reported as
+    ``path:line``.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0].split(",") != list(columns):
         raise ValueError(f"{path}: expected header {','.join(columns)}")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise ValueError(f"{path}:{ln}: expected {len(columns)} fields")
-        rows.append([float(p) for p in parts])
-    if not rows:
+    body = lines[1:]
+    if not body:
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows)
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise _row_error(path, body, len(columns), exc) from exc
+    if data.shape != (len(body), len(columns)):
+        # loadtxt skips empty lines and takes any field count all rows share
+        raise _row_error(path, body, len(columns), f"read {data.shape} values")
     return {col: data[:, i] for i, col in enumerate(columns)}
+
+
+def _row_error(path, body, n_fields, cause) -> ValueError:
+    """The error naming the first row of ``body`` that is not ``n_fields`` numbers."""
+    for ln, line in enumerate(body, start=2):
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            return ValueError(f"{path}:{ln}: expected {n_fields} fields")
+        for part in parts:
+            try:
+                float(part)
+            except ValueError:
+                return ValueError(f"{path}:{ln}: not a number: {part.strip()!r}")
+    return ValueError(f"{path}: {cause}")
 
 
 def _write_moments(path, angle, grid, mean, variance, se_mean, se_var) -> None:

@@ -166,6 +166,22 @@ def test_analyze_rejects_mismatched_grids(cfg_path, tmp_path, capsys):
     assert "different grids" in capsys.readouterr().err
 
 
+def test_analyze_names_file_and_line_of_a_non_number(cfg_path, tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert _simulate(cfg_path, sim) == 0
+    bad = sim / "moments_x.csv"
+    lines = bad.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[5] = "abc"
+    lines[2] = ",".join(cells)
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["analyze", "--out", str(tmp_path / "an"), "--moments",
+               *(str(sim / n) for n in MOMENT_FILES)])
+    assert rc == 1
+    assert "moments_x.csv:3: not a number: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "an" / "summary.csv").exists()
+
+
 def test_missing_config_exits_1(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 1

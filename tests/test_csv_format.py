@@ -2,15 +2,22 @@
 
 Each test writes one small file through the public writer and compares it
 with literal text, so any change to the column order, the number format
-(``{:.12g}`` for floats, plain integers for indices and flags) or the line
-endings shows up here rather than in a downstream reader.
+(``%.12g`` for floats, the same bytes as ``{:.12g}``; plain integers for
+indices and flags) or the line endings shows up here rather than in a
+downstream reader.  A property test holds the table writer to a per-cell
+reference and the reader to ``float`` on what was written.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dynsqueeze import MomentEstimates, Residuals, VarianceSummary
 from dynsqueeze.analysis import write_residuals_csv, write_summary_csv
-from dynsqueeze.harness import write_moments_csv
+from dynsqueeze.harness import read_table, write_moments_csv, write_table
 
 _P = np.pi / 2.0
 _PI4 = np.pi / 4.0
@@ -75,3 +82,55 @@ def test_residuals_csv_bytes(tmp_path):
         "1,0.01,1.23456789012,-0.2,2,0,0.02,-1e-12,0\n"
         "2,0.02,-2,0,-3.5,0.333333333333,0,7,-0.25\n"
     )
+
+
+_EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, -1e300,
+    1.7976931348623157e308, np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0,
+)
+_FLOATS = st.one_of(
+    st.floats(width=64),
+    st.floats(min_value=1e299, max_value=1e301),
+    st.floats(min_value=1e-301, max_value=1e-299),
+    st.sampled_from(_EDGE_FLOATS),
+)
+_CELLS = {
+    "float": _FLOATS,
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "bool": st.booleans(),
+}
+_DTYPES = {"float": float, "int": np.int64, "bool": bool}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=6))
+    n_rows = draw(st.integers(1, 12))
+    values = [draw(st.lists(_CELLS[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
+    return kinds, values
+
+
+def _reference_cell(kind, v):
+    return f"{v:.12g}" if kind == "float" else str(int(v))
+
+
+@given(_tables())
+def test_write_table_matches_per_cell_reference_and_reads_back(table):
+    kinds, values = table
+    columns = [f"c{i}" for i in range(len(kinds))]
+    arrays = [np.array(v, dtype=_DTYPES[k]) for k, v in zip(kinds, values)]
+    cells = [[_reference_cell(k, x) for x in v] for k, v in zip(kinds, values)]
+    want = "".join(",".join(row) + "\n" for row in [columns, *zip(*cells)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_table(path, columns, arrays)
+        assert path.read_text() == want
+        back = read_table(path, columns)
+    for col, column_cells in zip(columns, cells):
+        got = back[col]
+        exact = np.array([float(c) for c in column_cells])
+        assert got.dtype == np.float64
+        assert np.array_equal(np.isnan(got), np.isnan(exact))
+        keep = ~np.isnan(exact)
+        assert np.array_equal(got[keep], exact[keep])
+        assert np.array_equal(np.signbit(got[keep]), np.signbit(exact[keep]))

@@ -16,6 +16,7 @@ from dynsqueeze import (
     estimate_moments,
     generate_traces,
     make_coherent,
+    quadrature_mean,
     quadrature_variance,
     run_experiment,
     run_output_states,
@@ -23,11 +24,13 @@ from dynsqueeze import (
     theory_traces,
 )
 from dynsqueeze.harness import (
+    MOMENTS_COLUMNS,
     HomodyneRecordSet,
     _block_rows,
     _shot_blocks,
     label_for_angle,
     read_moments_csv,
+    read_table,
     write_moments_csv,
     write_theory_csv,
 )
@@ -230,6 +233,25 @@ def test_records_and_streamed_blocks_match_pinned_sha256():
     assert whole.hexdigest() == streamed.hexdigest() == pin
 
 
+def test_shot_blocks_equal_generator_normal_bit_for_bit():
+    # Blocks are standard normals scaled and shifted in place; they must be
+    # the numbers Generator.normal(loc, scale) draws.  A platform that fused
+    # loc + scale * z into one FMA would fail here before the SHA-256 pin.
+    cfg = RunConfig(use_pwl_electronics=True, bins_per_period=40, n_trials=90, seed=17)
+    rows = 25
+    states = run_output_states(cfg)
+    children = np.random.SeedSequence(cfg.seed).spawn(len(MEASUREMENT_ANGLES))
+    streams = _shot_blocks(cfg, cfg.seed, rows)[1]
+    for angle, child in zip(MEASUREMENT_ANGLES, children):
+        loc = quadrature_mean(states, angle)
+        scale = np.sqrt(quadrature_variance(states, angle))
+        assert np.ptp(loc) > 0.1
+        assert angle == 0.0 or np.ptp(scale) > 0.1  # the gate leaves var(x) alone
+        want = np.random.default_rng(child).normal(loc, scale, size=(cfg.n_trials, cfg.n_bins))
+        got = np.concatenate(list(streams[angle]))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_compressed_records_still_load(tmp_path):
     rec = run_experiment(SMALL)
     path = tmp_path / "old.npz"
@@ -344,3 +366,51 @@ def test_moments_csv_rejects_corruption(tmp_path):
     mixed.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         read_moments_csv(mixed)
+
+
+def _edited_moments(tmp_path, edit):
+    """A moments file whose list of lines went through ``edit`` in place."""
+    est = estimate_moments(run_experiment(SMALL))
+    path = tmp_path / "moments_x.csv"
+    write_moments_csv(path, est, 0.0)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_read_table_rejects_wrong_header(tmp_path):
+    def rename(lines):
+        lines[0] = lines[0].replace("kappa", "gain")
+
+    with pytest.raises(ValueError, match=r"moments_x\.csv: expected header angle_rad,"):
+        read_table(_edited_moments(tmp_path, rename), MOMENTS_COLUMNS)
+
+
+def test_read_table_rejects_header_without_rows(tmp_path):
+    def drop_rows(lines):
+        del lines[1:]
+
+    with pytest.raises(ValueError, match=r"moments_x\.csv: no data rows"):
+        read_table(_edited_moments(tmp_path, drop_rows), MOMENTS_COLUMNS)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda row: row.rsplit(",", 1)[0], lambda row: row + ",0", lambda row: ""],
+    ids=["short", "long", "blank"],
+)
+def test_read_table_names_the_row_with_a_wrong_field_count(tmp_path, edit):
+    def edit_line_5(lines):
+        lines[4] = edit(lines[4])
+
+    with pytest.raises(ValueError, match=r"moments_x\.csv:5: expected 8 fields"):
+        read_table(_edited_moments(tmp_path, edit_line_5), MOMENTS_COLUMNS)
+
+
+def test_read_table_names_the_row_with_a_non_number(tmp_path):
+    def spoil_line_3(lines):
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",abc"
+
+    with pytest.raises(ValueError, match=r"moments_x\.csv:3: not a number: 'abc'"):
+        read_table(_edited_moments(tmp_path, spoil_line_3), MOMENTS_COLUMNS)
