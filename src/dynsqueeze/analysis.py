@@ -47,6 +47,13 @@ RESIDUAL_COLUMNS = (
 _X, _P, _PI4 = MEASUREMENT_ANGLES
 
 
+def same_grid(time_a, kappa_a, time_b, kappa_b) -> bool:
+    """Whether two bin grids have equal length and time and kappa within 1e-9."""
+    return len(time_a) == len(time_b) and all(
+        np.allclose(a, b, rtol=0.0, atol=1e-9) for a, b in ((time_a, time_b), (kappa_a, kappa_b))
+    )
+
+
 def reconstruct_variance_matrix(sigma_x2, sigma_p2, sigma_pi4_2) -> np.ndarray:
     """2x2 covariance from the three measured quadrature variances.
 
@@ -188,10 +195,7 @@ def summarize(
     ]
     residuals = None
     if theory is not None:
-        if len(theory.time_us) != len(moments.time_us) or (
-            np.max(np.abs(theory.time_us - moments.time_us)) > 1e-9
-            or np.max(np.abs(theory.kappa - moments.kappa)) > 1e-9
-        ):
+        if not same_grid(theory.time_us, theory.kappa, moments.time_us, moments.kappa):
             raise ValueError("theory and moments are on different grids")
         d_mean = {
             a: moments.mean[a] - theory.mean[a] for a in MEASUREMENT_ANGLES

@@ -15,6 +15,7 @@ import numpy as np
 from .analysis import (
     diagonalize,
     reconstruct_variance_matrix,
+    same_grid,
     summarize,
     write_residuals_csv,
     write_summary_csv,
@@ -71,8 +72,8 @@ def cmd_simulate(args) -> int:
             f"calibrated sign conventions {tuple(conventions)} differ from the "
             f"model's {tuple(CONVENTIONS)}"
         )
-    # Without --save-records the shots are reduced block by block and never
-    # held; both routes give bit-identical moments.
+    # Without --save-records no shot is drawn: each bin's sample mean and
+    # variance come straight from their exact law (see simulate_moments).
     records = run_experiment(cfg, seed) if args.save_records else None
     est = simulate_moments(cfg, seed) if records is None else estimate_moments(records)
     out = _outdir(args)
@@ -134,11 +135,8 @@ def _read_angle_files(paths) -> dict[float, dict]:
     if set(by_angle) != set(MEASUREMENT_ANGLES):
         raise ValueError("need one moments file per angle: x, p, pi/4")
     ref = by_angle[MEASUREMENT_ANGLES[0]]
-    for angle, data in by_angle.items():
-        if len(data["time_us"]) != len(ref["time_us"]) or (
-            np.max(np.abs(data["time_us"] - ref["time_us"])) > 1e-9
-            or np.max(np.abs(data["kappa"] - ref["kappa"])) > 1e-9
-        ):
+    for data in by_angle.values():
+        if not same_grid(data["time_us"], data["kappa"], ref["time_us"], ref["kappa"]):
             raise ValueError("moments files are on different grids")
     return by_angle
 

@@ -32,10 +32,10 @@ def _sqrt1px2_d2(x):
     return (1.0 + x**2) ** -1.5
 
 
-# target name -> (function, second derivative, symmetry on [-a, a])
+# target name -> (function, second derivative)
 TARGETS = {
-    "arctan": (np.arctan, _arctan_d2, "odd"),
-    "sqrt1px2": (_sqrt1px2, _sqrt1px2_d2, "even"),
+    "arctan": (np.arctan, _arctan_d2),
+    "sqrt1px2": (_sqrt1px2, _sqrt1px2_d2),
 }
 
 
@@ -109,12 +109,12 @@ def _equidistributed_knots(target: str, n_segments: int, lo: float, hi: float) -
     leading order.  On a symmetric range the knots are built on [0, hi] and
     mirrored, so odd/even targets yield exactly odd/even approximations.
     """
-    fun, d2, _symmetry = _lookup_target(target)
+    d2 = _lookup_target(target)[1]
     symmetric = np.isclose(lo, -hi) and hi > 0.0
+    grid = np.linspace(0.0 if symmetric else lo, hi, _DENSE_GRID)
+    density = np.sqrt(np.abs(d2(grid)))
+    density = np.maximum(density, 1e-9 * max(float(density.max()), 1.0))
     if symmetric:
-        grid = np.linspace(0.0, hi, _DENSE_GRID)
-        density = np.sqrt(np.abs(d2(grid)))
-        density = np.maximum(density, 1e-9 * max(float(density.max()), 1.0))
         half = n_segments / 2.0
         if n_segments % 2 == 0:
             q = np.arange(n_segments // 2 + 1) / half
@@ -127,9 +127,6 @@ def _equidistributed_knots(target: str, n_segments: int, lo: float, hi: float) -
             right = _cumulative_quantile(grid, density, q)
             knots = np.concatenate([-right[::-1], right])
     else:
-        grid = np.linspace(lo, hi, _DENSE_GRID)
-        density = np.sqrt(np.abs(d2(grid)))
-        density = np.maximum(density, 1e-9 * max(float(density.max()), 1.0))
         knots = _cumulative_quantile(grid, density, np.linspace(0.0, 1.0, n_segments + 1))
     knots[0], knots[-1] = lo, hi
     return knots
@@ -148,7 +145,7 @@ def fit_pwl(target: str, n_segments: int, lo: float, hi: float) -> PiecewiseLine
     lo, hi = float(lo), float(hi)
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    fun, _d2, _symmetry = _lookup_target(target)
+    fun, _d2 = _lookup_target(target)
     candidates = [
         _equidistributed_knots(target, n_segments, lo, hi),
         np.linspace(lo, hi, n_segments + 1),
@@ -177,7 +174,7 @@ def max_error(
     """
     if grid_points < 1000:
         raise ValueError("grid_points must be >= 1000")
-    fun, _d2, _symmetry = _lookup_target(target)
+    fun, _d2 = _lookup_target(target)
     lo = float(f.xs[0]) if lo is None else float(lo)
     hi = float(f.xs[-1]) if hi is None else float(hi)
     if lo >= hi:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,10 +42,6 @@ MOMENTS_COLUMNS = (
     "se_mean",
     "se_var",
 )
-
-# Shots are drawn and reduced in blocks of whole trials of about this many
-# bytes, so the moments need memory for a few blocks, whatever n_trials is.
-_BLOCK_BYTES = 1 << 20
 
 # RunConfig fields that theory_traces leaves at their ideal values: it is the
 # reference for the gate as designed, not for the configured hardware.
@@ -241,11 +236,6 @@ class HomodyneRecordSet:
             )
 
 
-def _block_rows(n_bins: int) -> int:
-    """Trials per sampling/reduction block: about ``_BLOCK_BYTES`` of float64."""
-    return max(1, _BLOCK_BYTES // (8 * n_bins))
-
-
 def _physical_memory() -> int | None:
     try:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -253,34 +243,23 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _shot_blocks(
-    cfg: RunConfig, seed: int, rows: int
-) -> tuple[Traces, dict[float, Iterator[np.ndarray]]]:
-    """The time grid and, per angle, its shots as (rows, n_bins) blocks in trial order.
+def _shot_laws(cfg: RunConfig, seed: int) -> tuple[Traces, dict[float, tuple]]:
+    """The time grid and, per angle, (loc, variance, generator) of its shots.
 
-    Each angle draws from its own child stream of ``seed``.  A block is
-    ``loc + scale * z`` over standard normals ``z``, scaled and shifted in
-    place: the same numbers, in the same order, as
-    ``Generator.normal(loc, scale, size)``, without its per-element broadcast.
-    The stream continues from one call to the next, so the blocks stacked are
-    bit-identical to drawing all (n_trials, n_bins) shots in one call, whatever
-    ``rows`` is.
+    Every shot of one (angle, bin) is N(loc, variance) for that bin; each angle
+    draws from its own child stream of ``seed``.
     """
     traces = generate_traces(cfg)
     states = _output_states(cfg, traces)
-
-    def blocks(angle, child):
-        rng = np.random.default_rng(child)
-        loc = quadrature_mean(states, angle)
-        scale = np.sqrt(quadrature_variance(states, angle))
-        for start in range(0, cfg.n_trials, rows):
-            block = rng.standard_normal((min(rows, cfg.n_trials - start), cfg.n_bins))
-            block *= scale
-            block += loc
-            yield block
-
     children = np.random.SeedSequence(seed).spawn(len(MEASUREMENT_ANGLES))
-    return traces, {a: blocks(a, c) for a, c in zip(MEASUREMENT_ANGLES, children)}
+    return traces, {
+        angle: (
+            quadrature_mean(states, angle),
+            quadrature_variance(states, angle),
+            np.random.default_rng(child),
+        )
+        for angle, child in zip(MEASUREMENT_ANGLES, children)
+    }
 
 
 def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet:
@@ -302,8 +281,15 @@ def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet
             f"raw records of {cfg.n_trials} trials x {cfg.n_bins} bins need "
             f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
         )
-    traces, streams = _shot_blocks(cfg, seed, cfg.n_trials)
-    samples = {angle: next(blocks) for angle, blocks in streams.items()}
+    traces, laws = _shot_laws(cfg, seed)
+    samples = {}
+    for angle, (loc, variance, rng) in laws.items():
+        # loc + scale * z, scaled and shifted in place: the numbers
+        # Generator.normal(loc, scale, size) draws, without its broadcast
+        shots = rng.standard_normal((cfg.n_trials, cfg.n_bins))
+        shots *= np.sqrt(variance)
+        shots += loc
+        samples[angle] = shots
     return HomodyneRecordSet(
         traces.time_us, traces.kappa, samples, int(seed), config_digest(cfg)
     )
@@ -326,69 +312,41 @@ class MomentEstimates:
     se_var: dict[float, np.ndarray]
 
 
-def _fold_moments(blocks) -> tuple[int, np.ndarray, np.ndarray]:
-    """Per-bin (count, mean, M2) of (rows, n_bins) blocks, one block at a time.
-
-    Each block's mean and M2 (sum of squared deviations) come from two passes
-    over it; blocks merge by the pairwise update of Chan, Golub & LeVeque
-    (1979).  Equal blocks in equal order give bit-identical results.
-    """
-    n, mean, m2 = 0, 0.0, 0.0
-    for block in blocks:
-        k = len(block)
-        block_mean = block.mean(axis=0)
-        dev = block - block_mean
-        dev *= dev
-        block_m2 = dev.sum(axis=0)
-        if n == 0:
-            n, mean, m2 = k, block_mean, block_m2
-            continue
-        total = n + k
-        delta = block_mean - mean
-        mean = mean + delta * (k / total)
-        m2 = m2 + block_m2 + delta * delta * (n * k / total)
-        n = total
-    return n, mean, m2
-
-
-def _moment_estimates(time_us, kappa, folds: dict) -> MomentEstimates:
-    n = next(iter(folds.values()))[0]
-    if n < 2:
-        raise ValueError("need at least two trials to estimate a variance")
-    mean, var, sem, sev = {}, {}, {}, {}
-    for angle, (_n, m, m2) in folds.items():
-        v = m2 / (n - 1)
-        mean[angle] = m
-        var[angle] = v
-        sem[angle] = np.sqrt(v / n)
-        sev[angle] = v * np.sqrt(2.0 / (n - 1))
-    return MomentEstimates(time_us, kappa, n, mean, var, sem, sev)
+def _moment_estimates(time_us, kappa, n: int, mean: dict, variance: dict) -> MomentEstimates:
+    sem = {angle: np.sqrt(v / n) for angle, v in variance.items()}
+    sev = {angle: v * np.sqrt(2.0 / (n - 1)) for angle, v in variance.items()}
+    return MomentEstimates(time_us, kappa, n, mean, variance, sem, sev)
 
 
 def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
-    """Sample mean/variance per (angle, bin); needs at least two trials.
-
-    The stored shots are reduced in the row blocks :func:`simulate_moments`
-    draws them in, so both give bit-identical moments for one (config, seed).
-    """
-    rows = _block_rows(len(records.time_us))
-    folds = {
-        angle: _fold_moments(block[i : i + rows] for i in range(0, len(block), rows))
-        for angle, block in records.samples.items()
-    }
-    return _moment_estimates(records.time_us, records.kappa, folds)
+    """Sample mean/variance per (angle, bin); needs at least two trials."""
+    n = records.n_trials
+    if n < 2:
+        raise ValueError("need at least two trials to estimate a variance")
+    mean = {angle: s.mean(axis=0) for angle, s in records.samples.items()}
+    variance = {angle: s.var(axis=0, ddof=1) for angle, s in records.samples.items()}
+    return _moment_estimates(records.time_us, records.kappa, n, mean, variance)
 
 
 def simulate_moments(cfg: RunConfig, seed: int | None = None) -> MomentEstimates:
-    """``estimate_moments(run_experiment(cfg, seed))`` without holding the records.
+    """Per-bin moments with the law of ``estimate_moments(run_experiment(cfg, seed))``.
 
-    Each block of shots is reduced and dropped as soon as it is drawn, so
-    memory does not grow with n_trials; the moments are bit-identical.
+    The n shots of one (angle, bin) are i.i.d. N(loc, v), so their sample mean
+    is exactly N(loc, v / n), their sum of squared deviations is exactly
+    v * chi2(n - 1), and the two are independent (Cochran's theorem).  Each
+    angle draws one standard normal and one chi-square per bin from its child
+    stream of ``seed``, and no shot is drawn: the moments agree with those of
+    the records in distribution, not in value, and their cost does not grow
+    with n_trials.
     """
     seed = cfg.seed if seed is None else seed
-    traces, streams = _shot_blocks(cfg, seed, _block_rows(cfg.n_bins))
-    folds = {angle: _fold_moments(blocks) for angle, blocks in streams.items()}
-    return _moment_estimates(traces.time_us, traces.kappa, folds)
+    n = cfg.n_trials
+    traces, laws = _shot_laws(cfg, seed)
+    mean, variance = {}, {}
+    for angle, (loc, v, rng) in laws.items():
+        mean[angle] = loc + np.sqrt(v / n) * rng.standard_normal(cfg.n_bins)
+        variance[angle] = v * (rng.chisquare(n - 1, cfg.n_bins) / (n - 1))
+    return _moment_estimates(traces.time_us, traces.kappa, n, mean, variance)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SHOT_NOISE_VARIANCE, GaussianState
+from .states import SHOT_NOISE_VARIANCE, GaussianState, quadrature_direction
 
 # Measured-quadrature variances below this make the conditioning singular.
 DEGENERATE_VARIANCE_TOL = 1e-12
@@ -60,12 +60,8 @@ def homodyne_measure(
     """
     if state.batch_shape:
         raise ValueError("homodyne_measure takes a single state, not a batch")
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
     axis = float(np.mod(angle, np.pi))
-    u = np.zeros(2 * state.n_modes)
-    u[2 * mode] = np.cos(axis)
-    u[2 * mode + 1] = np.sin(axis)
+    u = quadrature_direction(axis, mode, state.n_modes)
     s2 = float(u @ state.cov @ u)
     if s2 < DEGENERATE_VARIANCE_TOL:
         raise ValueError(f"measured variance {s2:.3g} too small to condition on")

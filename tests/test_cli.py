@@ -66,15 +66,6 @@ def test_simulate_save_records(cfg_path, tmp_path):
     assert records.config_digest == config_digest(SMALL)
 
 
-def test_streamed_and_saved_moments_are_identical(cfg_path, tmp_path):
-    streamed, saved = tmp_path / "streamed", tmp_path / "saved"
-    assert _simulate(cfg_path, streamed) == 0
-    assert _simulate(cfg_path, saved, ("--save-records",)) == 0
-    assert not (streamed / "records.npz").exists()
-    for name in MOMENT_FILES:
-        assert (streamed / name).read_bytes() == (saved / name).read_bytes()
-
-
 def test_records_beyond_physical_memory_exit_1(tmp_path, capsys):
     # 3 x 1e6 trials x 2e5 bins x 8 bytes = 4.8 TB of records
     huge = tmp_path / "huge.json"

@@ -26,8 +26,6 @@ from dynsqueeze import (
 from dynsqueeze.harness import (
     MOMENTS_COLUMNS,
     HomodyneRecordSet,
-    _block_rows,
-    _shot_blocks,
     label_for_angle,
     read_moments_csv,
     read_table,
@@ -201,55 +199,91 @@ def test_record_set_round_trip(tmp_path):
         assert np.array_equal(back.samples[angle], rec.samples[angle])
 
 
-ROWS_200 = _block_rows(200)
-
-
-@pytest.mark.parametrize(
-    "n_trials", [ROWS_200 // 2, ROWS_200, 2 * ROWS_200 + 7], ids=["below", "equal", "uneven"]
-)
-def test_streamed_moments_equal_moments_of_records(n_trials):
-    cfg = RunConfig(n_trials=n_trials, seed=31)
-    stored = estimate_moments(run_experiment(cfg))
-    streamed = simulate_moments(cfg)
-    assert streamed.n_trials == stored.n_trials == n_trials
-    for angle in MEASUREMENT_ANGLES:
-        for field in ("mean", "variance", "se_mean", "se_var"):
-            assert np.array_equal(getattr(streamed, field)[angle], getattr(stored, field)[angle])
-
-
 def test_records_and_streamed_blocks_match_pinned_sha256():
-    # The pin was taken before shots were drawn in row blocks.  At 2000 bins
-    # x 150 trials the streamed path draws three blocks (65 + 65 + 20 rows).
+    # The records of a 2000-bin x 150-trial run, pinned before the shots were
+    # drawn from standard normals.
     cfg = RunConfig(bins_per_period=1000, n_periods=2, n_trials=150, seed=99)
-    rows = _block_rows(cfg.n_bins)
-    assert cfg.n_trials > 2 * rows
     pin = "4c1b77cc342944dacd4ca1ee8ddcbb8020faa193f9a84131fc2fa15ef0940b3e"
     rec = run_experiment(cfg)
-    whole, streamed = hashlib.sha256(), hashlib.sha256()
-    for angle, blocks in _shot_blocks(cfg, cfg.seed, rows)[1].items():
-        whole.update(np.ascontiguousarray(rec.samples[angle]))
-        for block in blocks:
-            streamed.update(np.ascontiguousarray(block))
-    assert whole.hexdigest() == streamed.hexdigest() == pin
+    digest = hashlib.sha256()
+    for angle in MEASUREMENT_ANGLES:
+        digest.update(np.ascontiguousarray(rec.samples[angle]))
+    assert digest.hexdigest() == pin
 
 
 def test_shot_blocks_equal_generator_normal_bit_for_bit():
-    # Blocks are standard normals scaled and shifted in place; they must be
+    # Records are standard normals scaled and shifted in place; they must be
     # the numbers Generator.normal(loc, scale) draws.  A platform that fused
     # loc + scale * z into one FMA would fail here before the SHA-256 pin.
     cfg = RunConfig(use_pwl_electronics=True, bins_per_period=40, n_trials=90, seed=17)
-    rows = 25
     states = run_output_states(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(len(MEASUREMENT_ANGLES))
-    streams = _shot_blocks(cfg, cfg.seed, rows)[1]
+    rec = run_experiment(cfg)
     for angle, child in zip(MEASUREMENT_ANGLES, children):
         loc = quadrature_mean(states, angle)
         scale = np.sqrt(quadrature_variance(states, angle))
         assert np.ptp(loc) > 0.1
         assert angle == 0.0 or np.ptp(scale) > 0.1  # the gate leaves var(x) alone
         want = np.random.default_rng(child).normal(loc, scale, size=(cfg.n_trials, cfg.n_bins))
-        got = np.concatenate(list(streams[angle]))
-        assert got.tobytes() == want.tobytes()
+        assert rec.samples[angle].tobytes() == want.tobytes()
+
+
+def _ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the ECDFs."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    gap = np.searchsorted(a, at, side="right") / a.size - np.searchsorted(b, at, side="right") / b.size
+    return float(np.max(np.abs(gap)))
+
+
+def _standardized_moments(est, states):
+    """Pooled (mean - mu) / sqrt(v / n) and (n - 1) var / v over angles and bins."""
+    n = est.n_trials
+    z, q = [], []
+    for angle in MEASUREMENT_ANGLES:
+        mu, v = quadrature_mean(states, angle), quadrature_variance(states, angle)
+        z.append((est.mean[angle] - mu) / np.sqrt(v / n))
+        q.append((n - 1) * est.variance[angle] / v)
+    return np.concatenate(z), np.concatenate(q)
+
+
+# 12 000 values per sample: 200 seeds x 20 bins x 3 angles.
+DIST_SEEDS = 200
+DIST_CFG = RunConfig(bins_per_period=10, n_periods=2, n_trials=50)
+
+
+def test_streamed_moments_follow_the_law_of_the_records_moments():
+    # simulate_moments draws each bin's sample mean and variance from their
+    # exact law; they must be distributed as the moments of drawn records.
+    # The two routes take disjoint seeds, so the samples are independent.
+    # Critical value: 1.95 * sqrt(2 / N), the asymptotic 0.1 % two-sample KS
+    # bound for two samples of N each.  Scaling the streamed variance by 1.05
+    # moves the chi-square statistic by about 0.1, far beyond it.
+    states = run_output_states(DIST_CFG)
+    streamed = [_standardized_moments(simulate_moments(DIST_CFG, s), states)
+                for s in range(DIST_SEEDS)]
+    stored = [_standardized_moments(estimate_moments(run_experiment(DIST_CFG, s)), states)
+              for s in range(DIST_SEEDS, 2 * DIST_SEEDS)]
+    n_values = DIST_SEEDS * DIST_CFG.n_bins * len(MEASUREMENT_ANGLES)
+    critical = 1.95 * np.sqrt(2.0 / n_values)
+    for k, name in enumerate(("standardized mean", "chi-square of the variance")):
+        a = np.concatenate([pair[k] for pair in streamed])
+        b = np.concatenate([pair[k] for pair in stored])
+        assert a.size == b.size == n_values
+        assert _ks_statistic(a, b) < critical, name
+
+
+def test_streamed_moments_reach_a_trillion_trials():
+    cfg = RunConfig(bins_per_period=5, n_periods=2, n_trials=10**12, seed=5)
+    est = simulate_moments(cfg)
+    th = theory_traces(cfg)
+    assert est.n_trials == 10**12
+    for angle in MEASUREMENT_ANGLES:
+        assert np.all(np.isfinite(est.mean[angle])) and np.all(np.isfinite(est.variance[angle]))
+        assert np.array_equal(est.se_var[angle], est.variance[angle] * np.sqrt(2.0 / (10**12 - 1)))
+        assert np.array_equal(est.se_mean[angle], np.sqrt(est.variance[angle] / 10**12))
+        # se_var is about 1.4e-6 of the variance; the theory is the law's centre
+        assert np.max(np.abs(est.variance[angle] - th.variance[angle]) / est.se_var[angle]) < 6.0
 
 
 def test_compressed_records_still_load(tmp_path):
@@ -288,10 +322,9 @@ def _streamed_peak(n_trials):
 
 
 def test_streamed_memory_does_not_grow_with_trials():
-    block_bytes = 8 * ROWS_200 * 200
-    assert _streamed_peak(20000) - _streamed_peak(2000) < block_bytes
+    assert _streamed_peak(20000) - _streamed_peak(2000) < 1 << 20
     # the records themselves would be 3 x 20000 x 200 doubles (96 MB)
-    assert _streamed_peak(20000) < 8 * block_bytes
+    assert _streamed_peak(20000) < 8 * (1 << 20)
 
 
 def test_theory_traces_simplified_matches_full_p_variance():
