@@ -12,10 +12,18 @@ the principal-axis angle phi; the minimum-variance axis sits at -phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .harness import MEASUREMENT_ANGLES, MomentEstimates, TheoryTraces, read_table, write_table
+from .harness import (
+    MEASUREMENT_ANGLES,
+    MomentEstimates,
+    TheoryTraces,
+    label_for_angle,
+    read_table,
+    write_table,
+)
 from .states import variance_to_db
 
 SUMMARY_COLUMNS = (
@@ -133,8 +141,7 @@ def scan_extrema(matrix, n_angles: int = 10000) -> tuple[float, float, float, fl
     return float(values[lo]), float(angles[lo]), float(values[hi]), float(angles[hi])
 
 
-@dataclass(frozen=True)
-class VarianceSummary:
+class VarianceSummary(NamedTuple):
     """Reconstructed covariance and its diagonalization for one time bin.
 
     Bins where the reconstructed matrix is not positive-definite (a noise
@@ -169,13 +176,23 @@ def summarize(
 ) -> tuple[list[VarianceSummary], Residuals | None]:
     """Reconstruct and diagonalize each bin; optionally attach theory residuals.
 
-    Requires all three measurement angles in ``moments``.  When ``theory`` is
-    given its grid must match the measured one.
+    Requires all three measurement angles in ``moments``, and every variance
+    finite; a non-finite one raises ``ValueError`` naming its angle and bin.
+    A bin whose finite variances are not positive or leave the physical cone
+    is flagged (``valid=False``).  When ``theory`` is given its grid must
+    match the measured one.
     """
     for angle in MEASUREMENT_ANGLES:
         if angle not in moments.variance:
             raise ValueError(f"moments are missing angle {angle}")
     sx2, sp2, spi4 = (np.asarray(moments.variance[a], dtype=float) for a in MEASUREMENT_ANGLES)
+    for angle, v in zip(MEASUREMENT_ANGLES, (sx2, sp2, spi4)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(
+                f"{label_for_angle(angle)} variance of bin {bad[0]} is {v[bad[0]]}; "
+                "variances must be finite"
+            )
     n_bins = len(moments.time_us)
     sxp, splus, sminus, phi = (np.full(n_bins, np.nan) for _ in range(4))
     valid = (sx2 > 0.0) & (sp2 > 0.0)
@@ -184,15 +201,10 @@ def summarize(
     definite = _positive_definite(v)
     valid[valid] = definite
     splus[valid], sminus[valid], phi[valid] = diagonalize(v[definite])
-    rows = [
-        VarianceSummary(b, *values, bool(ok))
-        for b, (*values, ok) in enumerate(zip(
-            np.asarray(moments.time_us, dtype=float).tolist(),
-            np.asarray(moments.kappa, dtype=float).tolist(),
-            sx2.tolist(), sp2.tolist(), spi4.tolist(), sxp.tolist(),
-            splus.tolist(), sminus.tolist(), phi.tolist(), valid.tolist(),
-        ))
-    ]
+    rows = list(map(VarianceSummary._make, zip(range(n_bins), *(
+        np.asarray(column, dtype=float).tolist()
+        for column in (moments.time_us, moments.kappa, sx2, sp2, spi4, sxp, splus, sminus, phi)
+    ), valid.tolist())))
     residuals = None
     if theory is not None:
         if not same_grid(theory.time_us, theory.kappa, moments.time_us, moments.kappa):
@@ -209,18 +221,17 @@ def summarize(
 
 def write_summary_csv(path, rows: list[VarianceSummary]) -> None:
     """Summary rows in the flat schema; squeezing levels are stored in dB."""
-
-    def column(name, dtype=float):
-        return np.array([getattr(r, name) for r in rows], dtype=dtype)
-
-    valid = column("valid", bool)
+    index, *floats, valid = list(zip(*rows)) or [()] * len(SUMMARY_COLUMNS)
+    time_us, kappa, sx2, sp2, spi4, sxp, splus, sminus, phi = (
+        np.array(column, dtype=float) for column in floats
+    )
+    valid = np.array(valid, dtype=bool)
     plus_db, minus_db = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
-    plus_db[valid] = variance_to_db(column("sigma_plus2")[valid])
-    minus_db[valid] = variance_to_db(column("sigma_minus2")[valid])
+    plus_db[valid] = variance_to_db(splus[valid])
+    minus_db[valid] = variance_to_db(sminus[valid])
     write_table(path, SUMMARY_COLUMNS, (
-        column("bin_index", int), column("time_us"), column("kappa"),
-        column("sigma_x2"), column("sigma_p2"), column("sigma_pi4_2"), column("sigma_xp"),
-        plus_db, minus_db, column("phi_rad"), valid,
+        np.array(index, dtype=int), time_us, kappa, sx2, sp2, spi4, sxp,
+        plus_db, minus_db, phi, valid,
     ))
 
 

@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynsqueeze
 from dynsqueeze import (
     GateCalibrationError,
     SignConventions,
@@ -171,6 +177,87 @@ def test_analyze_names_file_and_line_of_a_non_number(cfg_path, tmp_path, capsys)
     assert rc == 1
     assert "moments_x.csv:3: not a number: 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "an" / "summary.csv").exists()
+
+
+def _analyze_argv(sim, out, theory=None):
+    argv = ["analyze", "--out", str(out), "--moments", *(str(sim / n) for n in MOMENT_FILES)]
+    if theory is not None:
+        argv += ["--theory", *(str(theory / n) for n in THEORY_FILES)]
+    return argv
+
+
+def _set_variance(path, bin_index, text):
+    """Overwrite the variance cell of one bin in a moments CSV."""
+    lines = path.read_text().splitlines()
+    cells = lines[1 + bin_index].split(",")
+    cells[5] = text
+    lines[1 + bin_index] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("label", ["x", "pi4"])
+def test_analyze_non_finite_variance_exits_1(cfg_path, tmp_path, capsys, label, value):
+    sim, an = tmp_path / "sim", tmp_path / "an"
+    assert _simulate(cfg_path, sim) == 0
+    _set_variance(sim / f"moments_{label}.csv", 4, value)
+    assert main(_analyze_argv(sim, an)) == 1
+    err = capsys.readouterr().err
+    assert f"error: {label} variance of bin 4 is {value}; variances must be finite" in err
+    assert not (an / "summary.csv").exists()
+
+
+def test_analyze_flags_zero_x_variance(cfg_path, tmp_path, capsys):
+    sim, an = tmp_path / "sim", tmp_path / "an"
+    assert _simulate(cfg_path, sim) == 0
+    _set_variance(sim / "moments_x.csv", 4, "0")
+    assert main(_analyze_argv(sim, an)) == 0
+    assert "10 bins, 1 flagged non-positive-definite" in capsys.readouterr().out
+    data = read_summary_csv(an / "summary.csv")
+    assert data["valid"].tolist() == [b != 4 for b in range(10)]
+    assert np.isnan(data["sigma_minus2_db"][4]) and np.isnan(data["phi_rad"][4])
+
+
+# summary.csv and residuals.csv of a fixed-seed 20-bin x 6-trial run.  Five of
+# its bins are flagged, so the pin covers both the valid and the NaN rows.
+_PIN_CONFIG = RunConfig(bins_per_period=10, n_periods=2, n_trials=6, seed=2)
+_PIN_SHA256 = {
+    "summary.csv": "ee249bee285172448216d0a94466a010bb4fe99dd3328b05fe42e0509d3d7807",
+    "residuals.csv": "0a55f3e4f50cf548cea375d2abadb3f437b3c300d8651044679ad8ff61e3147c",
+}
+
+
+def test_analyze_outputs_match_pinned_sha256(tmp_path, capsys):
+    cfg, out = tmp_path / "pin.json", tmp_path / "out"
+    save_config(_PIN_CONFIG, cfg)
+    assert _simulate(cfg, out) == 0
+    assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(_analyze_argv(out, out, theory=out)) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "20 bins, 5 flagged non-positive-definite",
+        "best squeezed variance -16.026 dB",
+    ]
+    for name, pin in _PIN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == pin, name
+
+
+def test_analyze_does_not_import_numpy_ma(cfg_path, tmp_path):
+    # numpy's unique() imports numpy.ma, which costs a fresh process 10-15 ms.
+    sim = tmp_path / "sim"
+    assert _simulate(cfg_path, sim) == 0
+    script = (
+        "import sys\n"
+        "from dynsqueeze import cli\n"
+        f"assert cli.main({_analyze_argv(sim, tmp_path / 'an')!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(dynsqueeze.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_missing_config_exits_1(tmp_path, capsys):

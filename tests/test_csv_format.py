@@ -60,6 +60,15 @@ def test_summary_csv_bytes_with_an_invalid_bin(tmp_path):
     )
 
 
+def test_summary_csv_of_no_rows_is_the_header(tmp_path):
+    path = tmp_path / "summary.csv"
+    write_summary_csv(path, [])
+    assert path.read_text() == (
+        "bin_index,time_us,kappa,sigma_x2,sigma_p2,sigma_pi4_2,sigma_xp,"
+        "sigma_plus2_db,sigma_minus2_db,phi_rad,valid\n"
+    )
+
+
 def test_residuals_csv_bytes(tmp_path):
     res = Residuals(
         _TIME, _KAPPA,

@@ -388,7 +388,7 @@ def test_theory_csv_has_zero_errors(tmp_path):
 def test_moments_csv_rejects_corruption(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("angle_rad,bogus\n0,1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected header"):
         read_moments_csv(path)
     est = estimate_moments(run_experiment(SMALL))
     good = tmp_path / "good.csv"
@@ -397,7 +397,7 @@ def test_moments_csv_rejects_corruption(tmp_path):
     lines[3] = lines[3].replace(lines[3].split(",")[0], "0.7853981", 1)
     mixed = tmp_path / "mixed.csv"
     mixed.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mixed angles"):
         read_moments_csv(mixed)
 
 
