@@ -37,9 +37,7 @@ from .gate import (
 )
 from .harness import (
     MEASUREMENT_ANGLES,
-    ControlSignal,
     HomodyneRecordSet,
-    InputModulation,
     MomentEstimates,
     TheoryTraces,
     estimate_moments,

@@ -25,7 +25,6 @@ from .electronics import TARGETS, fit_pwl, max_error, save_pwl_table
 from .gate import CONVENTIONS, GateCalibrationError, calibrate_signs
 from .harness import (
     MEASUREMENT_ANGLES,
-    THEORY_IGNORES,
     MomentEstimates,
     TheoryTraces,
     estimate_moments,
@@ -107,13 +106,6 @@ def cmd_theory(args) -> int:
     v = reconstruct_variance_matrix(*(th.variance[a] for a in MEASUREMENT_ANGLES))
     minus_db = variance_to_db(diagonalize(v)[1])
     print(f"config {config_digest(cfg)}")
-    default = RunConfig()
-    ignored = [name for name in THEORY_IGNORES if getattr(cfg, name) != getattr(default, name)]
-    if ignored:
-        print(
-            f"note: theory models the ideal gate and ignores {', '.join(ignored)}; "
-            "residuals against a run with these settings are not failures."
-        )
     print(
         f"predicted squeezed variance: min {minus_db.min():.3f} dB, "
         f"max {minus_db.max():.3f} dB over {len(minus_db)} bins"

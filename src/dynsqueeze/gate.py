@@ -153,28 +153,45 @@ def decompose_shear(kappa: float) -> ShearDecomposition:
 
 
 def closed_form_output(state: GaussianState, params: GateParams) -> GaussianState:
-    """Ideal-feed-forward output moments from the scalar input-output relations.
+    """Output moments at the operating point of ``params``, from the scalar relations.
 
-    Propagates means and second moments through x_out = (x_in - x_s)/sqrt(2),
-    p_out = sqrt(2) p_in + (kappa/sqrt(2)) x_in + (kappa/sqrt(2)) x_s term by
-    term.  This deliberately ignores the phase/gain overrides and detection
-    efficiency: it is the reference the hardware model is checked against.
-    The batch axes of ``state`` and ``params.kappa`` broadcast together.
+    With theta the local-oscillator phase, g the feed-forward gain, f its sign
+    and eta the detection efficiency, a = f g sqrt(eta) sin(theta) and
+    b = f g sqrt(eta) cos(theta):
+
+        x_out = (x_in - x_s) / sqrt(2)
+        p_out = ((1 + b) p_in + (b - 1) p_s + a (x_in + x_s)) / sqrt(2)
+                + f g sqrt(1 - eta) (sin(theta) x_v + cos(theta) p_v)
+
+    where (x_s, p_s) is the ancilla and (x_v, p_v) the vacuum that detector
+    loss lets in.  Means and second moments are propagated term by term,
+    independently of the symplectic pipeline that :func:`gate_output_state`
+    builds, so it is the reference the pipeline is checked against for every
+    phase, gain, sign and efficiency.  At theta = arctan(kappa),
+    g = sqrt(1 + kappa^2), f = 1 and eta = 1 it is the ideal gate of the
+    module docstring.  The batch axes of ``state`` and ``params`` broadcast
+    together.
     """
     if state.n_modes != 1:
         raise ValueError("gate acts on a single mode")
-    k = params.kappa
-    vs = params.ancilla_vx
+    theta = params.lo_phase
+    fg = params.feedforward_sign * params.feedforward_gain
+    eta = params.hd1_efficiency
+    a = fg * np.sqrt(eta) * np.sin(theta)
+    b = fg * np.sqrt(eta) * np.cos(theta)
+    vs, vps = params.ancilla_vx, 0.25 / params.ancilla_vx
+    loss = 0.5 * fg**2 * (1.0 - eta)  # Var of f g sqrt(1 - eta) (sin x_v + cos p_v)
     mx, mp = state.mean[..., 0], state.mean[..., 1]
     vx, vp, cxp = state.cov[..., 0, 0], state.cov[..., 1, 1], state.cov[..., 0, 1]
     mean = np.stack(
-        np.broadcast_arrays(mx / np.sqrt(2.0), np.sqrt(2.0) * mp + k * mx / np.sqrt(2.0)),
+        np.broadcast_arrays(mx / np.sqrt(2.0), ((1.0 + b) * mp + a * mx) / np.sqrt(2.0)),
         axis=-1,
     )
     out_vx, out_vp, out_c = np.broadcast_arrays(
         0.5 * (vx + vs),
-        2.0 * vp + 0.5 * k**2 * (vx + vs) + 2.0 * k * cxp,
-        0.5 * k * (vx - vs) + cxp,
+        0.5 * ((1.0 + b) ** 2 * vp + (b - 1.0) ** 2 * vps + a**2 * (vx + vs)
+               + 2.0 * a * (1.0 + b) * cxp) + loss,
+        0.5 * (a * (vx - vs) + (1.0 + b) * cxp),
     )
     cov = np.stack(
         [np.stack([out_vx, out_c], axis=-1), np.stack([out_c, out_vp], axis=-1)], axis=-2
@@ -235,8 +252,8 @@ def gate_output_state(state: GaussianState, params: GateParams) -> GaussianState
     Builds ancilla, beamsplitter, homodyne and feed-forward explicitly, then
     averages over the measurement record: the returned mean is deterministic
     and the covariance includes the classical feed-forward contribution, so the
-    result describes the ensemble of repeated shots.  At the default phase and
-    gain it coincides with :func:`closed_form_output` to float precision.
+    result describes the ensemble of repeated shots.  At every operating point
+    it coincides with :func:`closed_form_output` to float precision.
     """
     return _output_state(state, params, CONVENTIONS)
 

@@ -13,10 +13,11 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import VALID_WAVEFORMS, ConfigError, RunConfig, config_digest
+from .config import ConfigError, RunConfig, config_digest
 from .electronics import fit_pwl
 from .gate import GateParams, closed_form_output, gate_output_state
 from .states import (
@@ -43,15 +44,6 @@ MOMENTS_COLUMNS = (
     "se_var",
 )
 
-# RunConfig fields that theory_traces leaves at their ideal values: it is the
-# reference for the gate as designed, not for the configured hardware.
-THEORY_IGNORES = (
-    "feedforward_sign",
-    "feedforward_gain_override",
-    "hd1_efficiency",
-    "use_pwl_electronics",
-)
-
 
 def label_for_angle(angle: float) -> str:
     """Short file-name label for one of the three measurement angles."""
@@ -61,74 +53,7 @@ def label_for_angle(angle: float) -> str:
     raise ValueError(f"no label for angle {angle}")
 
 
-@dataclass(frozen=True)
-class ControlSignal:
-    """Gate-strength waveform kappa(t).
-
-    ``sine`` and ``square`` are periodic analytic waveforms; ``custom`` cycles
-    through an explicit list of per-bin values.  In every case
-    |kappa| <= amplitude.  The square wave is +amplitude over the first half
-    of each cycle and -amplitude over the second; a bin on a half-cycle
-    boundary (to within 1e-9 of a half cycle) starts the new half.
-    """
-
-    waveform: str
-    frequency_mhz: float
-    amplitude: float
-    phase_rad: float = 0.0
-    samples: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.waveform not in VALID_WAVEFORMS:
-            raise ValueError(f"unknown waveform {self.waveform!r}")
-        if self.frequency_mhz <= 0.0 or self.amplitude <= 0.0:
-            raise ValueError("frequency and amplitude must be positive")
-        if self.waveform == "custom":
-            if not self.samples:
-                raise ValueError("custom waveform needs samples")
-            if np.max(np.abs(np.asarray(self.samples))) > self.amplitude:
-                raise ValueError("custom samples exceed the stated amplitude")
-        elif self.samples is not None:
-            raise ValueError("samples are only meaningful for the custom waveform")
-
-    def sample_bins(self, n_bins: int, bin_width_us: float) -> np.ndarray:
-        """kappa value for each time bin t_k = k * bin_width_us."""
-        if self.waveform == "custom":
-            reps = -(-n_bins // len(self.samples))
-            return np.tile(np.asarray(self.samples, dtype=float), reps)[:n_bins]
-        t = np.arange(n_bins) * bin_width_us
-        phase = 2.0 * np.pi * self.frequency_mhz * t + self.phase_rad
-        if self.waveform == "sine":
-            return self.amplitude * np.sin(phase)
-        halves = phase / np.pi
-        nearest = np.round(halves)
-        halves = np.where(np.abs(halves - nearest) < 1e-9, nearest, halves)
-        return np.where(np.floor(halves) % 2 == 0, self.amplitude, -self.amplitude)
-
-
-@dataclass(frozen=True)
-class InputModulation:
-    """Sinusoidal mean-field modulation of the coherent input."""
-
-    x_amplitude: float
-    p_amplitude: float = 0.0
-    frequency_mhz: float = 5.0
-    phase_rad: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.frequency_mhz <= 0.0:
-            raise ValueError("frequency must be positive")
-        for v in (self.x_amplitude, self.p_amplitude, self.phase_rad):
-            if not np.isfinite(v):
-                raise ValueError("modulation parameters must be finite")
-
-    def means(self, t_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phase = 2.0 * np.pi * self.frequency_mhz * np.asarray(t_us) + self.phase_rad
-        return self.x_amplitude * np.sin(phase), self.p_amplitude * np.sin(phase)
-
-
-@dataclass(frozen=True)
-class Traces:
+class Traces(NamedTuple):
     """Shared time grid with the control and input-mean traces on it."""
 
     time_us: np.ndarray
@@ -138,46 +63,68 @@ class Traces:
 
 
 def generate_traces(cfg: RunConfig) -> Traces:
-    """Sample control and input-modulation traces on the configured grid."""
-    t = np.arange(cfg.n_bins) * cfg.bin_width_us
-    control = ControlSignal(
-        cfg.control_waveform, cfg.control_frequency_mhz, cfg.control_amplitude,
-        cfg.control_phase_rad, cfg.control_samples,
-    )
-    modulation = InputModulation(
-        cfg.input_x_amplitude, cfg.input_p_amplitude, cfg.input_frequency_mhz, cfg.input_phase_rad
-    )
-    mean_x, mean_p = modulation.means(t)
-    kappa = control.sample_bins(cfg.n_bins, cfg.bin_width_us)
-    return Traces(t, kappa, np.asarray(mean_x), np.asarray(mean_p))
+    """Control kappa(t) and the coherent input's means on the configured grid.
+
+    Bin k sits at t_k = k * bin_width_us.  ``sine`` and ``square`` controls are
+    periodic analytic waveforms; ``custom`` cycles through control_samples.  In
+    every case |kappa| <= control_amplitude.  The square wave is +amplitude
+    over the first half of each cycle and -amplitude over the second; a bin on
+    a half-cycle boundary (to within 1e-9 of a half cycle) starts the new half.
+    The input means are sinusoidal at input_frequency_mhz.
+    """
+    n = cfg.n_bins
+    t = np.arange(n) * cfg.bin_width_us
+    if cfg.control_waveform == "custom":
+        reps = -(-n // len(cfg.control_samples))
+        kappa = np.tile(np.asarray(cfg.control_samples, dtype=float), reps)[:n]
+    else:
+        phase = 2.0 * np.pi * cfg.control_frequency_mhz * t + cfg.control_phase_rad
+        amplitude = cfg.control_amplitude
+        if cfg.control_waveform == "sine":
+            kappa = amplitude * np.sin(phase)
+        else:
+            halves = phase / np.pi
+            nearest = np.round(halves)
+            halves = np.where(np.abs(halves - nearest) < 1e-9, nearest, halves)
+            kappa = np.where(np.floor(halves) % 2 == 0, amplitude, -amplitude)
+    modulation = np.sin(2.0 * np.pi * cfg.input_frequency_mhz * t + cfg.input_phase_rad)
+    return Traces(t, kappa, cfg.input_x_amplitude * modulation, cfg.input_p_amplitude * modulation)
 
 
-def run_output_states(cfg: RunConfig) -> GaussianState:
-    """Gate output states through the full physical pipeline, one per bin.
+def _gate_params(cfg: RunConfig, kappa: np.ndarray) -> GateParams:
+    """The configured operating point of the gate in each bin.
 
-    Returns a single batched state whose batch axis runs over the time bins.
     With use_pwl_electronics the local-oscillator phase and feed-forward gain
     come from the fitted broken-line tables instead of the exact functions.
+    Both gate routes take their parameters from here.
     """
-    return _output_states(cfg, generate_traces(cfg))
-
-
-def _output_states(cfg: RunConfig, traces: Traces) -> GaussianState:
     gain_override = cfg.feedforward_gain_override
     lo_phase_override = None
     if cfg.use_pwl_electronics:
         n, lo, hi = cfg.pwl_segments, cfg.pwl_lo, cfg.pwl_hi
-        lo_phase_override = fit_pwl("arctan", n, lo, hi)(traces.kappa)
-        gain_override = fit_pwl("sqrt1px2", n, lo, hi)(traces.kappa)
-    params = GateParams(
-        kappa=traces.kappa,
+        lo_phase_override = fit_pwl("arctan", n, lo, hi)(kappa)
+        gain_override = fit_pwl("sqrt1px2", n, lo, hi)(kappa)
+    return GateParams(
+        kappa=kappa,
         ancilla_vx=db_to_variance(cfg.ancilla_db),
         feedforward_gain_override=gain_override,
         lo_phase_override=lo_phase_override,
         feedforward_sign=cfg.feedforward_sign,
         hd1_efficiency=cfg.hd1_efficiency,
     )
-    return gate_output_state(make_coherent(traces.mean_x, traces.mean_p), params)
+
+
+def run_output_states(cfg: RunConfig) -> GaussianState:
+    """Gate output states through the full physical pipeline, one per bin.
+
+    Returns a single batched state whose batch axis runs over the time bins.
+    """
+    return _output_states(cfg, generate_traces(cfg))
+
+
+def _output_states(cfg: RunConfig, traces: Traces) -> GaussianState:
+    inputs = make_coherent(traces.mean_x, traces.mean_p)
+    return gate_output_state(inputs, _gate_params(cfg, traces.kappa))
 
 
 @dataclass(frozen=True)
@@ -353,9 +300,11 @@ def simulate_moments(cfg: RunConfig, seed: int | None = None) -> MomentEstimates
 class TheoryTraces:
     """Noise-free predicted moments per bin and angle.
 
-    ``p_variance_simplified`` is the coherent-input shortcut
-    1 + (kappa^2 / 2)(1/2 + v_s): mean-field modulation moves only the means,
-    so for coherent inputs it coincides with the full p-variance prediction.
+    ``p_variance_simplified`` is the ideal-gate shortcut
+    1 + (kappa^2 / 2)(1/2 + v_s) for coherent inputs.  Mean-field modulation
+    moves only the means, so it equals the full p-variance prediction when
+    feedforward_sign, feedforward_gain_override, hd1_efficiency and
+    use_pwl_electronics are at their defaults, and only then.
     """
 
     time_us: np.ndarray
@@ -370,12 +319,13 @@ def theory_traces(cfg: RunConfig) -> TheoryTraces:
 
     Deliberately computed from the scalar input-output relations (not the
     pipeline), so Monte Carlo vs theory comparisons cross independent routes.
-    The fields in ``THEORY_IGNORES`` do not enter: this is the ideal gate.
+    Both routes run at the same configured operating point: look-up tables,
+    gain override, feed-forward sign and detection efficiency included.
     """
     traces = generate_traces(cfg)
     vx = db_to_variance(cfg.ancilla_db)
     outs = closed_form_output(
-        make_coherent(traces.mean_x, traces.mean_p), GateParams(kappa=traces.kappa, ancilla_vx=vx)
+        make_coherent(traces.mean_x, traces.mean_p), _gate_params(cfg, traces.kappa)
     )
     mean = {angle: quadrature_mean(outs, angle) for angle in MEASUREMENT_ANGLES}
     variance = {angle: quadrature_variance(outs, angle) for angle in MEASUREMENT_ANGLES}

@@ -9,6 +9,8 @@ repeated-shot pipeline reproduces them within statistical error.  Collapsing
 the two would turn every check into a tautology.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -124,13 +126,27 @@ def test_criterion_03_full_drive_squeezing_and_gap_note(mc_moments, tmp_path, ca
     assert "-1.65 dB" in text and "-1.8 dB" in text
 
 
+# Hardware operating points: (LO phase override, gain override, feed-forward
+# sign, detector efficiency); the first is the ideal gate.
+HARDWARE_POINTS = (
+    (None, None, 1, 1.0),
+    (None, 0.5, -1, 0.8),
+    (0.4, 1.3, 1, 0.72),
+    (-1.1, 0.0, 1, 1.0),
+    (1.0, 2.1, -1, 0.3),
+)
+
+
 def test_criterion_04_pipeline_matches_closed_form():
     kappas = (-2.0, -1.2, -0.5, 0.0, 0.7, 1.5, 2.0)
     ancillas = (0.05, db_to_variance(-3.1), 0.5, 1.1)
     inputs = ((0.0, 0.0), (1.3, -0.7), (-2.0, 3.0))
-    for kappa in kappas:
-        for vs in ancillas:
-            params = GateParams(kappa=kappa, ancilla_vx=vs)
+    for theta, gain, sign, eta in HARDWARE_POINTS:
+        for kappa, vs in itertools.product(kappas, ancillas):
+            params = GateParams(
+                kappa=kappa, ancilla_vx=vs, lo_phase_override=theta,
+                feedforward_gain_override=gain, feedforward_sign=sign, hd1_efficiency=eta,
+            )
             for mx, mp in inputs:
                 probe = make_coherent(mx, mp)
                 pipeline = gate_output_state(probe, params)

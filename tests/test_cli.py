@@ -19,9 +19,9 @@ from dynsqueeze import (
     load_pwl_table,
     save_config,
 )
-from dynsqueeze.analysis import read_summary_csv
+from dynsqueeze.analysis import RESIDUAL_COLUMNS, read_summary_csv
 from dynsqueeze.cli import GAP_NOTE, main
-from dynsqueeze.harness import read_moments_csv
+from dynsqueeze.harness import read_moments_csv, read_table
 
 SMALL = RunConfig(bins_per_period=5, n_periods=2, n_trials=400, seed=7)
 
@@ -101,23 +101,6 @@ def test_theory_outputs_and_gap_note(cfg_path, tmp_path, capsys):
         assert (out / name).exists()
 
 
-def test_theory_default_config_prints_no_ideal_model_note(cfg_path, tmp_path, capsys):
-    assert main(["theory", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    assert "ignores" not in capsys.readouterr().out
-
-
-def test_theory_notes_hardware_fields_it_ignores(tmp_path, capsys):
-    path = tmp_path / "lossy.json"
-    lossy = RunConfig(bins_per_period=5, hd1_efficiency=0.8, feedforward_sign=-1)
-    save_config(lossy, path)
-    assert main(["theory", "--config", str(path), "--out", str(tmp_path)]) == 0
-    notes = [ln for ln in capsys.readouterr().out.splitlines() if "ignores" in ln]
-    assert notes == [
-        "note: theory models the ideal gate and ignores feedforward_sign, hd1_efficiency; "
-        "residuals against a run with these settings are not failures."
-    ]
-
-
 def test_analyze_with_theory_residuals(cfg_path, tmp_path, capsys):
     sim, th, an = tmp_path / "sim", tmp_path / "th", tmp_path / "an"
     assert _simulate(cfg_path, sim) == 0
@@ -131,6 +114,45 @@ def test_analyze_with_theory_residuals(cfg_path, tmp_path, capsys):
     assert (an / "residuals.csv").exists()
     data = read_summary_csv(an / "summary.csv")
     assert len(data["bin_index"]) == 10
+
+
+# Upper 0.05 % point of the standard normal: the central 99.9 % band.
+_Z_HALF_PERMILLE = 3.2905267314919255
+
+
+def _chi2_per_dof_band(k):
+    """Central 99.9 % band of chi2(k) / k, by the Wilson-Hilferty cube-root rule."""
+    c = 2.0 / (9.0 * k)
+    return tuple((1.0 - c + z * np.sqrt(c)) ** 3 for z in (-_Z_HALF_PERMILLE, _Z_HALF_PERMILLE))
+
+
+@pytest.mark.parametrize(
+    "overrides, extra",
+    [
+        ({"hd1_efficiency": 0.8, "feedforward_sign": -1, "feedforward_gain_override": 0.5}, ()),
+        ({"use_pwl_electronics": True}, ("--save-records",)),
+    ],
+    ids=["lossy", "records-pwl"],
+)
+def test_residuals_consistent_with_theory_off_default_hardware(tmp_path, overrides, extra):
+    # theory runs at the configured operating point, so on these configs the
+    # residual z = (moment - theory) / se is standard normal in every bin
+    cfg = tmp_path / "run.json"
+    save_config(RunConfig(n_trials=2000, **overrides), cfg)
+    assert _simulate(cfg, tmp_path, extra) == 0
+    assert main(["theory", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    argv = ["analyze", "--out", str(tmp_path), "--moments"]
+    argv += [str(tmp_path / n) for n in MOMENT_FILES]
+    argv += ["--theory"] + [str(tmp_path / n) for n in THEORY_FILES]
+    assert main(argv) == 0
+    res = read_table(tmp_path / "residuals.csv", RESIDUAL_COLUMNS)
+    moments = [read_moments_csv(tmp_path / n) for n in MOMENT_FILES]
+    for kind, se in (("mean", "se_mean"), ("var", "se_var")):
+        z = np.concatenate([
+            res[f"d_{kind}_{lab}"] / m[se] for lab, m in zip(("x", "p", "pi4"), moments)
+        ])
+        lo, hi = _chi2_per_dof_band(z.size)
+        assert lo < np.mean(z**2) < hi, (kind, np.mean(z**2), (lo, hi))
 
 
 def test_analyze_accepts_files_in_any_order(cfg_path, tmp_path):

@@ -117,6 +117,9 @@ def test_invalid_json_rejected(tmp_path):
         {"use_pwl_electronics": True, "pwl_lo": -1.5},
         {"use_pwl_electronics": True, "pwl_hi": 1.0},
         {"control_waveform": "custom", "control_samples": [0.0, float("nan")]},
+        {"input_frequency_mhz": 0.0},
+        {"input_x_amplitude": float("nan")},
+        {"input_phase_rad": float("nan")},
     ],
 )
 def test_validation_rejects(overrides):

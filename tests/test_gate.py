@@ -210,11 +210,20 @@ def test_gate_rejects_multimode_input():
     st.floats(min_value=-1.0, max_value=1.0),
     st.floats(min_value=-2.0, max_value=2.0),
     st.floats(min_value=-2.0, max_value=2.0),
+    st.none() | st.floats(min_value=-np.pi / 2.0, max_value=np.pi / 2.0),
+    st.none() | st.floats(min_value=0.0, max_value=3.0),
+    st.sampled_from((1, -1)),
+    st.floats(min_value=0.01, max_value=1.0),
 )
 @settings(max_examples=60, deadline=None)
-def test_pipeline_matches_closed_form_on_random_inputs(kappa, vs, r, a, mx, mp):
+def test_pipeline_matches_closed_form_on_random_inputs(
+    kappa, vs, r, a, mx, mp, theta, gain, sign, eta
+):
     state = apply(compose(rotation(a), squeeze(r)), make_coherent(mx, mp))
-    params = GateParams(kappa=kappa, ancilla_vx=vs)
+    params = GateParams(
+        kappa=kappa, ancilla_vx=vs, lo_phase_override=theta, feedforward_gain_override=gain,
+        feedforward_sign=sign, hd1_efficiency=eta,
+    )
     got = gate_output_state(state, params)
     want = closed_form_output(state, params)
     assert np.max(np.abs(got.cov - want.cov)) < 1e-10

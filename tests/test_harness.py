@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from dynsqueeze import (
-    ControlSignal,
     GateParams,
-    InputModulation,
     MEASUREMENT_ANGLES,
     RunConfig,
     closed_form_output,
@@ -47,8 +45,13 @@ def test_grid_spans_two_periods():
 
 def test_control_amplitude_bound():
     for waveform in ("sine", "square"):
-        sig = ControlSignal(waveform, 1.0, 2.0)
-        k = sig.sample_bins(1000, 0.0137)
+        # 500 bins a period at 0.146 MHz: a bin width of 0.0137 us
+        cfg = RunConfig(
+            control_waveform=waveform, control_frequency_mhz=1.0 / (500 * 0.0137),
+            bins_per_period=500, n_periods=2,
+        )
+        k = generate_traces(cfg).kappa
+        assert len(k) == 1000
         assert np.max(np.abs(k)) <= 2.0 + 1e-12
 
 
@@ -88,23 +91,11 @@ def test_custom_control_tiles():
     assert tr.kappa == pytest.approx([0.0, 2.0, -2.0, 0.0, 2.0, -2.0])
 
 
-def test_custom_signal_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        ControlSignal("custom", 1.0, 2.0, samples=(0.0, 2.5))
-    with pytest.raises(ValueError):
-        ControlSignal("sine", 1.0, 2.0, samples=(0.0,))
-
-
 def test_input_modulation_trace():
     tr = generate_traces(RunConfig())
     want = 3.0 * np.sin(2.0 * np.pi * 5.0 * tr.time_us)
     assert tr.mean_x == pytest.approx(want, abs=1e-12)
     assert tr.mean_p == pytest.approx(np.zeros_like(want), abs=1e-12)
-
-
-def test_input_modulation_validation():
-    with pytest.raises(ValueError):
-        InputModulation(1.0, frequency_mhz=0.0)
 
 
 def test_run_output_states_match_closed_form():
@@ -118,6 +109,29 @@ def test_run_output_states_match_closed_form():
         )
         assert np.allclose(states[b].cov, want.cov, atol=1e-12)
         assert np.allclose(states[b].mean, want.mean, atol=1e-12)
+
+
+# Off-default hardware: a lossy feed-forward detector, a reversed sign and a
+# fixed gain, and the look-up-table electronics of the records-pwl workload.
+HARDWARE_CONFIGS = {
+    "default": RunConfig(),
+    "records-pwl": RunConfig(use_pwl_electronics=True, n_trials=2000),
+    "lossy": RunConfig(hd1_efficiency=0.8, feedforward_sign=-1, feedforward_gain_override=0.5),
+}
+
+
+@pytest.mark.parametrize("name", HARDWARE_CONFIGS)
+def test_theory_traces_match_pipeline_at_configured_operating_point(name):
+    cfg = HARDWARE_CONFIGS[name]
+    states = run_output_states(cfg)
+    th = theory_traces(cfg)
+    for angle in MEASUREMENT_ANGLES:
+        np.testing.assert_allclose(
+            th.mean[angle], quadrature_mean(states, angle), rtol=1e-9, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            th.variance[angle], quadrature_variance(states, angle), rtol=1e-9, atol=0.0
+        )
 
 
 def test_run_experiment_shapes_and_determinism():

@@ -98,8 +98,7 @@ def test_pin_covers_every_output(current, pinned):
     assert sorted(current) == sorted(pinned) == sorted(KEYS)
 
 
-# Operating points off the defaults: overrides, reversed sign and detector loss
-# all enter the pipeline route; the closed form ignores them by design.
+# Operating points off the defaults: overrides, reversed sign and detector loss.
 _KAPPA = np.array([-2.0, -0.3, 0.0, 0.8, 1.7])
 _X = np.array([1.3, 0.0, -2.2, 0.4, 3.0])
 _P = np.array([-0.7, 0.5, 0.0, 1.1, -0.2])
