@@ -11,7 +11,6 @@ the principal-axis angle phi; the minimum-variance axis sits at -phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -161,8 +160,7 @@ class VarianceSummary(NamedTuple):
     valid: bool
 
 
-@dataclass(frozen=True)
-class Residuals:
+class Residuals(NamedTuple):
     """Measured-minus-theory per-bin differences on a shared grid."""
 
     time_us: np.ndarray

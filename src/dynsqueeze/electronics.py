@@ -10,10 +10,11 @@ these tables instead of the exact functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .states import Immutable
 
 _FMT = "{:.12g}"
 
@@ -39,8 +40,7 @@ TARGETS = {
 }
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearFunction:
+class PiecewiseLinearFunction(Immutable):
     """Broken-line function with constant clamping outside the breakpoint range.
 
     Attributes:
@@ -50,14 +50,12 @@ class PiecewiseLinearFunction:
         clamp_above: Output for x > xs[-1]; defaults to ys[-1].
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    clamp_below: float | None = None
-    clamp_above: float | None = None
+    __slots__ = ("xs", "ys", "clamp_below", "clamp_above")
 
-    def __post_init__(self) -> None:
-        xs = np.array(self.xs, dtype=float)
-        ys = np.array(self.ys, dtype=float)
+    def __init__(self, xs, ys, clamp_below: float | None = None,
+                 clamp_above: float | None = None) -> None:
+        xs = np.array(xs, dtype=float)
+        ys = np.array(ys, dtype=float)
         if xs.ndim != 1 or xs.size < 2:
             raise ValueError("need at least two breakpoints")
         if ys.shape != xs.shape:
@@ -68,12 +66,12 @@ class PiecewiseLinearFunction:
             raise ValueError("breakpoints must be strictly ascending")
         xs.setflags(write=False)
         ys.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        if self.clamp_below is None:
-            object.__setattr__(self, "clamp_below", float(ys[0]))
-        if self.clamp_above is None:
-            object.__setattr__(self, "clamp_above", float(ys[-1]))
+        self._set(
+            xs,
+            ys,
+            float(ys[0]) if clamp_below is None else clamp_below,
+            float(ys[-1]) if clamp_above is None else clamp_above,
+        )
 
     @property
     def n_segments(self) -> int:

@@ -17,7 +17,6 @@ i.e. the shear composed with a fixed 3 dB x squeeze, plus ancilla noise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from .homodyne import HomodyneOutcome, homodyne_measure, pure_loss
 from .states import (
     GaussianState,
+    Immutable,
     _scalar_or_array,
     db_to_variance,
     make_coherent,
@@ -61,8 +61,7 @@ class SignConventions(NamedTuple):
 CONVENTIONS = SignConventions(1, 1, 1)
 
 
-@dataclass(frozen=True)
-class GateParams:
+class GateParams(Immutable):
     """Operating point of the gate for one time bin, or for a batch of bins.
 
     ``kappa`` and the two overrides may be arrays (one entry per bin), which
@@ -78,26 +77,36 @@ class GateParams:
         hd1_efficiency: Detection efficiency of the feed-forward homodyne.
     """
 
-    kappa: float | np.ndarray
-    ancilla_vx: float = DEFAULT_ANCILLA_VX
-    feedforward_gain_override: float | np.ndarray | None = None
-    lo_phase_override: float | np.ndarray | None = None
-    feedforward_sign: int = CONVENTIONS.feedforward_sign
-    hd1_efficiency: float = 1.0
+    __slots__ = (
+        "kappa", "ancilla_vx", "feedforward_gain_override", "lo_phase_override",
+        "feedforward_sign", "hd1_efficiency",
+    )
 
-    def __post_init__(self) -> None:
-        for name in ("kappa", "feedforward_gain_override", "lo_phase_override"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _scalar_or_array(value))
-        if not np.all(np.isfinite(self.kappa)):
+    def __init__(
+        self,
+        kappa: float | np.ndarray,
+        ancilla_vx: float = DEFAULT_ANCILLA_VX,
+        feedforward_gain_override: float | np.ndarray | None = None,
+        lo_phase_override: float | np.ndarray | None = None,
+        feedforward_sign: int = CONVENTIONS.feedforward_sign,
+        hd1_efficiency: float = 1.0,
+    ) -> None:
+        kappa, feedforward_gain_override, lo_phase_override = (
+            None if value is None else _scalar_or_array(value)
+            for value in (kappa, feedforward_gain_override, lo_phase_override)
+        )
+        if not np.all(np.isfinite(kappa)):
             raise ValueError("kappa must be finite")
-        if not np.isfinite(self.ancilla_vx) or self.ancilla_vx <= 0.0:
-            raise ValueError(f"ancilla_vx must be positive, got {self.ancilla_vx}")
-        if self.feedforward_sign not in (-1, 1):
+        if not np.isfinite(ancilla_vx) or ancilla_vx <= 0.0:
+            raise ValueError(f"ancilla_vx must be positive, got {ancilla_vx}")
+        if feedforward_sign not in (-1, 1):
             raise ValueError("feedforward_sign must be +1 or -1")
-        if not 0.0 < self.hd1_efficiency <= 1.0:
-            raise ValueError(f"hd1_efficiency must lie in (0, 1], got {self.hd1_efficiency}")
+        if not 0.0 < hd1_efficiency <= 1.0:
+            raise ValueError(f"hd1_efficiency must lie in (0, 1], got {hd1_efficiency}")
+        self._set(
+            kappa, ancilla_vx, feedforward_gain_override, lo_phase_override,
+            feedforward_sign, hd1_efficiency,
+        )
 
     @property
     def lo_phase(self) -> float | np.ndarray:
@@ -114,8 +123,7 @@ class GateParams:
         return _scalar_or_array(np.sqrt(1.0 + self.kappa**2))
 
 
-@dataclass(frozen=True)
-class ShearDecomposition:
+class ShearDecomposition(NamedTuple):
     """Rotation-sandwich form of the shear, shear = R(lam) T(2 lam) R(lam).
 
     T(2 lam) = [[sec 2lam, tan 2lam], [tan 2lam, sec 2lam]] is a squeeze along

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,6 +21,7 @@ from .electronics import fit_pwl
 from .gate import GateParams, closed_form_output, gate_output_state
 from .states import (
     GaussianState,
+    Immutable,
     db_to_variance,
     make_coherent,
     quadrature_mean,
@@ -127,8 +127,7 @@ def _output_states(cfg: RunConfig, traces: Traces) -> GaussianState:
     return gate_output_state(inputs, _gate_params(cfg, traces.kappa))
 
 
-@dataclass(frozen=True)
-class HomodyneRecordSet:
+class HomodyneRecordSet(Immutable):
     """Raw per-trial homodyne samples for each measurement angle.
 
     ``samples[angle]`` has shape (n_trials, n_bins); all angles share the time
@@ -136,22 +135,26 @@ class HomodyneRecordSet:
     configuration that produced them.
     """
 
-    time_us: np.ndarray
-    kappa: np.ndarray
-    samples: dict[float, np.ndarray]
-    seed: int
-    config_digest: str
+    __slots__ = ("time_us", "kappa", "samples", "seed", "config_digest")
 
-    def __post_init__(self) -> None:
-        n_bins = len(self.time_us)
-        if len(self.kappa) != n_bins:
+    def __init__(
+        self,
+        time_us: np.ndarray,
+        kappa: np.ndarray,
+        samples: dict[float, np.ndarray],
+        seed: int,
+        config_digest: str,
+    ) -> None:
+        n_bins = len(time_us)
+        if len(kappa) != n_bins:
             raise ValueError("kappa and time grids differ in length")
-        shapes = {a: s.shape for a, s in self.samples.items()}
+        shapes = {a: s.shape for a, s in samples.items()}
         for angle, shape in shapes.items():
             if len(shape) != 2 or shape[1] != n_bins:
                 raise ValueError(f"samples at angle {angle} have shape {shape}, want (*, {n_bins})")
         if len(set(shapes.values())) != 1:
             raise ValueError(f"sample blocks disagree in shape: {shapes}")
+        self._set(time_us, kappa, samples, seed, config_digest)
 
     @property
     def angles(self) -> tuple[float, ...]:
@@ -242,8 +245,7 @@ def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet
     )
 
 
-@dataclass(frozen=True)
-class MomentEstimates:
+class MomentEstimates(NamedTuple):
     """Per-bin sample moments of a record set, with standard errors.
 
     se_mean = sqrt(v / n); se_var = v * sqrt(2 / (n - 1)), the normal-theory
@@ -296,8 +298,7 @@ def simulate_moments(cfg: RunConfig, seed: int | None = None) -> MomentEstimates
     return _moment_estimates(traces.time_us, traces.kappa, n, mean, variance)
 
 
-@dataclass(frozen=True)
-class TheoryTraces:
+class TheoryTraces(NamedTuple):
     """Noise-free predicted moments per bin and angle.
 
     ``p_variance_simplified`` is the ideal-gate shortcut
@@ -337,14 +338,17 @@ def write_table(path, columns, arrays) -> None:
     """Write equal-length columns as CSV: a header line, then one row per entry.
 
     Integer and boolean columns print as integers (``%d``), float columns as
-    ``%.12g`` (the same bytes as ``{:.12g}``); a scalar is repeated down its
-    column.
+    ``%.12g`` (the same bytes as ``{:.12g}``); a scalar is formatted once and
+    repeated down its column.
     """
     if len(arrays) != len(columns):
         raise ValueError(f"{len(columns)} columns but {len(arrays)} arrays")
-    cols = np.broadcast_arrays(*(np.asarray(a) for a in arrays))
-    row = ",".join("%d" if c.dtype.kind in "biu" else "%.12g" for c in cols) + "\n"
-    body = "".join([row % values for values in zip(*(c.tolist() for c in cols))])
+    arrays = [np.asarray(a) for a in arrays]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    fields = ("%d" if a.dtype.kind in "biu" else "%.12g" for a in arrays)
+    row = ",".join(f if a.ndim else f % a.item() for f, a in zip(fields, arrays)) + "\n"
+    cols = [np.broadcast_to(a, shape).tolist() for a in arrays if a.ndim]
+    body = "".join([row % values for values in zip(*cols)])
     Path(path).write_text(",".join(columns) + "\n" + body)
 
 

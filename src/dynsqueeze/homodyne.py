@@ -8,18 +8,15 @@ inputs (only the conditional means depend on it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .states import SHOT_NOISE_VARIANCE, GaussianState, quadrature_direction
+from .states import SHOT_NOISE_VARIANCE, GaussianState, Immutable, quadrature_direction
 
 # Measured-quadrature variances below this make the conditioning singular.
 DEGENERATE_VARIANCE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class HomodyneOutcome:
+class HomodyneOutcome(Immutable):
     """One homodyne sample.
 
     Attributes:
@@ -28,13 +25,12 @@ class HomodyneOutcome:
         mode: Index of the measured (and removed) mode in the pre-measurement state.
     """
 
-    value: float
-    angle: float
-    mode: int
+    __slots__ = ("value", "angle", "mode")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.angle < np.pi:
-            raise ValueError(f"angle must lie in [0, pi), got {self.angle}")
+    def __init__(self, value: float, angle: float, mode: int) -> None:
+        if not 0.0 <= angle < np.pi:
+            raise ValueError(f"angle must lie in [0, pi), got {angle}")
+        self._set(value, angle, mode)
 
 
 def homodyne_measure(

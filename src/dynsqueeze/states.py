@@ -10,8 +10,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SHOT_NOISE_VARIANCE = 0.5
@@ -69,8 +67,50 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
     return 0.5 * (vals[..., ::2] + vals[..., 1::2])
 
 
-@dataclass(frozen=True)
-class GaussianState:
+class Immutable:
+    """Base of the package's validated records: read-only once ``__init__`` ends.
+
+    Subclasses list their attributes in ``__slots__``, in constructor order,
+    and set them all at the end of ``__init__`` through :meth:`_set`.
+    Assigning or deleting an attribute afterwards raises ``AttributeError``.
+    Equality, hashing, ``repr`` and pickling go by the slot values, as for a
+    frozen dataclass.  A frozen dataclass compiles and runs its generated
+    methods when its module is imported, about 1 ms per class, and every CLI
+    process pays that.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GaussianState(Immutable):
     """Gaussian state, or a batch of them, given by quadrature means and covariances.
 
     Leading axes of ``mean`` and ``cov`` are a batch axis: one state per time
@@ -86,16 +126,14 @@ class GaussianState:
         cov: Quadrature covariance matrices, shape (..., 2*n_modes, 2*n_modes).
     """
 
-    n_modes: int
-    mean: np.ndarray
-    cov: np.ndarray
+    __slots__ = ("n_modes", "mean", "cov")
 
-    def __post_init__(self) -> None:
-        n = self.n_modes
+    def __init__(self, n_modes: int, mean, cov) -> None:
+        n = n_modes
         if n < 1:
             raise ValueError("state needs at least one mode")
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
+        mean = np.array(mean, dtype=float)
+        cov = np.array(cov, dtype=float)
         if mean.ndim < 1 or mean.shape[-1] != 2 * n:
             raise ValueError(f"mean must have shape (..., {2 * n}), got {mean.shape}")
         if cov.shape != mean.shape + (2 * n,):
@@ -115,8 +153,7 @@ class GaussianState:
             )
         mean.setflags(write=False)
         cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        self._set(n_modes, mean, cov)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:

@@ -7,17 +7,14 @@ transformations can be represented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .states import GaussianState, symplectic_form
+from .states import GaussianState, Immutable, symplectic_form
 
 SYMPLECTIC_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SymplecticTransform:
+class SymplecticTransform(Immutable):
     """Affine symplectic map on ``n_modes`` modes.
 
     Attributes:
@@ -26,22 +23,16 @@ class SymplecticTransform:
         displacement: Added to the means after the linear part; defaults to zero.
     """
 
-    n_modes: int
-    matrix: np.ndarray
-    displacement: np.ndarray | None = None
+    __slots__ = ("n_modes", "matrix", "displacement")
 
-    def __post_init__(self) -> None:
-        n = self.n_modes
+    def __init__(self, n_modes: int, matrix, displacement=None) -> None:
+        n = n_modes
         if n < 1:
             raise ValueError("transform needs at least one mode")
-        s = np.array(self.matrix, dtype=float)
+        s = np.array(matrix, dtype=float)
         if s.shape != (2 * n, 2 * n):
             raise ValueError(f"matrix must have shape ({2 * n}, {2 * n}), got {s.shape}")
-        d = (
-            np.zeros(2 * n)
-            if self.displacement is None
-            else np.array(self.displacement, dtype=float)
-        )
+        d = np.zeros(2 * n) if displacement is None else np.array(displacement, dtype=float)
         if d.shape != (2 * n,):
             raise ValueError(f"displacement must have shape ({2 * n},), got {d.shape}")
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(d))):
@@ -51,8 +42,7 @@ class SymplecticTransform:
             raise ValueError("matrix is not symplectic")
         s.setflags(write=False)
         d.setflags(write=False)
-        object.__setattr__(self, "matrix", s)
-        object.__setattr__(self, "displacement", d)
+        self._set(n_modes, s, d)
 
 
 def apply(transform: SymplecticTransform, state: GaussianState) -> GaussianState:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,23 @@ def test_theory_outputs_and_gap_note(cfg_path, tmp_path, capsys):
     assert "-1.65 dB" in text and "-1.8 dB" in text
     for name in (*THEORY_FILES, "theory_p_simplified.csv"):
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("overrides, noted", [
+    ({"use_pwl_electronics": True}, True),
+    ({"hd1_efficiency": 0.8, "feedforward_sign": -1, "feedforward_gain_override": 0.5}, False),
+    ({"ancilla_db": -6.0}, False),
+    ({"hd1_efficiency": 0.9}, False),
+    ({"feedforward_sign": -1}, False),
+    ({"feedforward_gain_override": 1.0}, False),
+])
+def test_theory_gap_note_only_for_the_gate_it_describes(overrides, noted, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    save_config(replace(SMALL, **overrides), path)
+    assert main(["theory", "--config", str(path), "--out", str(tmp_path / "th")]) == 0
+    text = capsys.readouterr().out
+    notes = [line for line in text.splitlines() if line.startswith("note:")]
+    assert notes == ([GAP_NOTE] if noted else [])
 
 
 def test_analyze_with_theory_residuals(cfg_path, tmp_path, capsys):
