@@ -33,7 +33,6 @@ from .gate import (
     closed_form_output,
     decompose_shear,
     gate_output_state,
-    simulate_gate_shot,
 )
 from .harness import (
     MEASUREMENT_ANGLES,
@@ -47,13 +46,13 @@ from .harness import (
     simulate_moments,
     theory_traces,
 )
-from .homodyne import HomodyneOutcome, homodyne_measure, pure_loss
 from .states import (
     GaussianState,
     db_to_variance,
     make_coherent,
     make_squeezed_vacuum,
     make_vacuum,
+    pure_loss,
     quadrature_mean,
     quadrature_variance,
     symplectic_eigenvalues,

@@ -29,6 +29,7 @@ from .harness import (
     TheoryTraces,
     estimate_moments,
     label_for_angle,
+    measurement_angle,
     read_moments_csv,
     run_experiment,
     simulate_moments,
@@ -75,6 +76,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = _load_cfg(args)
     seed = cfg.seed if args.seed is None else args.seed
     conventions = calibrate_signs()
@@ -135,12 +138,13 @@ def _read_angle_files(paths) -> dict[float, dict]:
     by_angle = {}
     for path in paths:
         data = read_moments_csv(path)
-        matched = [a for a in MEASUREMENT_ANGLES if abs(a - data["angle"]) < 1e-9]
-        if not matched:
-            raise ValueError(f"{path}: angle {data['angle']} is not one of the run angles")
-        if matched[0] in by_angle:
-            raise ValueError(f"{path}: duplicate angle {matched[0]}")
-        by_angle[matched[0]] = data
+        try:
+            angle = measurement_angle(data["angle"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if angle in by_angle:
+            raise ValueError(f"{path}: duplicate angle {angle}")
+        by_angle[angle] = data
     if set(by_angle) != set(MEASUREMENT_ANGLES):
         raise ValueError("need one moments file per angle: x, p, pi/4")
     ref = by_angle[MEASUREMENT_ANGLES[0]]
@@ -193,9 +197,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_circuits(args) -> int:
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
+    fits = [(target, fit_pwl(target, args.segments, *args.range)) for target in targets]
     out = _outdir(args)
-    for target in targets:
-        f = fit_pwl(target, args.segments, args.range[0], args.range[1])
+    for target, f in fits:
         err = max_error(f, target)
         path = out / f"pwl_{target}.txt"
         save_pwl_table(f, path)

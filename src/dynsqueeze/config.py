@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .electronics import MAX_SEGMENTS
+
 VALID_WAVEFORMS = ("sine", "square", "custom")
 
 
@@ -113,6 +115,8 @@ class RunConfig:
         integer("n_trials", 2)
         integer("seed", 0)
         integer("pwl_segments", 1)
+        if self.pwl_segments > MAX_SEGMENTS:
+            raise ConfigError(f"pwl_segments must be <= {MAX_SEGMENTS}, got {self.pwl_segments}")
         if not self.pwl_lo < self.pwl_hi:
             raise ConfigError(f"need pwl_lo < pwl_hi, got [{self.pwl_lo}, {self.pwl_hi}]")
         if self.use_pwl_electronics and not (

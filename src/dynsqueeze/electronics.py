@@ -20,6 +20,12 @@ _FMT = "{:.12g}"
 
 _DENSE_GRID = 20001
 
+# Largest table fit_pwl builds.  An error grid needs about 10 points per
+# segment to find each segment's peak error (max_error checks that): at 20000
+# segments every point of the 10001-point report grid and the 20001-point
+# selection grid is a knot, and both read an error of zero.
+MAX_SEGMENTS = 1000
+
 
 def _arctan_d2(x):
     return -2.0 * x / (1.0 + x**2) ** 2
@@ -138,25 +144,21 @@ def fit_pwl(target: str, n_segments: int, lo: float, hi: float) -> PiecewiseLine
     knots whenever those happen to do better, so the result is never worse
     than the naive baseline.
     """
-    if n_segments < 1:
-        raise ValueError("n_segments must be >= 1")
+    if not 1 <= n_segments <= MAX_SEGMENTS:
+        raise ValueError(f"n_segments must lie in [1, {MAX_SEGMENTS}], got {n_segments}")
     lo, hi = float(lo), float(hi)
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     fun, _d2 = _lookup_target(target)
     candidates = [
-        _equidistributed_knots(target, n_segments, lo, hi),
-        np.linspace(lo, hi, n_segments + 1),
+        PiecewiseLinearFunction(xs, fun(xs))
+        for xs in (
+            _equidistributed_knots(target, n_segments, lo, hi),
+            np.linspace(lo, hi, n_segments + 1),
+        )
     ]
-    dense = np.linspace(lo, hi, _DENSE_GRID)
-    exact = fun(dense)
-    best = None
-    best_err = np.inf
-    for xs in candidates:
-        err = float(np.max(np.abs(np.interp(dense, xs, fun(xs)) - exact)))
-        if err < best_err:
-            best, best_err = xs, err
-    return PiecewiseLinearFunction(best, fun(best))
+    # min keeps the first candidate on a tie
+    return min(candidates, key=lambda f: max_error(f, target, lo, hi, _DENSE_GRID))
 
 
 def max_error(
@@ -168,10 +170,14 @@ def max_error(
 ) -> float:
     """Max absolute deviation from the target on a dense uniform grid.
 
-    Requires grid_points >= 1000 so segment interiors are actually probed.
+    Requires grid_points >= 1000 and at least 10 points per segment, so
+    segment interiors are actually probed rather than only their knots.
     """
-    if grid_points < 1000:
-        raise ValueError("grid_points must be >= 1000")
+    if grid_points < max(1000, 10 * f.n_segments):
+        raise ValueError(
+            f"grid_points must be >= 1000 and >= 10 per segment, got {grid_points} "
+            f"for {f.n_segments} segments"
+        )
     fun, _d2 = _lookup_target(target)
     lo = float(f.xs[0]) if lo is None else float(lo)
     hi = float(f.xs[-1]) if hi is None else float(hi)

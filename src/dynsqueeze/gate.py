@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .homodyne import HomodyneOutcome, homodyne_measure, pure_loss
 from .states import (
     GaussianState,
     Immutable,
@@ -29,6 +28,7 @@ from .states import (
     db_to_variance,
     make_coherent,
     make_squeezed_vacuum,
+    pure_loss,
     tensor,
 )
 from .symplectic import apply, beamsplitter
@@ -230,7 +230,8 @@ def _feedforward_map(params: GateParams, conventions: SignConventions) -> np.nda
     The homodyne reads q = sin(l*theta) x_m + cos(l*theta) p_m and the output is
     x_out = x_kept, p_out = p_kept + f * g * q, which as a 2x4 matrix is exact
     for both the ensemble mean and covariance of the record-discarded output.
-    Array-valued parameters give a stack of shape (..., 2, 4).
+    This record average is the one model of the measurement: no route samples
+    a single reading.  Array-valued parameters give a stack of shape (..., 2, 4).
     """
     theta, fg = np.broadcast_arrays(
         conventions.lo_sign * params.lo_phase,
@@ -264,22 +265,6 @@ def gate_output_state(state: GaussianState, params: GateParams) -> GaussianState
     it coincides with :func:`closed_form_output` to float precision.
     """
     return _output_state(state, params, CONVENTIONS)
-
-
-def simulate_gate_shot(
-    state: GaussianState, params: GateParams, rng: np.random.Generator
-) -> tuple[GaussianState, HomodyneOutcome]:
-    """One repetition of the gate: sample the feed-forward homodyne record.
-
-    The returned state is the same ensemble output as :func:`gate_output_state`
-    (the record is consumed by the feed-forward, not kept as side information);
-    the outcome is a faithful draw of the detector reading at the tracked phase.
-    """
-    joint = _premeasurement_state(state, params, CONVENTIONS)
-    theta = CONVENTIONS.lo_sign * params.lo_phase
-    # q = sin(theta) x + cos(theta) p is the quadrature at axis pi/2 - theta.
-    outcome, _ = homodyne_measure(joint, 0, np.pi / 2.0 - theta, rng)
-    return _output_state(state, params, CONVENTIONS), outcome
 
 
 def calibrate_signs() -> SignConventions:

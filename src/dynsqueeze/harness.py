@@ -33,6 +33,9 @@ MEASUREMENT_ANGLES = (0.0, np.pi / 2.0, np.pi / 4.0)
 
 _ANGLE_LABELS = {0.0: "x", np.pi / 2.0: "p", np.pi / 4.0: "pi4"}
 
+# Angles read back from a CSV are %.12g-rounded: pi/2 comes back 4.9e-12 off.
+_ANGLE_TOL = 1e-9
+
 MOMENTS_COLUMNS = (
     "angle_rad",
     "bin_index",
@@ -45,12 +48,17 @@ MOMENTS_COLUMNS = (
 )
 
 
+def measurement_angle(angle: float) -> float:
+    """The measurement angle within 1e-9 of ``angle``, e.g. one read from a CSV."""
+    for ref in MEASUREMENT_ANGLES:
+        if abs(angle - ref) < _ANGLE_TOL:
+            return ref
+    raise ValueError(f"angle {angle} is not one of the run angles")
+
+
 def label_for_angle(angle: float) -> str:
     """Short file-name label for one of the three measurement angles."""
-    for ref, label in _ANGLE_LABELS.items():
-        if abs(angle - ref) < 1e-12:
-            return label
-    raise ValueError(f"no label for angle {angle}")
+    return _ANGLE_LABELS[measurement_angle(angle)]
 
 
 class Traces(NamedTuple):

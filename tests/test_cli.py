@@ -387,6 +387,32 @@ def test_circuits_single_target(tmp_path):
     assert not (out / "pwl_sqrt1px2.txt").exists()
 
 
+def test_circuits_above_max_segments_exits_1(tmp_path, capsys):
+    out = tmp_path / "pwl"
+    rc = main(["circuits", "--out", str(out), "--segments", "1001"])
+    assert rc == 1
+    assert "n_segments must lie in [1, 1000], got 1001" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_above_max_segments_exits_1(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"use_pwl_electronics": True, "pwl_segments": 1001}))
+    for command in ("simulate", "theory"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "pwl_segments must be <= 1000, got 1001" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_exits_1_before_calibrating(cfg_path, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert _simulate(cfg_path, out, ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: --seed must be >= 0, got -1" in captured.err
+    assert "sign calibration" not in captured.out
+    assert not out.exists()
+
+
 def test_circuits_bad_range_exits_1(tmp_path, capsys):
     rc = main(["circuits", "--out", str(tmp_path), "--range", "2", "-2"])
     assert rc == 1

@@ -120,6 +120,7 @@ def test_invalid_json_rejected(tmp_path):
         {"input_frequency_mhz": 0.0},
         {"input_x_amplitude": float("nan")},
         {"input_phase_rad": float("nan")},
+        {"pwl_segments": 1001},
     ],
 )
 def test_validation_rejects(overrides):

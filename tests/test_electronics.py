@@ -8,6 +8,7 @@ from dynsqueeze import (
     max_error,
     save_pwl_table,
 )
+from dynsqueeze.electronics import MAX_SEGMENTS
 
 # accuracy targets for the 16-segment look-up tables on [-2, 2]
 ARCTAN_TARGET = 0.01
@@ -96,10 +97,33 @@ def test_fit_validation():
         fit_pwl("cosh", 4, -2.0, 2.0)
     with pytest.raises(ValueError):
         fit_pwl("arctan", 0, -2.0, 2.0)
+    with pytest.raises(ValueError, match=f"n_segments must lie in \\[1, {MAX_SEGMENTS}\\]"):
+        fit_pwl("arctan", MAX_SEGMENTS + 1, -2.0, 2.0)
     with pytest.raises(ValueError):
         fit_pwl("arctan", 4, 2.0, -2.0)
     with pytest.raises(ValueError):
         max_error(fit_pwl("arctan", 4, -2.0, 2.0), "arctan", grid_points=100)
+
+
+@pytest.mark.parametrize("target", ["arctan", "sqrt1px2"])
+@pytest.mark.parametrize("n", [1, 16, 64, MAX_SEGMENTS])
+def test_reported_error_matches_a_fine_grid(target, n):
+    # up to the largest table the default grid still probes segment interiors
+    f = fit_pwl(target, n, -2.0, 2.0)
+    reference = max_error(f, target, grid_points=2_000_001)
+    assert max_error(f, target) == pytest.approx(reference, rel=0.01)
+
+
+def test_max_error_needs_ten_points_per_segment():
+    # a grid of knots alone would read an error of zero; it is refused instead
+    xs = np.linspace(-2.0, 2.0, 20001)
+    dense = PiecewiseLinearFunction(xs, np.arctan(xs))
+    with pytest.raises(ValueError, match="10 per segment"):
+        max_error(dense, "arctan")
+    f = fit_pwl("arctan", 200, -2.0, 2.0)
+    with pytest.raises(ValueError, match="10 per segment"):
+        max_error(f, "arctan", grid_points=1999)
+    assert max_error(f, "arctan", grid_points=2000) > 0.0
 
 
 def test_pwl_validation():

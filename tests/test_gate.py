@@ -15,12 +15,11 @@ from dynsqueeze import (
     make_vacuum,
     rotation,
     shear,
-    simulate_gate_shot,
     squeeze,
     symplectic_eigenvalues,
     symplectic_form,
 )
-from dynsqueeze.gate import CONVENTIONS, SignConventions, _output_state, _premeasurement_state
+from dynsqueeze.gate import CONVENTIONS, SignConventions, _output_state
 
 KAPPA_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -160,33 +159,6 @@ def test_tilted_squeeze_diagonalizes_on_diagonal_axes():
     assert diag[0, 0] == pytest.approx(d.squeeze_factors[1], abs=1e-12)
     assert diag[1, 1] == pytest.approx(d.squeeze_factors[0], abs=1e-12)
     assert abs(diag[0, 1]) < 1e-12
-
-
-def test_shot_returns_ensemble_state(rng):
-    params = GateParams(kappa=2.0, ancilla_vx=0.24494)
-    state = make_coherent(3.0, 0.0)
-    ensemble = gate_output_state(state, params)
-    shot_state, outcome = simulate_gate_shot(state, params, rng)
-    assert np.array_equal(shot_state.cov, ensemble.cov)
-    assert np.array_equal(shot_state.mean, ensemble.mean)
-    assert outcome.angle == pytest.approx(np.pi / 2.0 - np.arctan(2.0), abs=1e-12)
-
-
-def test_shot_outcome_statistics(rng):
-    params = GateParams(kappa=2.0, ancilla_vx=0.24494)
-    state = make_coherent(3.0, 0.0)
-    joint = _premeasurement_state(state, params, CONVENTIONS)
-    theta = np.arctan(2.0)
-    u = np.array([np.sin(theta), np.cos(theta), 0.0, 0.0])
-    want_mean = float(u @ joint.mean)
-    want_var = float(u @ joint.cov @ u)
-    values = np.array(
-        [simulate_gate_shot(state, params, rng)[1].value for _ in range(5000)]
-    )
-    assert values.mean() == pytest.approx(want_mean, abs=4.0 * np.sqrt(want_var / values.size))
-    assert values.var(ddof=1) == pytest.approx(
-        want_var, abs=4.0 * want_var * np.sqrt(2.0 / values.size)
-    )
 
 
 def test_detector_loss_changes_output():

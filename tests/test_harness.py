@@ -377,6 +377,18 @@ def test_label_for_angle():
         label_for_angle(0.3)
 
 
+def test_label_for_angle_names_angles_read_back_from_csv(tmp_path):
+    est = simulate_moments(SMALL)
+    path = tmp_path / "moments.csv"
+    read = {}
+    for angle in MEASUREMENT_ANGLES:
+        write_moments_csv(path, est, angle)
+        read[angle] = read_moments_csv(path)["angle"]
+    # the CSV keeps 12 significant digits, so pi/2 comes back 4.9e-12 off
+    assert read[np.pi / 2.0] == float("1.57079632679") != np.pi / 2.0
+    assert [label_for_angle(read[a]) for a in MEASUREMENT_ANGLES] == ["x", "p", "pi4"]
+
+
 def test_moments_csv_round_trip(tmp_path):
     est = estimate_moments(run_experiment(SMALL))
     path = tmp_path / "moments_x.csv"

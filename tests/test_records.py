@@ -11,7 +11,6 @@ import dynsqueeze
 from dynsqueeze import (
     GateParams,
     GaussianState,
-    HomodyneOutcome,
     HomodyneRecordSet,
     MomentEstimates,
     PiecewiseLinearFunction,
@@ -32,11 +31,6 @@ VALIDATED = {
         lambda: SymplecticTransform(1, np.eye(2), [0.5, 0.0]),
         lambda: SymplecticTransform(1, 2.0 * np.eye(2)),
         "not symplectic",
-    ),
-    "HomodyneOutcome": (
-        lambda: HomodyneOutcome(0.3, 0.0, 0),
-        lambda: HomodyneOutcome(0.3, np.pi, 0),
-        r"angle must lie in \[0, pi\)",
     ),
     "GateParams": (
         lambda: GateParams(kappa=np.array([0.0, 1.0]), feedforward_gain_override=0.5),
@@ -84,10 +78,15 @@ def test_validated_records_copy_and_pickle_by_value(name):
 
 
 def test_validated_records_compare_and_hash_by_value():
-    a, b = HomodyneOutcome(0.3, 0.0, 0), HomodyneOutcome(0.3, 0.0, 0)
+    # every slot of a scalar GateParams is a hashable scalar or None
+    a, b = GateParams(kappa=1.0), GateParams(kappa=1.0)
     assert a == b and hash(a) == hash(b)
-    assert a != HomodyneOutcome(0.3, 0.0, 1)
-    assert repr(a) == "HomodyneOutcome(value=0.3, angle=0.0, mode=0)"
+    assert a != GateParams(kappa=1.0, feedforward_sign=-1)
+    assert repr(a) == (
+        f"GateParams(kappa=1.0, ancilla_vx={a.ancilla_vx!r}, "
+        "feedforward_gain_override=None, lo_phase_override=None, "
+        "feedforward_sign=1, hd1_efficiency=1.0)"
+    )
 
 
 def test_plain_records_are_named_tuples_in_field_order():

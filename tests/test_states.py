@@ -116,6 +116,13 @@ def test_quadrature_mean_matches_projection():
     assert quadrature_mean(c, np.pi / 4) == pytest.approx(3.0 / np.sqrt(2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", [-1, 2])
+@pytest.mark.parametrize("moment", [quadrature_mean, quadrature_variance])
+def test_quadrature_moments_reject_mode_out_of_range(moment, mode):
+    with pytest.raises(ValueError, match=f"mode {mode} out of range for 2 modes"):
+        moment(make_vacuum(2), 0.0, mode)
+
+
 @given(st.floats(min_value=-np.pi, max_value=np.pi))
 @settings(max_examples=50)
 def test_quadrature_variance_equals_rotated_x_variance(angle):
