@@ -44,6 +44,7 @@ from .harness import (
     run_experiment,
     run_output_states,
     simulate_moments,
+    simulate_records,
     theory_traces,
 )
 from .states import (

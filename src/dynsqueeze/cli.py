@@ -25,15 +25,17 @@ from .electronics import TARGETS, fit_pwl, max_error, save_pwl_table
 from .gate import CONVENTIONS, GateCalibrationError, calibrate_signs
 from .harness import (
     MEASUREMENT_ANGLES,
+    RECORDS_PEAK_BLOCKS,
     MomentEstimates,
     TheoryTraces,
-    estimate_moments,
+    check_records_memory,
     label_for_angle,
     measurement_angle,
     read_moments_csv,
-    run_experiment,
     simulate_moments,
+    simulate_records,
     theory_traces,
+    trials_from_moments,
     write_moments_csv,
     write_simplified_csv,
     write_theory_csv,
@@ -90,20 +92,25 @@ def cmd_simulate(args) -> int:
             f"calibrated sign conventions {tuple(conventions)} differ from the "
             f"model's {tuple(CONVENTIONS)}"
         )
-    # Without --save-records no shot is drawn: each bin's sample mean and
-    # variance come straight from their exact law (see simulate_moments).
-    records = run_experiment(cfg, seed) if args.save_records else None
-    est = simulate_moments(cfg, seed) if records is None else estimate_moments(records)
-    out = _outdir(args)
+    if args.save_records:
+        # simulate_records checks this too; checking first keeps a run that
+        # cannot fit from creating --out
+        check_records_memory(cfg, RECORDS_PEAK_BLOCKS)
+        out = _outdir(args)
+        records = out / "records.npz"
+        est = simulate_records(cfg, records, seed)
+    else:
+        # No shot is drawn: each bin's sample mean and variance come straight
+        # from their exact law (see simulate_moments).
+        est = simulate_moments(cfg, seed)
+        out = _outdir(args)
     written = []
     for angle in MEASUREMENT_ANGLES:
         path = out / f"moments_{label_for_angle(angle)}.csv"
         write_moments_csv(path, est, angle)
         written.append(path)
-    if records is not None:
-        path = out / "records.npz"
-        records.save(path)
-        written.append(path)
+    if args.save_records:
+        written.append(records)
     print(f"config {config_digest(cfg)} seed {seed}")
     print(f"{est.n_trials} trials x {len(est.time_us)} bins x {len(MEASUREMENT_ANGLES)} angles")
     for path in written:
@@ -157,14 +164,16 @@ def _read_angle_files(paths) -> dict[float, dict]:
 def cmd_analyze(args) -> int:
     measured = _read_angle_files(args.moments)
     ref = measured[MEASUREMENT_ANGLES[0]]
+    variance = {a: d["variance"] for a, d in measured.items()}
+    se_var = {a: d["se_var"] for a, d in measured.items()}
     est = MomentEstimates(
         time_us=ref["time_us"],
         kappa=ref["kappa"],
-        n_trials=0,  # not recoverable from the CSV schema; unused downstream
+        n_trials=trials_from_moments(variance, se_var),
         mean={a: d["mean"] for a, d in measured.items()},
-        variance={a: d["variance"] for a, d in measured.items()},
+        variance=variance,
         se_mean={a: d["se_mean"] for a, d in measured.items()},
-        se_var={a: d["se_var"] for a, d in measured.items()},
+        se_var=se_var,
     )
     theory = None
     if args.theory:

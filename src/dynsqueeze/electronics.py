@@ -114,7 +114,8 @@ def _equidistributed_knots(target: str, n_segments: int, lo: float, hi: float) -
     mirrored, so odd/even targets yield exactly odd/even approximations.
     """
     d2 = _lookup_target(target)[1]
-    symmetric = np.isclose(lo, -hi) and hi > 0.0
+    # atol=0: numpy's default 1e-8 would call a range as narrow as [0, 1e-8] symmetric
+    symmetric = np.isclose(lo, -hi, atol=0.0) and hi > 0.0
     grid = np.linspace(0.0 if symmetric else lo, hi, _DENSE_GRID)
     density = np.sqrt(np.abs(d2(grid)))
     density = np.maximum(density, 1e-9 * max(float(density.max()), 1.0))

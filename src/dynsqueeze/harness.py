@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -173,12 +174,9 @@ class HomodyneRecordSet(Immutable):
         return next(iter(self.samples.values())).shape[0]
 
     def save(self, path) -> None:
-        arrays = {"time_us": self.time_us, "kappa": self.kappa}
-        for i, (angle, block) in enumerate(self.samples.items()):
-            arrays[f"samples_{i}"] = block
-        arrays["angles"] = np.array(list(self.samples))
-        meta = json.dumps({"seed": self.seed, "config_digest": self.config_digest})
-        np.savez(path, meta=np.array(meta), **arrays)
+        _write_records(
+            path, self.time_us, self.kappa, self.samples.items(), self.seed, self.config_digest
+        )
 
     @classmethod
     def load(cls, path) -> "HomodyneRecordSet":
@@ -194,11 +192,61 @@ class HomodyneRecordSet(Immutable):
             )
 
 
+def _write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None:
+    """Write a records archive member by member, as ``np.savez`` lays it out.
+
+    The members are ``meta``, ``time_us``, ``kappa``, ``samples_0`` .. and
+    ``angles``, each an uncompressed ``.npy`` in a zip file, byte for byte
+    what ``np.savez`` writes.  ``blocks`` yields (angle, block) pairs; each
+    block is dropped once written, before the next is taken.
+    """
+    if not hasattr(path, "write"):
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
+    angles = []
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+
+        def write(name, array):
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asanyarray(array), allow_pickle=False)
+
+        write("meta", np.array(json.dumps({"seed": seed, "config_digest": digest})))
+        write("time_us", time_us)
+        write("kappa", kappa)
+        # not enumerate(blocks), which keeps its last tuple (see _shot_blocks)
+        for angle, block in blocks:
+            write(f"samples_{len(angles)}", block)
+            angles.append(angle)
+            del block
+        write("angles", np.array(angles))
+
+
 def _physical_memory() -> int | None:
     try:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+# Shot blocks that simulate_records holds at its peak: the block in hand plus
+# one block-sized temporary, either the deviations of its variance or the
+# copy np.lib.format.write_array makes of it.
+RECORDS_PEAK_BLOCKS = 2
+
+
+def check_records_memory(cfg: RunConfig, blocks: int) -> None:
+    """Raise ConfigError when ``blocks`` shot blocks would not fit in physical memory.
+
+    One block is n_trials x n_bins float64.
+    """
+    need = blocks * cfg.n_trials * cfg.n_bins * 8
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(
+            f"raw records of {cfg.n_trials} trials x {cfg.n_bins} bins need "
+            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def _shot_laws(cfg: RunConfig, seed: int) -> tuple[Traces, dict[float, tuple]]:
@@ -220,36 +268,44 @@ def _shot_laws(cfg: RunConfig, seed: int) -> tuple[Traces, dict[float, tuple]]:
     }
 
 
-def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet:
-    """Simulate the repeated-shot run and return the raw homodyne records.
+def _shot_blocks(n_trials: int, laws: dict[float, tuple]):
+    """Yield each angle's (angle, block) of shots, shape (n_trials, n_bins), in turn.
 
+    Every holder of a block must drop it before asking for the next: a plain
+    ``for`` loop and ``del``, not ``enumerate`` or ``zip``, which keep their
+    last tuple.  A block still alive during the next draw stays in malloc's
+    heap once freed and raises the process's peak RSS by about one block.
+    """
+    for angle, (loc, variance, rng) in laws.items():
+        # loc + scale * z, scaled and shifted in place: the numbers
+        # Generator.normal(loc, scale, size) draws, without its broadcast
+        block = rng.standard_normal((n_trials, len(loc)))
+        block *= np.sqrt(variance)
+        block += loc
+        yield angle, block
+        del block
+
+
+def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet:
+    """Simulate the repeated-shot run and return the raw homodyne records in memory.
+
+    This is the in-memory route: all three angles' blocks are held at once.
+    :func:`simulate_records` draws the same shots and writes them to disk one
+    angle at a time, and :func:`simulate_moments` draws no shot at all.
     Every bin's output state is Gaussian, so the n_trials samples per (angle,
     bin) are drawn directly from the projected normal law.  Each angle gets an
     independent child stream of the seed; identical (config, seed) pairs give
     bit-identical records.  Raises ConfigError before drawing anything when
     the records (3 x n_trials x n_bins float64) would not fit in physical
-    memory; :func:`simulate_moments` needs no such room.
+    memory.
     """
     if seed is None:
         seed = cfg.seed
-    need = len(MEASUREMENT_ANGLES) * cfg.n_trials * cfg.n_bins * 8
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise ConfigError(
-            f"raw records of {cfg.n_trials} trials x {cfg.n_bins} bins need "
-            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
-        )
+    check_records_memory(cfg, len(MEASUREMENT_ANGLES))
     traces, laws = _shot_laws(cfg, seed)
-    samples = {}
-    for angle, (loc, variance, rng) in laws.items():
-        # loc + scale * z, scaled and shifted in place: the numbers
-        # Generator.normal(loc, scale, size) draws, without its broadcast
-        shots = rng.standard_normal((cfg.n_trials, cfg.n_bins))
-        shots *= np.sqrt(variance)
-        shots += loc
-        samples[angle] = shots
     return HomodyneRecordSet(
-        traces.time_us, traces.kappa, samples, int(seed), config_digest(cfg)
+        traces.time_us, traces.kappa, dict(_shot_blocks(cfg.n_trials, laws)),
+        int(seed), config_digest(cfg),
     )
 
 
@@ -269,10 +325,43 @@ class MomentEstimates(NamedTuple):
     se_var: dict[float, np.ndarray]
 
 
+def trials_from_moments(variance: dict, se_var: dict) -> int:
+    """The n_trials behind per-angle variances and their ``se_var``, as a CSV holds them.
+
+    se_var = v * sqrt(2 / (n - 1)) gives n = 1 + 2 (v / se_var)^2 in every bin
+    whose variance and se_var are finite and positive.  %.12g keeps each to
+    5e-12, so a bin's n is off by at most 2e-11 n: the midrange, rounded, is
+    exact below 2.5e10 trials.  Raises ValueError when two bins, in one angle
+    or across angles, differ by more than that rounding allows, or when no bin
+    carries n.
+    """
+    ns = []
+    for angle, v in variance.items():
+        se = se_var[angle]
+        usable = np.isfinite(v) & np.isfinite(se) & (v > 0) & (se > 0)
+        ns.append(1.0 + 2.0 * (v[usable] / se[usable]) ** 2)
+    ns = np.concatenate(ns)
+    ns = ns[np.isfinite(ns)]  # a subnormal se_var overflows the ratio
+    if ns.size == 0:
+        raise ValueError("no bin has a positive variance and se_var to recover n_trials from")
+    lo, hi = ns.min(), ns.max()
+    if hi - lo > 5e-11 * hi:
+        raise ValueError(
+            f"variance / se_var implies n_trials from {lo:.6g} to {hi:.6g}; "
+            "the moments files must come from one run"
+        )
+    return round(float(lo + hi) / 2.0)
+
+
 def _moment_estimates(time_us, kappa, n: int, mean: dict, variance: dict) -> MomentEstimates:
     sem = {angle: np.sqrt(v / n) for angle, v in variance.items()}
     sev = {angle: v * np.sqrt(2.0 / (n - 1)) for angle, v in variance.items()}
     return MomentEstimates(time_us, kappa, n, mean, variance, sem, sev)
+
+
+def _block_moments(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin sample mean and unbiased sample variance of one (n_trials, n_bins) block."""
+    return block.mean(axis=0), block.var(axis=0, ddof=1)
 
 
 def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
@@ -280,9 +369,37 @@ def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
     n = records.n_trials
     if n < 2:
         raise ValueError("need at least two trials to estimate a variance")
-    mean = {angle: s.mean(axis=0) for angle, s in records.samples.items()}
-    variance = {angle: s.var(axis=0, ddof=1) for angle, s in records.samples.items()}
+    mean, variance = {}, {}
+    for angle, block in records.samples.items():
+        mean[angle], variance[angle] = _block_moments(block)
     return _moment_estimates(records.time_us, records.kappa, n, mean, variance)
+
+
+def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEstimates:
+    """Draw the records of ``run_experiment(cfg, seed)``, write them to ``path``, return their moments.
+
+    The shots, the archive and the moments are those of
+    ``run_experiment(cfg, seed).save(path)`` and ``estimate_moments`` of those
+    records, byte for byte.  Each angle's block is drawn, reduced to its
+    moments and written before the next is drawn, so at most
+    RECORDS_PEAK_BLOCKS blocks are alive at once instead of three plus a
+    temporary.  Raises ConfigError before drawing or writing anything when
+    that much would not fit in physical memory.
+    """
+    seed = cfg.seed if seed is None else seed
+    n = cfg.n_trials
+    check_records_memory(cfg, RECORDS_PEAK_BLOCKS)
+    traces, laws = _shot_laws(cfg, seed)
+    mean, variance = {}, {}
+
+    def reduced():
+        for angle, block in _shot_blocks(n, laws):
+            mean[angle], variance[angle] = _block_moments(block)
+            yield angle, block
+            del block
+
+    _write_records(path, traces.time_us, traces.kappa, reduced(), int(seed), config_digest(cfg))
+    return _moment_estimates(traces.time_us, traces.kappa, n, mean, variance)
 
 
 def simulate_moments(cfg: RunConfig, seed: int | None = None) -> MomentEstimates:

@@ -12,17 +12,21 @@ import pytest
 
 import dynsqueeze
 from dynsqueeze import (
+    MEASUREMENT_ANGLES,
     GateCalibrationError,
     SignConventions,
     HomodyneRecordSet,
     RunConfig,
     config_digest,
+    estimate_moments,
     load_pwl_table,
+    run_experiment,
     save_config,
 )
-from dynsqueeze.analysis import RESIDUAL_COLUMNS, read_summary_csv
+from dynsqueeze import cli
+from dynsqueeze.analysis import RESIDUAL_COLUMNS, read_summary_csv, summarize
 from dynsqueeze.cli import GAP_NOTE, main
-from dynsqueeze.harness import read_moments_csv, read_table
+from dynsqueeze.harness import read_moments_csv, read_table, write_moments_csv
 
 SMALL = RunConfig(bins_per_period=5, n_periods=2, n_trials=400, seed=7)
 
@@ -74,7 +78,8 @@ def test_simulate_save_records(cfg_path, tmp_path):
 
 
 def test_records_beyond_physical_memory_exit_1(tmp_path, capsys):
-    # 3 x 1e6 trials x 2e5 bins x 8 bytes = 4.8 TB of records
+    # simulate --save-records holds one block and one block-sized temporary:
+    # 2 x 1e6 trials x 2e5 bins x 8 bytes = 3.2 TB
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"n_trials": 10**6, "bins_per_period": 10**5}))
     out = tmp_path / "out"
@@ -89,6 +94,47 @@ def test_records_beyond_physical_memory_exit_1(tmp_path, capsys):
     assert err.startswith("error:") and "physical memory" in err
     assert not out.exists()
     assert peak < 16 * 2**20
+
+
+def test_save_records_holds_one_block_and_one_temporary(tmp_path):
+    # Each angle's block is drawn, reduced and written before the next is
+    # drawn.  Holding all three blocks, or keeping the previous block alive
+    # while the next is drawn, peaks at 3 blocks or more.
+    cfg = tmp_path / "run.json"
+    save_config(RunConfig(n_trials=2000), cfg)
+    block = 2000 * 200 * 8  # 3.05 MiB
+    assert _simulate(cfg, tmp_path / "warm", ("--save-records",)) == 0
+    tracemalloc.start()
+    try:
+        code = _simulate(cfg, tmp_path / "out", ("--save-records",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.5 * block, peak / block
+
+
+RECORDS_CONFIGS = {
+    "default": {},
+    "lookup-table": {"use_pwl_electronics": True},
+    "lossy": {"hd1_efficiency": 0.8, "feedforward_sign": -1, "feedforward_gain_override": 0.5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS_CONFIGS))
+def test_save_records_matches_the_in_memory_route_byte_for_byte(tmp_path, name):
+    cfg = replace(SMALL, **RECORDS_CONFIGS[name])
+    path, out, ref = tmp_path / "run.json", tmp_path / "out", tmp_path / "ref"
+    save_config(cfg, path)
+    assert _simulate(path, out, ("--seed", "5", "--save-records")) == 0
+    records = run_experiment(cfg, 5)
+    ref.mkdir()
+    records.save(ref / "records.npz")
+    est = estimate_moments(records)
+    for angle, moments in zip(MEASUREMENT_ANGLES, MOMENT_FILES):
+        write_moments_csv(ref / moments, est, angle)
+    for file in ("records.npz", *MOMENT_FILES):
+        assert (out / file).read_bytes() == (ref / file).read_bytes(), file
 
 
 def test_theory_outputs_and_gap_note(cfg_path, tmp_path, capsys):
@@ -244,6 +290,36 @@ def test_analyze_non_finite_variance_exits_1(cfg_path, tmp_path, capsys, label, 
     assert main(_analyze_argv(sim, an)) == 1
     err = capsys.readouterr().err
     assert f"error: {label} variance of bin 4 is {value}; variances must be finite" in err
+    assert not (an / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [(), ("--save-records",)], ids=["streamed", "records"])
+def test_analyze_recovers_n_trials_from_the_moments(cfg_path, tmp_path, monkeypatch, extra):
+    sim = tmp_path / "sim"
+    assert _simulate(cfg_path, sim, extra) == 0
+    seen = []
+
+    def spy(est, theory):
+        seen.append(est.n_trials)
+        return summarize(est, theory)
+
+    monkeypatch.setattr(cli, "summarize", spy)
+    assert main(_analyze_argv(sim, tmp_path / "an")) == 0
+    assert seen == [SMALL.n_trials]
+
+
+def test_analyze_edited_se_var_exits_1(cfg_path, tmp_path, capsys):
+    sim, an = tmp_path / "sim", tmp_path / "an"
+    assert _simulate(cfg_path, sim) == 0
+    path = sim / "moments_pi4.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[7] = repr(1.01 * float(cells[7]))
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(_analyze_argv(sim, an)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: variance / se_var implies n_trials from")
     assert not (an / "summary.csv").exists()
 
 

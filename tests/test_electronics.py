@@ -65,6 +65,16 @@ def test_fit_symmetry():
     assert np.max(np.abs(g(-x) - g(x))) < 1e-14  # even
 
 
+@pytest.mark.parametrize("target", ["arctan", "sqrt1px2"])
+@pytest.mark.parametrize("hi", [1e-8, 1e-30, 1e-300])
+def test_narrow_range_from_zero_is_not_taken_for_symmetric(target, hi):
+    # [0, hi] is within numpy's default isclose atol of [-hi, hi]; mirroring
+    # its knots into negative x used to break their order
+    f = fit_pwl(target, 16, 0.0, hi)
+    assert f.xs[0] == 0.0 and f.xs[-1] == hi
+    assert np.all(np.diff(f.xs) > 0.0)
+
+
 def test_fit_interpolates_at_knots():
     f = fit_pwl("arctan", 9, -2.0, 2.0)
     assert np.max(np.abs(f(f.xs) - np.arctan(f.xs))) < 1e-15

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from dynsqueeze import (
+    ConfigError,
     GateParams,
     MEASUREMENT_ANGLES,
     RunConfig,
@@ -19,14 +21,17 @@ from dynsqueeze import (
     run_experiment,
     run_output_states,
     simulate_moments,
+    simulate_records,
     theory_traces,
 )
+from dynsqueeze import harness
 from dynsqueeze.harness import (
     MOMENTS_COLUMNS,
     HomodyneRecordSet,
     label_for_angle,
     read_moments_csv,
     read_table,
+    trials_from_moments,
     write_moments_csv,
     write_theory_csv,
 )
@@ -322,6 +327,102 @@ def test_saved_records_are_uncompressed(tmp_path):
     rec.save(path)
     raw = 8 * len(MEASUREMENT_ANGLES) * SMALL.n_trials * SMALL.n_bins
     assert raw <= path.stat().st_size < raw + 8192
+
+
+def test_saved_records_match_np_savez_byte_for_byte(tmp_path):
+    rec = run_experiment(SMALL)
+    rec.save(tmp_path / "records")  # like np.savez, save appends .npz
+    meta = json.dumps({"seed": rec.seed, "config_digest": rec.config_digest})
+    np.savez(
+        tmp_path / "savez.npz", meta=np.array(meta), time_us=rec.time_us, kappa=rec.kappa,
+        **{f"samples_{i}": rec.samples[a] for i, a in enumerate(rec.angles)},
+        angles=np.array(rec.angles),
+    )
+    assert (tmp_path / "records.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
+
+
+def test_simulate_records_writes_and_reduces_the_in_memory_records(tmp_path):
+    cfg = RunConfig(use_pwl_electronics=True, bins_per_period=20, n_trials=300, seed=4)
+    est = simulate_records(cfg, tmp_path / "streamed.npz")
+    rec = run_experiment(cfg)
+    rec.save(tmp_path / "memory.npz")
+    assert (tmp_path / "streamed.npz").read_bytes() == (tmp_path / "memory.npz").read_bytes()
+    want = estimate_moments(rec)
+    assert est.n_trials == want.n_trials == cfg.n_trials
+    for field in ("time_us", "kappa"):
+        assert np.array_equal(getattr(est, field), getattr(want, field))
+    for field in ("mean", "variance", "se_mean", "se_var"):
+        got, ref = getattr(est, field), getattr(want, field)
+        assert list(got) == list(ref) == list(MEASUREMENT_ANGLES)
+        for angle in MEASUREMENT_ANGLES:
+            assert got[angle].tobytes() == ref[angle].tobytes(), (field, angle)
+
+
+def test_simulate_records_drops_each_block_before_drawing_the_next(tmp_path, monkeypatch):
+    # tracemalloc cannot see this: the draw overlapping the previous block
+    # peaks at two blocks, as the reduction does, but the freed blocks then
+    # stay in malloc's heap and raise the process RSS by about one block.
+    blocks, alive_at_draw = [], []
+    default_rng = np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, shape):
+            alive_at_draw.append(sum(ref() is not None for ref in blocks))
+            block = self.rng.standard_normal(shape)
+            blocks.append(weakref.ref(block))
+            return block
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    simulate_records(SMALL, tmp_path / "records.npz")
+    assert alive_at_draw == [0, 0, 0]
+
+
+def test_records_memory_guards_count_three_blocks_in_memory_and_two_streamed(tmp_path, monkeypatch):
+    block = SMALL.n_trials * SMALL.n_bins * 8
+    monkeypatch.setattr(harness, "_physical_memory", lambda: int(2.5 * block))
+    with pytest.raises(ConfigError, match="physical memory"):
+        run_experiment(SMALL)
+    simulate_records(SMALL, tmp_path / "fits.npz")
+    monkeypatch.setattr(harness, "_physical_memory", lambda: int(1.5 * block))
+    with pytest.raises(ConfigError, match="physical memory"):
+        simulate_records(SMALL, tmp_path / "too_big.npz")
+    assert not (tmp_path / "too_big.npz").exists()
+
+
+def _csv_trials(tmp_path, est):
+    """trials_from_moments of ``est`` written to and read back from moments CSVs."""
+    read = {}
+    for angle in MEASUREMENT_ANGLES:
+        path = tmp_path / f"moments_{label_for_angle(angle)}.csv"
+        write_moments_csv(path, est, angle)
+        read[angle] = read_moments_csv(path)
+    return trials_from_moments(
+        {a: d["variance"] for a, d in read.items()}, {a: d["se_var"] for a, d in read.items()}
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 400, 10851, 10**6, 10**9, 2 * 10**10])
+def test_trials_from_moments_recovers_n_exactly_through_csv(tmp_path, n):
+    assert _csv_trials(tmp_path, simulate_moments(RunConfig(n_trials=n, seed=3))) == n
+
+
+def test_trials_from_moments_tolerates_csv_rounding_at_a_trillion_trials(tmp_path):
+    n = _csv_trials(tmp_path, simulate_moments(RunConfig(n_trials=10**12, seed=3)))
+    assert abs(n - 10**12) < 2e-11 * 10**12
+
+
+def test_trials_from_moments_rejects_disagreeing_bins():
+    v = {0.0: np.array([1.0, 2.0]), np.pi / 2: np.array([1.0, 0.0])}
+    se = {a: x * np.sqrt(2.0 / 399.0) for a, x in v.items()}
+    assert trials_from_moments(v, se) == 400  # the zero-variance bin carries no n
+    se[np.pi / 2] = se[np.pi / 2] * 1.01
+    with pytest.raises(ValueError, match="n_trials from 392.*400"):
+        trials_from_moments(v, se)
+    with pytest.raises(ValueError, match="no bin"):
+        trials_from_moments({0.0: np.zeros(2)}, {0.0: np.zeros(2)})
 
 
 def _streamed_peak(n_trials):
