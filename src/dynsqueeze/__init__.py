@@ -61,16 +61,6 @@ from .states import (
     tensor,
     variance_to_db,
 )
-from .symplectic import (
-    SymplecticTransform,
-    apply,
-    beamsplitter,
-    compose,
-    displace,
-    embed,
-    rotation,
-    shear,
-    squeeze,
-)
+from .symplectic import SymplecticTransform, apply, beamsplitter
 
 __version__ = "0.1.0"

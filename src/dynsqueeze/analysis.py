@@ -5,8 +5,9 @@ covariance of the output mode: the cross term follows from
 
     sigma_xp = sigma_pi4^2 - (sigma_x^2 + sigma_p^2) / 2.
 
-Diagonalizing that matrix gives the anti-squeezed/squeezed variance pair and
-the principal-axis angle phi; the minimum-variance axis sits at -phi.
+Diagonalizing that matrix gives the anti-squeezed/squeezed variance pair,
+sigma_plus^2 >= sigma_minus^2, and the principal-axis angle phi; the
+minimum-variance axis sits at -phi.
 """
 
 from __future__ import annotations
@@ -93,16 +94,16 @@ def _positive_definite(matrix) -> np.ndarray:
 def diagonalize(matrix):
     """Principal variances and axis angle of a 2x2 covariance.
 
-    Returns (sigma_plus^2, sigma_minus^2, phi) with
+    Returns (sigma_plus^2, sigma_minus^2, phi): sigma_minus^2 <= sigma_plus^2
+    are the variances along the axes at -phi and -phi + pi/2, with phi in
+    (-pi/2, pi/2].  Wherever sigma_p^2 >= sigma_x^2 (always true for this
+    gate on vacuum-variance inputs), phi lies in (-pi/4, pi/4] and is
 
-        phi = (1/2) arctan(-2 sigma_xp / (sigma_x^2 - sigma_p^2))
+        phi = (1/2) arctan(-2 sigma_xp / (sigma_x^2 - sigma_p^2)).
 
-    reduced to (-pi/4, pi/4].  sigma_minus^2 is the variance along the axis at
-    angle -phi and sigma_plus^2 the one at -phi + pi/2; whenever
-    sigma_p^2 >= sigma_x^2 (always true for this gate on vacuum-variance
-    inputs) these are the max/min variance pair.  One (2, 2) matrix gives
-    three floats; a (..., 2, 2) batch gives three (...) arrays, and one
-    asymmetric or non-positive-definite member rejects the batch.
+    One (2, 2) matrix gives three floats; a (..., 2, 2) batch gives three
+    (...) arrays, and one asymmetric or non-positive-definite member rejects
+    the batch.
     """
     v = np.asarray(matrix, dtype=float)
     if v.shape[-2:] != (2, 2):
@@ -112,15 +113,21 @@ def diagonalize(matrix):
         raise ValueError("matrix must be symmetric")
     if not is_positive_definite(v):
         raise ValueError("matrix must be positive definite")
+    # -phi is the maximum axis here; a quarter turn, kept in (-pi/2, pi/2],
+    # makes it the minimum one.  An isotropic matrix keeps phi = 0.
     phi = 0.5 * np.arctan2(-2.0 * c, a - b)
-    phi = np.where(phi > np.pi / 4.0, phi - np.pi / 2.0,
-                   np.where(phi <= -np.pi / 4.0, phi + np.pi / 2.0, phi))
+    turned = phi - np.pi / 2.0
+    phi = np.where(turned > -np.pi / 2.0, turned, phi + np.pi / 2.0)
+    phi = np.where((a == b) & (c == 0.0), 0.0, phi)
     # Squares as products: numpy's float64 scalar ``** 2`` is not always
     # correctly rounded, so one matrix and a batch would differ in the last ulp.
     sin, cos = np.sin(phi), np.cos(phi)
     sin2, cos2 = sin * sin, cos * cos
     sigma_plus2 = a * sin2 + b * cos2 + 2.0 * c * sin * cos
     sigma_minus2 = a * cos2 + b * sin2 - 2.0 * c * sin * cos
+    # rounding can order a nearly isotropic pair either way
+    pair = (sigma_plus2, sigma_minus2)
+    sigma_plus2, sigma_minus2 = np.maximum(*pair), np.minimum(*pair)
     if v.ndim == 2:
         return float(sigma_plus2), float(sigma_minus2), float(phi)
     return sigma_plus2, sigma_minus2, phi

@@ -108,6 +108,9 @@ class RunConfig:
                 raise ConfigError("control_samples must be finite")
             if np.max(np.abs(samples)) > self.control_amplitude:
                 raise ConfigError("control_samples exceed control_amplitude")
+            if self.control_phase_rad != 0.0:
+                raise ConfigError("control_phase_rad does not apply to control_waveform 'custom', "
+                                  f"whose samples set the phase; got {self.control_phase_rad}")
         elif self.control_samples is not None:
             raise ConfigError("control_samples only apply to the custom waveform")
         integer("bins_per_period", 2)
@@ -119,6 +122,9 @@ class RunConfig:
             raise ConfigError(f"pwl_segments must be <= {MAX_SEGMENTS}, got {self.pwl_segments}")
         if not self.pwl_lo < self.pwl_hi:
             raise ConfigError(f"need pwl_lo < pwl_hi, got [{self.pwl_lo}, {self.pwl_hi}]")
+        if self.use_pwl_electronics and self.feedforward_gain_override is not None:
+            raise ConfigError("feedforward_gain_override does not apply with "
+                              "use_pwl_electronics, whose gain table sets the gain")
         if self.use_pwl_electronics and not (
             self.pwl_lo <= -self.control_amplitude <= self.control_amplitude <= self.pwl_hi
         ):

@@ -47,19 +47,17 @@ TARGETS = {
 
 
 class PiecewiseLinearFunction(Immutable):
-    """Broken-line function with constant clamping outside the breakpoint range.
+    """Broken-line function, constant at its end values outside the breakpoints.
 
     Attributes:
         xs: Strictly ascending breakpoint abscissae.
-        ys: Function values at the breakpoints.
-        clamp_below: Output for x < xs[0]; defaults to ys[0].
-        clamp_above: Output for x > xs[-1]; defaults to ys[-1].
+        ys: Function values at the breakpoints; x < xs[0] gives ys[0] and
+            x > xs[-1] gives ys[-1].
     """
 
-    __slots__ = ("xs", "ys", "clamp_below", "clamp_above")
+    __slots__ = ("xs", "ys")
 
-    def __init__(self, xs, ys, clamp_below: float | None = None,
-                 clamp_above: float | None = None) -> None:
+    def __init__(self, xs, ys) -> None:
         xs = np.array(xs, dtype=float)
         ys = np.array(ys, dtype=float)
         if xs.ndim != 1 or xs.size < 2:
@@ -72,19 +70,14 @@ class PiecewiseLinearFunction(Immutable):
             raise ValueError("breakpoints must be strictly ascending")
         xs.setflags(write=False)
         ys.setflags(write=False)
-        self._set(
-            xs,
-            ys,
-            float(ys[0]) if clamp_below is None else clamp_below,
-            float(ys[-1]) if clamp_above is None else clamp_above,
-        )
+        self._set(xs, ys)
 
     @property
     def n_segments(self) -> int:
         return self.xs.size - 1
 
     def __call__(self, x):
-        out = np.interp(x, self.xs, self.ys, left=self.clamp_below, right=self.clamp_above)
+        out = np.interp(x, self.xs, self.ys)
         return float(out) if np.ndim(x) == 0 else out
 
 

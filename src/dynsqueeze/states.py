@@ -73,10 +73,10 @@ class Immutable:
     Subclasses list their attributes in ``__slots__``, in constructor order,
     and set them all at the end of ``__init__`` through :meth:`_set`.
     Assigning or deleting an attribute afterwards raises ``AttributeError``.
-    Equality, hashing, ``repr`` and pickling go by the slot values, as for a
-    frozen dataclass.  A frozen dataclass compiles and runs its generated
-    methods when its module is imported, about 1 ms per class, and every CLI
-    process pays that.
+    ``repr`` and pickling go by the slot values; equality and hashing go by
+    identity, as most records hold arrays.  A frozen dataclass compiles and
+    runs its generated methods when its module is imported, about 1 ms per
+    class, and every CLI process pays that.
     """
 
     __slots__ = ()
@@ -97,14 +97,6 @@ class Immutable:
     def __repr__(self) -> str:
         args = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
         return f"{type(self).__name__}({args})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __reduce__(self):
         return type(self), self._values()
@@ -238,31 +230,24 @@ def pure_loss(state: GaussianState, mode: int, efficiency: float) -> GaussianSta
     return GaussianState(state.n_modes, mean, cov)
 
 
-def quadrature_direction(angle: float, mode: int, n_modes: int) -> np.ndarray:
-    """Unit phase-space vector of the quadrature x*cos(angle) + p*sin(angle)."""
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"mode {mode} out of range for {n_modes} modes")
-    u = np.zeros(2 * n_modes)
-    u[2 * mode] = np.cos(angle)
-    u[2 * mode + 1] = np.sin(angle)
-    return u
-
-
-def quadrature_mean(state: GaussianState, angle: float, mode: int = 0):
-    """Mean of the rotated quadrature x*cos(angle) + p*sin(angle) of one mode.
+def quadrature_mean(state: GaussianState, angle: float):
+    """Mean of the rotated quadrature x*cos(angle) + p*sin(angle) of a one-mode state.
 
     A float for a single state, an array over the batch axes otherwise.
     """
-    u = quadrature_direction(angle, mode, state.n_modes)
-    return _scalar_or_array(state.mean @ u)
+    if state.n_modes != 1:
+        raise ValueError(f"need a one-mode state, got {state.n_modes} modes")
+    return _scalar_or_array(state.mean @ np.array([np.cos(angle), np.sin(angle)]))
 
 
-def quadrature_variance(state: GaussianState, angle: float, mode: int = 0):
-    """Variance of the rotated quadrature x*cos(angle) + p*sin(angle) of one mode.
+def quadrature_variance(state: GaussianState, angle: float):
+    """Variance of the rotated quadrature x*cos(angle) + p*sin(angle) of a one-mode state.
 
     angle = 0 gives the x variance, pi/2 the p variance, and pi/4 the variance
     of (x + p) / sqrt(2).  A float for a single state, an array over the batch
-    axes otherwise.
+    axes otherwise.  A state of more than one mode raises ``ValueError``.
     """
-    u = quadrature_direction(angle, mode, state.n_modes)
+    if state.n_modes != 1:
+        raise ValueError(f"need a one-mode state, got {state.n_modes} modes")
+    u = np.array([np.cos(angle), np.sin(angle)])
     return _scalar_or_array(u @ state.cov @ u)

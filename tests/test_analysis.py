@@ -93,7 +93,8 @@ def test_diagonalize_matches_eigensolver(a, b, corr):
     assert sorted([splus2, sminus2]) == pytest.approx(eig, rel=1e-9, abs=1e-12)
     assert splus2 + sminus2 == pytest.approx(a + b, rel=1e-9)
     assert splus2 * sminus2 == pytest.approx(np.linalg.det(v), rel=1e-9)
-    assert -np.pi / 4.0 < phi <= np.pi / 4.0
+    assert sminus2 <= splus2
+    assert -np.pi / 2.0 < phi <= np.pi / 2.0
 
 
 @given(
@@ -114,6 +115,23 @@ def test_minus_axis_is_minimum_when_p_dominates(a, extra, corr):
     assert sminus2 == pytest.approx(minval, rel=1e-6, abs=1e-9)
     d = abs((argmin - (-phi)) % np.pi)
     assert min(d, np.pi - d) < np.pi / 20000 + 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, -0.3, np.pi / 4.0, -np.pi / 4.0, 1.2, np.pi / 2.0])
+def test_minus_axis_is_minimum_when_x_dominates(theta):
+    # diag(1.245, 1.0) turned by theta: an ancilla_db = 6 gate near kappa = 0,
+    # where sigma_x^2 > sigma_p^2
+    c, s = np.cos(theta), np.sin(theta)
+    v = np.array([[1.245 * c * c + s * s, 0.245 * c * s], [0.245 * c * s, 1.245 * s * s + c * c]])
+    for member in (diagonalize(v), tuple(x[0] for x in diagonalize(v[None]))):
+        splus2, sminus2, phi = member
+        minval, argmin, maxval, _argmax = scan_extrema(v, 20000)
+        assert sminus2 == pytest.approx(minval, rel=1e-6, abs=1e-9)
+        assert splus2 == pytest.approx(maxval, rel=1e-6, abs=1e-9)
+        assert (sminus2, splus2) == pytest.approx((1.0, 1.245), abs=1e-12)
+        assert -np.pi / 2.0 < phi <= np.pi / 2.0
+        d = abs((argmin - (-phi)) % np.pi)
+        assert min(d, np.pi - d) < np.pi / 20000 + 1e-12
 
 
 def test_batched_analysis_equals_scalar_calls_on_theory_grid():

@@ -336,9 +336,10 @@ def test_analyze_flags_zero_x_variance(cfg_path, tmp_path, capsys):
 
 # summary.csv and residuals.csv of a fixed-seed 20-bin x 6-trial run.  Five of
 # its bins are flagged, so the pin covers both the valid and the NaN rows.
+# Bin 7 has sigma_x^2 > sigma_p^2, so it also covers the quarter-turned axis.
 _PIN_CONFIG = RunConfig(bins_per_period=10, n_periods=2, n_trials=6, seed=2)
 _PIN_SHA256 = {
-    "summary.csv": "ee249bee285172448216d0a94466a010bb4fe99dd3328b05fe42e0509d3d7807",
+    "summary.csv": "50421d87c05761a49e537627f0f0acc22643f1343d4bf2536b8a13f05c23e57d",
     "residuals.csv": "0a55f3e4f50cf548cea375d2abadb3f437b3c300d8651044679ad8ff61e3147c",
 }
 
@@ -376,6 +377,21 @@ def test_analyze_does_not_import_numpy_ma(cfg_path, tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_analyze_names_the_smaller_variance_sigma_minus(tmp_path, capsys):
+    # a +6 dB ancilla leaves sigma_x^2 = 1.245 above sigma_p^2 near kappa = 0
+    cfg = tmp_path / "antisqueezed.json"
+    save_config(replace(SMALL, ancilla_db=6.0, n_trials=2000), cfg)
+    sim = tmp_path / "sim"
+    assert _simulate(cfg, sim) == 0
+    assert main(_analyze_argv(sim, sim)) == 0
+    capsys.readouterr()
+    summary = read_summary_csv(sim / "summary.csv")
+    valid = summary["valid"]
+    assert valid.sum() > 0
+    assert np.all(summary["sigma_minus2_db"][valid] <= summary["sigma_plus2_db"][valid])
+    assert np.all(np.abs(summary["phi_rad"][valid]) <= np.pi / 2.0)
+
+
 def test_missing_config_exits_1(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 1
@@ -396,6 +412,21 @@ def test_removed_delay_key_exits_1(tmp_path, capsys):
     rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
     assert rc == 1
     assert "electronics_latency_ns" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("raw, names", [
+    ({"use_pwl_electronics": True, "feedforward_gain_override": 0.5},
+     ("feedforward_gain_override", "use_pwl_electronics")),
+    ({"control_waveform": "custom", "control_samples": [0.0, 1.0], "control_phase_rad": 0.3},
+     ("control_phase_rad", "control_waveform")),
+], ids=["pwl-gain", "custom-phase"])
+def test_config_field_that_would_be_ignored_exits_1(tmp_path, capsys, raw, names):
+    path = tmp_path / "ignored.json"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(name in err for name in names)
     assert not (tmp_path / "sim").exists()
 
 

@@ -44,6 +44,10 @@ def configs(draw):
     values = {name: draw(strategy) for name, strategy in FIELD_VALUES.items()}
     if values["control_waveform"] != "custom":
         values["control_samples"] = None
+    else:
+        values["control_phase_rad"] = 0.0
+    if values["use_pwl_electronics"]:
+        values["feedforward_gain_override"] = None
     return RunConfig(**values)
 
 
@@ -126,6 +130,23 @@ def test_invalid_json_rejected(tmp_path):
 def test_validation_rejects(overrides):
     with pytest.raises(ConfigError):
         config_from_dict(overrides)
+
+
+# config fields that another field's value makes unused: each pair is refused
+IGNORED_PAIRS = [
+    ({"use_pwl_electronics": True, "feedforward_gain_override": 0.5},
+     ("feedforward_gain_override", "use_pwl_electronics")),
+    ({"control_waveform": "custom", "control_samples": [0.0, 1.0], "control_phase_rad": 0.3},
+     ("control_phase_rad", "control_waveform")),
+]
+
+
+@pytest.mark.parametrize("raw, names", IGNORED_PAIRS, ids=["pwl-gain", "custom-phase"])
+def test_fields_that_would_be_ignored_are_rejected(raw, names):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw)
+    for name in names:
+        assert name in str(info.value)
 
 
 @pytest.mark.parametrize(

@@ -87,14 +87,6 @@ def test_clamping_outside_range():
     assert f(2.0 + 1e-9) == pytest.approx(np.arctan(2.0), abs=1e-8)
 
 
-def test_custom_clamp_values():
-    f = PiecewiseLinearFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                                clamp_below=-5.0, clamp_above=7.0)
-    assert f(-0.1) == -5.0
-    assert f(1.1) == 7.0
-    assert f(0.5) == 0.5
-
-
 def test_eval_shapes():
     f = fit_pwl("arctan", 4, -2.0, 2.0)
     assert isinstance(f(0.3), float)
@@ -152,7 +144,7 @@ def test_table_round_trip(tmp_path):
     g = load_pwl_table(path)
     assert g.xs == pytest.approx(f.xs, rel=1e-11, abs=1e-12)
     assert g.ys == pytest.approx(f.ys, rel=1e-11, abs=1e-12)
-    assert g.clamp_below == pytest.approx(f.ys[0], rel=1e-11)
+    assert g(-100.0) == pytest.approx(f.ys[0], rel=1e-11)
     first = path.read_text().splitlines()[0].split()
     assert len(first) == 2 and float(first[0]) == pytest.approx(-2.0)
 

