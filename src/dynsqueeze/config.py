@@ -122,6 +122,10 @@ class RunConfig:
             raise ConfigError(f"pwl_segments must be <= {MAX_SEGMENTS}, got {self.pwl_segments}")
         if not self.pwl_lo < self.pwl_hi:
             raise ConfigError(f"need pwl_lo < pwl_hi, got [{self.pwl_lo}, {self.pwl_hi}]")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("pwl_") and not self.use_pwl_electronics and value != f.default:
+                raise ConfigError(f"{f.name} only applies with use_pwl_electronics, got {value}")
         if self.use_pwl_electronics and self.feedforward_gain_override is not None:
             raise ConfigError("feedforward_gain_override does not apply with "
                               "use_pwl_electronics, whose gain table sets the gain")
@@ -143,7 +147,8 @@ class RunConfig:
 
 
 # Fields annotated float (or float | None); an int given for one is written
-# as a float, so configs that compare equal share one canonical form.
+# as a float and -0.0 as 0.0, so configs that compare equal share one
+# canonical form.
 _FLOAT_FIELDS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "float | None"))
 
 
@@ -151,9 +156,9 @@ def to_json_dict(cfg: RunConfig) -> dict:
     d = asdict(cfg)
     for name in _FLOAT_FIELDS:
         if d[name] is not None:
-            d[name] = float(d[name])
+            d[name] = float(d[name]) + 0.0
     if d["control_samples"] is not None:
-        d["control_samples"] = list(d["control_samples"])
+        d["control_samples"] = [s + 0.0 for s in d["control_samples"]]
     return d
 
 

@@ -39,7 +39,8 @@ def _sqrt1px2_d2(x):
     return (1.0 + x**2) ** -1.5
 
 
-# target name -> (function, second derivative)
+# target name -> (function, second derivative); the functions are the exact
+# electronics, read by GateParams.exact and harness._gate_params
 TARGETS = {
     "arctan": (np.arctan, _arctan_d2),
     "sqrt1px2": (_sqrt1px2, _sqrt1px2_d2),

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .electronics import TARGETS
 from .states import (
     GaussianState,
     Immutable,
@@ -64,63 +65,43 @@ CONVENTIONS = SignConventions(1, 1, 1)
 class GateParams(Immutable):
     """Operating point of the gate for one time bin, or for a batch of bins.
 
-    ``kappa`` and the two overrides may be arrays (one entry per bin), which
-    must broadcast together and against the batch axes of the input state.
+    The optics see only what the feed-forward electronics deliver, a phase and
+    a signed gain; :meth:`exact` derives both from kappa.  ``lo_phase`` and
+    ``feedforward_gain`` may be arrays (one entry per bin), which must
+    broadcast together and against the batch axes of the input state.
 
     Attributes:
-        kappa: Shear strength.
+        lo_phase: Local-oscillator phase theta of the feed-forward homodyne.
+        feedforward_gain: Signed gain f g applied to the measured value.
         ancilla_vx: x variance of the squeezed-vacuum ancilla (shot noise = 0.5).
-        feedforward_gain_override: Replaces sqrt(1 + kappa^2) when not None,
-            e.g. with a look-up-table approximation or 0 to disable feed-forward.
-        lo_phase_override: Replaces arctan(kappa) when not None.
-        feedforward_sign: Calibrated sign of the electronic gain.
         hd1_efficiency: Detection efficiency of the feed-forward homodyne.
     """
 
-    __slots__ = (
-        "kappa", "ancilla_vx", "feedforward_gain_override", "lo_phase_override",
-        "feedforward_sign", "hd1_efficiency",
-    )
+    __slots__ = ("lo_phase", "feedforward_gain", "ancilla_vx", "hd1_efficiency")
 
     def __init__(
-        self,
-        kappa: float | np.ndarray,
-        ancilla_vx: float = DEFAULT_ANCILLA_VX,
-        feedforward_gain_override: float | np.ndarray | None = None,
-        lo_phase_override: float | np.ndarray | None = None,
-        feedforward_sign: int = CONVENTIONS.feedforward_sign,
-        hd1_efficiency: float = 1.0,
+        self, lo_phase: float | np.ndarray, feedforward_gain: float | np.ndarray,
+        ancilla_vx: float = DEFAULT_ANCILLA_VX, hd1_efficiency: float = 1.0,
     ) -> None:
-        kappa, feedforward_gain_override, lo_phase_override = (
-            None if value is None else _scalar_or_array(value)
-            for value in (kappa, feedforward_gain_override, lo_phase_override)
-        )
-        if not np.all(np.isfinite(kappa)):
-            raise ValueError("kappa must be finite")
+        lo_phase, feedforward_gain = _scalar_or_array(lo_phase), _scalar_or_array(feedforward_gain)
+        for name, value in (("lo_phase", lo_phase), ("feedforward_gain", feedforward_gain)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if not np.isfinite(ancilla_vx) or ancilla_vx <= 0.0:
             raise ValueError(f"ancilla_vx must be positive, got {ancilla_vx}")
-        if feedforward_sign not in (-1, 1):
-            raise ValueError("feedforward_sign must be +1 or -1")
         if not 0.0 < hd1_efficiency <= 1.0:
             raise ValueError(f"hd1_efficiency must lie in (0, 1], got {hd1_efficiency}")
-        self._set(
-            kappa, ancilla_vx, feedforward_gain_override, lo_phase_override,
-            feedforward_sign, hd1_efficiency,
-        )
+        self._set(lo_phase, feedforward_gain, ancilla_vx, hd1_efficiency)
 
-    @property
-    def lo_phase(self) -> float | np.ndarray:
-        """Local-oscillator phase: arctan(kappa) unless overridden."""
-        if self.lo_phase_override is not None:
-            return self.lo_phase_override
-        return _scalar_or_array(np.arctan(self.kappa))
-
-    @property
-    def feedforward_gain(self) -> float | np.ndarray:
-        """Feed-forward gain: sqrt(1 + kappa^2) unless overridden."""
-        if self.feedforward_gain_override is not None:
-            return self.feedforward_gain_override
-        return _scalar_or_array(np.sqrt(1.0 + self.kappa**2))
+    @classmethod
+    def exact(
+        cls, kappa: float | np.ndarray,
+        ancilla_vx: float = DEFAULT_ANCILLA_VX, hd1_efficiency: float = 1.0,
+    ) -> "GateParams":
+        """The exact electronics at kappa: theta = arctan(kappa), gain sqrt(1 + kappa^2)."""
+        kappa = _scalar_or_array(kappa)
+        phase, gain = TARGETS["arctan"][0], TARGETS["sqrt1px2"][0]
+        return cls(phase(kappa), gain(kappa), ancilla_vx, hd1_efficiency)
 
 
 class ShearDecomposition(NamedTuple):
@@ -163,32 +144,31 @@ def decompose_shear(kappa: float) -> ShearDecomposition:
 def closed_form_output(state: GaussianState, params: GateParams) -> GaussianState:
     """Output moments at the operating point of ``params``, from the scalar relations.
 
-    With theta the local-oscillator phase, g the feed-forward gain, f its sign
-    and eta the detection efficiency, a = f g sqrt(eta) sin(theta) and
-    b = f g sqrt(eta) cos(theta):
+    With theta the local-oscillator phase, G = f g the signed feed-forward
+    gain and eta the detection efficiency, a = G sqrt(eta) sin(theta) and
+    b = G sqrt(eta) cos(theta):
 
         x_out = (x_in - x_s) / sqrt(2)
         p_out = ((1 + b) p_in + (b - 1) p_s + a (x_in + x_s)) / sqrt(2)
-                + f g sqrt(1 - eta) (sin(theta) x_v + cos(theta) p_v)
+                + G sqrt(1 - eta) (sin(theta) x_v + cos(theta) p_v)
 
     where (x_s, p_s) is the ancilla and (x_v, p_v) the vacuum that detector
     loss lets in.  Means and second moments are propagated term by term,
     independently of the symplectic pipeline that :func:`gate_output_state`
     builds, so it is the reference the pipeline is checked against for every
-    phase, gain, sign and efficiency.  At theta = arctan(kappa),
-    g = sqrt(1 + kappa^2), f = 1 and eta = 1 it is the ideal gate of the
-    module docstring.  The batch axes of ``state`` and ``params`` broadcast
-    together.
+    phase, signed gain and efficiency.  At theta = arctan(kappa),
+    G = sqrt(1 + kappa^2) and eta = 1 (:meth:`GateParams.exact`) it is the
+    ideal gate of the module docstring.  The batch axes of ``state`` and
+    ``params`` broadcast together.
     """
     if state.n_modes != 1:
         raise ValueError("gate acts on a single mode")
-    theta = params.lo_phase
-    fg = params.feedforward_sign * params.feedforward_gain
+    theta, fg = params.lo_phase, params.feedforward_gain
     eta = params.hd1_efficiency
     a = fg * np.sqrt(eta) * np.sin(theta)
     b = fg * np.sqrt(eta) * np.cos(theta)
     vs, vps = params.ancilla_vx, 0.25 / params.ancilla_vx
-    loss = 0.5 * fg**2 * (1.0 - eta)  # Var of f g sqrt(1 - eta) (sin x_v + cos p_v)
+    loss = 0.5 * fg**2 * (1.0 - eta)  # Var of G sqrt(1 - eta) (sin x_v + cos p_v)
     mx, mp = state.mean[..., 0], state.mean[..., 1]
     vx, vp, cxp = state.cov[..., 0, 0], state.cov[..., 1, 1], state.cov[..., 0, 1]
     mean = np.stack(
@@ -228,14 +208,16 @@ def _feedforward_map(params: GateParams, conventions: SignConventions) -> np.nda
     """Linear map from (measured port, kept port) moments to the output mode.
 
     The homodyne reads q = sin(l*theta) x_m + cos(l*theta) p_m and the output is
-    x_out = x_kept, p_out = p_kept + f * g * q, which as a 2x4 matrix is exact
-    for both the ensemble mean and covariance of the record-discarded output.
+    x_out = x_kept, p_out = p_kept + c * G * q, with G the signed gain of
+    ``params`` and c the convention's feed-forward sign.  As a 2x4 matrix this
+    is exact for both the ensemble mean and covariance of the record-discarded
+    output.
     This record average is the one model of the measurement: no route samples
     a single reading.  Array-valued parameters give a stack of shape (..., 2, 4).
     """
     theta, fg = np.broadcast_arrays(
         conventions.lo_sign * params.lo_phase,
-        conventions.feedforward_sign * params.feedforward_sign * params.feedforward_gain,
+        conventions.feedforward_sign * params.feedforward_gain,
     )
     c = np.zeros(theta.shape + (2, 4))
     c[..., 0, 2] = 1.0
@@ -279,7 +261,7 @@ def calibrate_signs() -> SignConventions:
         GateCalibrationError: If zero or several combinations match.
     """
     probe = make_coherent(1.3, -0.7)
-    params = GateParams(kappa=np.array([-2.0, -1.0, 0.5, 2.0]), ancilla_vx=0.24494)
+    params = GateParams.exact(np.array([-2.0, -1.0, 0.5, 2.0]), ancilla_vx=0.24494)
     want = closed_form_output(probe, params)
     matches = []
     for b in (1, -1):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_digest
-from .electronics import fit_pwl
+from .electronics import TARGETS, fit_pwl
 from .gate import GateParams, closed_form_output, gate_output_state
 from .states import (
     GaussianState,
@@ -103,23 +103,22 @@ def generate_traces(cfg: RunConfig) -> Traces:
 def _gate_params(cfg: RunConfig, kappa: np.ndarray) -> GateParams:
     """The configured operating point of the gate in each bin.
 
-    With use_pwl_electronics the local-oscillator phase and feed-forward gain
-    come from the fitted broken-line tables instead of the exact functions.
-    Both gate routes take their parameters from here.
+    The local-oscillator phase and gain are the exact functions of
+    ``electronics.TARGETS``, or with use_pwl_electronics their fitted
+    broken-line tables.  feedforward_gain_override replaces the gain, and
+    feedforward_sign multiplies it.  Both gate routes take their parameters
+    from here.
     """
-    gain_override = cfg.feedforward_gain_override
-    lo_phase_override = None
     if cfg.use_pwl_electronics:
-        n, lo, hi = cfg.pwl_segments, cfg.pwl_lo, cfg.pwl_hi
-        lo_phase_override = fit_pwl("arctan", n, lo, hi)(kappa)
-        gain_override = fit_pwl("sqrt1px2", n, lo, hi)(kappa)
+        phase, gain = (
+            fit_pwl(target, cfg.pwl_segments, cfg.pwl_lo, cfg.pwl_hi)
+            for target in ("arctan", "sqrt1px2")
+        )
+    else:
+        phase, gain = TARGETS["arctan"][0], TARGETS["sqrt1px2"][0]
+    g = gain(kappa) if cfg.feedforward_gain_override is None else cfg.feedforward_gain_override
     return GateParams(
-        kappa=kappa,
-        ancilla_vx=db_to_variance(cfg.ancilla_db),
-        feedforward_gain_override=gain_override,
-        lo_phase_override=lo_phase_override,
-        feedforward_sign=cfg.feedforward_sign,
-        hd1_efficiency=cfg.hd1_efficiency,
+        phase(kappa), cfg.feedforward_sign * g, db_to_variance(cfg.ancilla_db), cfg.hd1_efficiency
     )
 
 

@@ -89,7 +89,7 @@ def _as_moments(th):
 
 
 def test_criterion_01_idle_gate_x_squeezing(mc_moments):
-    out = gate_output_state(make_coherent(0.0, 0.0), GateParams(kappa=0.0))
+    out = gate_output_state(make_coherent(0.0, 0.0), GateParams.exact(0.0))
     analytic_db = variance_to_db(quadrature_variance(out, ANGLE_X))
     assert analytic_db == pytest.approx(-1.28, abs=0.02)
     for b in _bins_at(mc_moments, 0.0):
@@ -99,7 +99,7 @@ def test_criterion_01_idle_gate_x_squeezing(mc_moments):
 
 def test_criterion_02_full_drive_antisqueezing(mc_moments):
     for kappa in (2.0, -2.0):
-        out = gate_output_state(make_coherent(0.0, 0.0), GateParams(kappa=kappa))
+        out = gate_output_state(make_coherent(0.0, 0.0), GateParams.exact(kappa))
         assert out.cov[1, 1] == pytest.approx(2.48988, abs=1e-3)
         splus2, _minus2, _phi = diagonalize(out.cov)
         plus_db = variance_to_db(splus2)
@@ -111,7 +111,7 @@ def test_criterion_02_full_drive_antisqueezing(mc_moments):
 
 def test_criterion_03_full_drive_squeezing_and_gap_note(mc_moments, tmp_path, capsys):
     for kappa in (2.0, -2.0):
-        out = gate_output_state(make_coherent(0.0, 0.0), GateParams(kappa=kappa))
+        out = gate_output_state(make_coherent(0.0, 0.0), GateParams.exact(kappa))
         _plus2, minus2, _phi = diagonalize(out.cov)
         assert variance_to_db(minus2) == pytest.approx(-1.65, abs=0.02)
         for b in _bins_at(mc_moments, kappa):
@@ -125,8 +125,9 @@ def test_criterion_03_full_drive_squeezing_and_gap_note(mc_moments, tmp_path, ca
     assert "-1.65 dB" in text and "-1.8 dB" in text
 
 
-# Hardware operating points: (LO phase override, gain override, feed-forward
-# sign, detector efficiency); the first is the ideal gate.
+# Hardware operating points: (LO phase, gain, feed-forward sign, detector
+# efficiency); None is the exact electronics' arctan(kappa) or
+# sqrt(1 + kappa^2), so the first point is the ideal gate.
 HARDWARE_POINTS = (
     (None, None, 1, 1.0),
     (None, 0.5, -1, 0.8),
@@ -140,18 +141,21 @@ def test_criterion_04_pipeline_matches_closed_form():
     kappas = (-2.0, -1.2, -0.5, 0.0, 0.7, 1.5, 2.0)
     ancillas = (0.05, db_to_variance(-3.1), 0.5, 1.1)
     inputs = ((0.0, 0.0), (1.3, -0.7), (-2.0, 3.0))
-    for theta, gain, sign, eta in HARDWARE_POINTS:
-        for kappa, vs in itertools.product(kappas, ancillas):
-            params = GateParams(
-                kappa=kappa, ancilla_vx=vs, lo_phase_override=theta,
-                feedforward_gain_override=gain, feedforward_sign=sign, hd1_efficiency=eta,
-            )
-            for mx, mp in inputs:
-                probe = make_coherent(mx, mp)
-                pipeline = gate_output_state(probe, params)
-                reference = closed_form_output(probe, params)
-                assert np.max(np.abs(pipeline.cov - reference.cov)) <= 1e-9
-                assert np.max(np.abs(pipeline.mean - reference.mean)) <= 1e-9
+    # a point that fixes both phase and gain is one operating point at every kappa
+    points = {
+        (np.arctan(kappa) if theta is None else theta,
+         sign * (np.sqrt(1.0 + kappa**2) if gain is None else gain), eta)
+        for theta, gain, sign, eta in HARDWARE_POINTS
+        for kappa in kappas
+    }
+    for (theta, gain, eta), vs in itertools.product(sorted(points), ancillas):
+        params = GateParams(theta, gain, ancilla_vx=vs, hd1_efficiency=eta)
+        for mx, mp in inputs:
+            probe = make_coherent(mx, mp)
+            pipeline = gate_output_state(probe, params)
+            reference = closed_form_output(probe, params)
+            assert np.max(np.abs(pipeline.cov - reference.cov)) <= 1e-9
+            assert np.max(np.abs(pipeline.mean - reference.mean)) <= 1e-9
 
 
 def test_criterion_05_shear_decomposition_recomposes():
@@ -167,7 +171,7 @@ def test_criterion_06_principal_axes_match_brute_force():
     n_angles = 10_000
     step = np.pi / n_angles
     for kappa in np.linspace(-2.0, 2.0, 21):
-        out = gate_output_state(make_coherent(1.0, -0.5), GateParams(kappa=float(kappa)))
+        out = gate_output_state(make_coherent(1.0, -0.5), GateParams.exact(float(kappa)))
         splus2, sminus2, phi = diagonalize(out.cov)
         minval, argmin, maxval, argmax = scan_extrema(out.cov, n_angles)
         assert minval == pytest.approx(sminus2, rel=1e-6, abs=1e-9)
@@ -236,14 +240,7 @@ def test_criterion_08_lookup_table_fidelity():
         kappa = float(kappa)
 
         def cov(theta, gain):
-            return gate_output_state(
-                probe,
-                GateParams(
-                    kappa=kappa,
-                    lo_phase_override=theta,
-                    feedforward_gain_override=gain,
-                ),
-            ).cov
+            return gate_output_state(probe, GateParams(theta, gain)).cov
 
         theta0, gain0 = float(np.arctan(kappa)), float(np.sqrt(1.0 + kappa**2))
         d_theta = float(theta_fit(kappa)) - theta0
@@ -263,10 +260,9 @@ def test_criterion_09_output_states_physical(rng):
         assert symplectic_eigenvalues(state).min() >= floor
     for _ in range(200):
         params = GateParams(
-            kappa=float(rng.uniform(-3.0, 3.0)),
             ancilla_vx=float(rng.uniform(0.05, 2.0)),
-            feedforward_gain_override=float(rng.uniform(0.0, 4.0)),
-            lo_phase_override=float(rng.uniform(-np.pi / 2.0, np.pi / 2.0)),
+            feedforward_gain=float(rng.uniform(0.0, 4.0)),
+            lo_phase=float(rng.uniform(-np.pi / 2.0, np.pi / 2.0)),
             hd1_efficiency=float(rng.uniform(0.3, 1.0)),
         )
         probe = make_coherent(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0)))

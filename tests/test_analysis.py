@@ -32,7 +32,7 @@ X, P, PI4 = MEASUREMENT_ANGLES
 
 
 def test_reconstruction_recovers_gate_cross_term():
-    out = gate_output_state(make_coherent(3.0, 0.0), GateParams(kappa=2.0, ancilla_vx=0.24494))
+    out = gate_output_state(make_coherent(3.0, 0.0), GateParams.exact(2.0, ancilla_vx=0.24494))
     v = reconstruct_variance_matrix(
         quadrature_variance(out, X),
         quadrature_variance(out, P),

@@ -420,7 +420,8 @@ def test_removed_delay_key_exits_1(tmp_path, capsys):
      ("feedforward_gain_override", "use_pwl_electronics")),
     ({"control_waveform": "custom", "control_samples": [0.0, 1.0], "control_phase_rad": 0.3},
      ("control_phase_rad", "control_waveform")),
-], ids=["pwl-gain", "custom-phase"])
+    ({"pwl_segments": 64, "pwl_lo": -5, "pwl_hi": 7}, ("pwl_segments", "use_pwl_electronics")),
+], ids=["pwl-gain", "custom-phase", "no-tables"])
 def test_config_field_that_would_be_ignored_exits_1(tmp_path, capsys, raw, names):
     path = tmp_path / "ignored.json"
     path.write_text(json.dumps(raw))

@@ -48,6 +48,8 @@ def configs(draw):
         values["control_phase_rad"] = 0.0
     if values["use_pwl_electronics"]:
         values["feedforward_gain_override"] = None
+    else:
+        values.update(pwl_segments=16, pwl_lo=-2.0, pwl_hi=2.0)
     return RunConfig(**values)
 
 
@@ -138,10 +140,16 @@ IGNORED_PAIRS = [
      ("feedforward_gain_override", "use_pwl_electronics")),
     ({"control_waveform": "custom", "control_samples": [0.0, 1.0], "control_phase_rad": 0.3},
      ("control_phase_rad", "control_waveform")),
+    ({"pwl_segments": 64}, ("pwl_segments", "use_pwl_electronics")),
+    ({"pwl_lo": -5}, ("pwl_lo", "use_pwl_electronics")),
+    ({"pwl_hi": 7.0}, ("pwl_hi", "use_pwl_electronics")),
 ]
 
 
-@pytest.mark.parametrize("raw, names", IGNORED_PAIRS, ids=["pwl-gain", "custom-phase"])
+@pytest.mark.parametrize(
+    "raw, names", IGNORED_PAIRS,
+    ids=["pwl-gain", "custom-phase", "no-tables-segments", "no-tables-lo", "no-tables-hi"],
+)
 def test_fields_that_would_be_ignored_are_rejected(raw, names):
     with pytest.raises(ConfigError) as info:
         config_from_dict(raw)
@@ -220,10 +228,31 @@ def test_int_spellings_cover_every_float_field():
 
 @pytest.mark.parametrize("name", sorted(INT_SPELLINGS))
 def test_int_and_float_spellings_share_a_digest(name):
-    as_int = config_from_dict({name: INT_SPELLINGS[name]})
-    as_float = config_from_dict({name: float(INT_SPELLINGS[name])})
+    # the table range only applies with the tables on
+    tables = {"use_pwl_electronics": True} if name.startswith("pwl_") else {}
+    as_int = config_from_dict({name: INT_SPELLINGS[name], **tables})
+    as_float = config_from_dict({name: float(INT_SPELLINGS[name]), **tables})
     assert as_int == as_float
     assert config_digest(as_int) == config_digest(as_float)
+
+
+_CUSTOM = {"control_waveform": "custom", "control_samples": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "plus, minus",
+    [
+        ({"input_phase_rad": 0.0}, {"input_phase_rad": -0.0}),
+        (_CUSTOM, {**_CUSTOM, "control_samples": [-0.0, 1.0]}),
+        (_CUSTOM, {**_CUSTOM, "control_phase_rad": -0.0}),
+    ],
+    ids=["input-phase", "custom-samples", "custom-phase"],
+)
+def test_negative_zero_shares_a_digest(plus, minus):
+    # -0.0 == 0.0, so the two configs are equal and must share one digest
+    a, b = config_from_dict(plus), config_from_dict(minus)
+    assert a == b
+    assert config_digest(a) == config_digest(b)
 
 
 def test_default_digest_is_pinned():

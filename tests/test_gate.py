@@ -21,30 +21,35 @@ KAPPA_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 def test_default_phase_and_gain_track_kappa():
     for k in np.linspace(-2.0, 2.0, 81):
-        p = GateParams(kappa=float(k))
+        p = GateParams.exact(float(k))
         assert p.lo_phase == pytest.approx(np.arctan(k), abs=1e-15)
         assert abs(p.feedforward_gain**2 - (1.0 + k * k)) < 1e-12
 
 
 def test_param_overrides_and_validation():
-    p = GateParams(kappa=1.0, lo_phase_override=0.3, feedforward_gain_override=0.0)
+    p = GateParams(0.3, 0.0)
     assert p.lo_phase == 0.3
     assert p.feedforward_gain == 0.0
+    assert GateParams(0.3, -1.5).feedforward_gain == -1.5  # the gain carries its sign
+    with pytest.raises(ValueError, match="lo_phase"):
+        GateParams.exact(np.nan)
+    with pytest.raises(ValueError, match="lo_phase"):
+        GateParams(np.nan, 1.0)
+    with pytest.raises(ValueError, match="feedforward_gain"):
+        GateParams(0.3, np.inf)
+    with pytest.raises(ValueError, match="feedforward_gain"):
+        GateParams(np.array([0.0, 0.3]), np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
-        GateParams(kappa=np.nan)
+        GateParams.exact(1.0, ancilla_vx=0.0)
     with pytest.raises(ValueError):
-        GateParams(kappa=1.0, ancilla_vx=0.0)
-    with pytest.raises(ValueError):
-        GateParams(kappa=1.0, feedforward_sign=0)
-    with pytest.raises(ValueError):
-        GateParams(kappa=1.0, hd1_efficiency=0.0)
+        GateParams.exact(1.0, hd1_efficiency=0.0)
 
 
 @pytest.mark.parametrize("kappa", KAPPA_GRID)
 @pytest.mark.parametrize("vs", (0.05, 0.24494, 0.5, 1.3))
 def test_pipeline_matches_closed_form(kappa, vs):
     for state in (make_vacuum(), make_coherent(3.0, 0.0), make_coherent(1.5, -0.4)):
-        params = GateParams(kappa=kappa, ancilla_vx=vs)
+        params = GateParams.exact(kappa, ancilla_vx=vs)
         a = closed_form_output(state, params)
         b = gate_output_state(state, params)
         assert np.max(np.abs(a.cov - b.cov)) < 1e-12
@@ -53,7 +58,7 @@ def test_pipeline_matches_closed_form(kappa, vs):
 
 def test_closed_form_anchor_at_full_strength():
     # V_S = 0.24494 (-3.1 dB), coherent x-displaced input, kappa = 2
-    out = closed_form_output(make_coherent(3.0, 0.0), GateParams(kappa=2.0, ancilla_vx=0.24494))
+    out = closed_form_output(make_coherent(3.0, 0.0), GateParams.exact(2.0, ancilla_vx=0.24494))
     assert np.allclose(
         out.cov, [[0.37247, 0.25506], [0.25506, 2.48988]], atol=1e-12
     )
@@ -61,7 +66,7 @@ def test_closed_form_anchor_at_full_strength():
 
 
 def test_closed_form_mean_map():
-    out = closed_form_output(make_coherent(1.0, 1.0), GateParams(kappa=-1.5))
+    out = closed_form_output(make_coherent(1.0, 1.0), GateParams.exact(-1.5))
     assert out.mean == pytest.approx(
         [1.0 / np.sqrt(2.0), np.sqrt(2.0) - 1.5 / np.sqrt(2.0)], abs=1e-12
     )
@@ -69,13 +74,13 @@ def test_closed_form_mean_map():
 
 def test_strong_ancilla_limit_is_shear_after_fixed_squeeze():
     # V_S -> 0: the gate reduces to the shear composed onto a 3 dB x squeeze
-    params = GateParams(kappa=1.0, ancilla_vx=1e-12)
+    params = GateParams.exact(1.0, ancilla_vx=1e-12)
     out = closed_form_output(make_vacuum(), params)
     assert np.allclose(out.cov, [[0.25, 0.25], [0.25, 1.25]], atol=1e-9)
     for k in KAPPA_GRID:
         m = np.array([[1.0, 0.0], [k, 1.0]]) @ np.diag([1.0 / np.sqrt(2.0), np.sqrt(2.0)])
         want = m @ (0.5 * np.eye(2)) @ m.T
-        got = closed_form_output(make_vacuum(), GateParams(kappa=k, ancilla_vx=1e-12))
+        got = closed_form_output(make_vacuum(), GateParams.exact(k, ancilla_vx=1e-12))
         assert np.allclose(got.cov, want, atol=1e-9)
 
 
@@ -83,10 +88,10 @@ def test_disabled_feedforward_inflates_p_variance():
     # strongly antisqueezed ancilla (V_S = 0.05): without the feed-forward the
     # kept port keeps the ancilla's p noise, (0.5 + 1/(4*0.05)) / 2 = 2.75
     for kappa in (0.0, 1.0):
-        params_off = GateParams(kappa=kappa, ancilla_vx=0.05, feedforward_gain_override=0.0)
+        params_off = GateParams(np.arctan(kappa), 0.0, ancilla_vx=0.05)
         off = gate_output_state(make_vacuum(), params_off)
         assert off.cov[1, 1] == pytest.approx(2.75, abs=1e-12)
-        on = closed_form_output(make_vacuum(), GateParams(kappa=kappa, ancilla_vx=0.05))
+        on = closed_form_output(make_vacuum(), GateParams.exact(kappa, ancilla_vx=0.05))
         assert off.cov[1, 1] > on.cov[1, 1]
 
 
@@ -109,7 +114,7 @@ def test_wrong_sign_conventions_are_detectable(conv):
     probe = make_coherent(1.3, -0.7)
     worst = 0.0
     for k in (-2.0, -1.0, 0.5, 2.0):
-        params = GateParams(kappa=k, ancilla_vx=0.24494)
+        params = GateParams.exact(k, ancilla_vx=0.24494)
         got = _output_state(probe, params, conv)
         want = closed_form_output(probe, params)
         worst = max(
@@ -150,8 +155,8 @@ def test_tilted_squeeze_diagonalizes_on_diagonal_axes():
 
 
 def test_detector_loss_changes_output():
-    params_ideal = GateParams(kappa=1.0)
-    params_lossy = GateParams(kappa=1.0, hd1_efficiency=0.8)
+    params_ideal = GateParams.exact(1.0)
+    params_lossy = GateParams.exact(1.0, hd1_efficiency=0.8)
     ideal = gate_output_state(make_vacuum(), params_ideal)
     lossy = gate_output_state(make_vacuum(), params_lossy)
     assert np.max(np.abs(ideal.cov - lossy.cov)) > 1e-4
@@ -160,7 +165,7 @@ def test_detector_loss_changes_output():
 
 def test_gate_rejects_multimode_input():
     with pytest.raises(ValueError):
-        gate_output_state(make_vacuum(2), GateParams(kappa=1.0))
+        gate_output_state(make_vacuum(2), GateParams.exact(1.0))
 
 
 @given(
@@ -184,10 +189,10 @@ def test_pipeline_matches_closed_form_on_random_inputs(
     # excess = 0 gives a pure state, excess > 0 a mixed one
     vp = (0.25 + cxp * cxp + excess) / vx
     state = GaussianState(1, [mx, mp], [[vx, cxp], [cxp, vp]])
-    params = GateParams(
-        kappa=kappa, ancilla_vx=vs, lo_phase_override=theta, feedforward_gain_override=gain,
-        feedforward_sign=sign, hd1_efficiency=eta,
-    )
+    # an undrawn phase or gain is the exact electronics' value at kappa
+    theta = np.arctan(kappa) if theta is None else theta
+    gain = np.sqrt(1.0 + kappa**2) if gain is None else gain
+    params = GateParams(theta, sign * gain, ancilla_vx=vs, hd1_efficiency=eta)
     got = gate_output_state(state, params)
     want = closed_form_output(state, params)
     assert np.max(np.abs(got.cov - want.cov)) < 1e-10

@@ -110,7 +110,7 @@ def test_run_output_states_match_closed_form():
     for b in (0, 7, 13, 39):
         want = closed_form_output(
             make_coherent(tr.mean_x[b], tr.mean_p[b]),
-            GateParams(kappa=tr.kappa[b], ancilla_vx=vx),
+            GateParams.exact(tr.kappa[b], ancilla_vx=vx),
         )
         assert np.allclose(states[b].cov, want.cov, atol=1e-12)
         assert np.allclose(states[b].mean, want.mean, atol=1e-12)

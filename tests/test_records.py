@@ -33,8 +33,8 @@ VALIDATED = {
         "not symplectic",
     ),
     "GateParams": (
-        lambda: GateParams(kappa=np.array([0.0, 1.0]), feedforward_gain_override=0.5),
-        lambda: GateParams(kappa=1.0, hd1_efficiency=0.0),
+        lambda: GateParams(np.array([0.0, 0.785]), 0.5),
+        lambda: GateParams(0.785, 1.414, hd1_efficiency=0.0),
         r"hd1_efficiency must lie in \(0, 1\]",
     ),
     "PiecewiseLinearFunction": (
@@ -87,11 +87,10 @@ def test_validated_records_compare_by_identity(name):
 
 
 def test_validated_records_repr_names_every_slot():
-    a = GateParams(kappa=1.0)
+    a = GateParams(0.5, -1.5)
     assert repr(a) == (
-        f"GateParams(kappa=1.0, ancilla_vx={a.ancilla_vx!r}, "
-        "feedforward_gain_override=None, lo_phase_override=None, "
-        "feedforward_sign=1, hd1_efficiency=1.0)"
+        f"GateParams(lo_phase=0.5, feedforward_gain=-1.5, ancilla_vx={a.ancilla_vx!r}, "
+        "hd1_efficiency=1.0)"
     )
 
 

@@ -98,8 +98,8 @@ def test_pin_covers_every_output(current, pinned):
     assert sorted(current) == sorted(pinned) == sorted(KEYS)
 
 
-# Operating points off the defaults: overrides, reversed sign and detector loss.
-_KAPPA = np.array([-2.0, -0.3, 0.0, 0.8, 1.7])
+# Operating points off the defaults: free phase and gain, reversed sign and
+# detector loss.
 _X = np.array([1.3, 0.0, -2.2, 0.4, 3.0])
 _P = np.array([-0.7, 0.5, 0.0, 1.1, -0.2])
 _THETA = np.array([-1.0, -0.25, 0.1, 0.7, 1.0])
@@ -107,14 +107,11 @@ _GAIN = np.array([2.1, 1.0, 0.0, 1.3, 1.9])
 
 
 def _params(index):
-    return GateParams(
-        kappa=_KAPPA[index], ancilla_vx=0.3, lo_phase_override=_THETA[index],
-        feedforward_gain_override=_GAIN[index], feedforward_sign=-1, hd1_efficiency=0.8,
-    )
+    return GateParams(_THETA[index], -_GAIN[index], ancilla_vx=0.3, hd1_efficiency=0.8)
 
 
 @pytest.mark.parametrize("route", [gate_output_state, closed_form_output])
-@pytest.mark.parametrize("size", [1, len(_KAPPA)])
+@pytest.mark.parametrize("size", [1, len(_THETA)])
 def test_batch_equals_scalar_calls(route, size):
     batch = route(make_coherent(_X[:size], _P[:size]), _params(slice(size)))
     assert batch.batch_shape == (size,)
