@@ -8,8 +8,6 @@ electronics, a repeated-shot measurement harness and the variance analysis.
 """
 
 from .analysis import (
-    Residuals,
-    VarianceSummary,
     diagonalize,
     is_positive_definite,
     reconstruct_variance_matrix,

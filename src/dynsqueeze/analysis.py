@@ -12,8 +12,6 @@ minimum-variance axis sits at -phi.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .harness import (
@@ -51,8 +49,6 @@ RESIDUAL_COLUMNS = (
     "d_var_p",
     "d_var_pi4",
 )
-
-_X, _P, _PI4 = MEASUREMENT_ANGLES
 
 
 def same_grid(time_a, kappa_a, time_b, kappa_b) -> bool:
@@ -147,45 +143,22 @@ def scan_extrema(matrix, n_angles: int = 10000) -> tuple[float, float, float, fl
     return float(values[lo]), float(angles[lo]), float(values[hi]), float(angles[hi])
 
 
-class VarianceSummary(NamedTuple):
-    """Reconstructed covariance and its diagonalization for one time bin.
-
-    Bins where the reconstructed matrix is not positive-definite (a noise
-    artifact of finite statistics) carry valid=False and NaN derived fields.
-    """
-
-    bin_index: int
-    time_us: float
-    kappa: float
-    sigma_x2: float
-    sigma_p2: float
-    sigma_pi4_2: float
-    sigma_xp: float
-    sigma_plus2: float
-    sigma_minus2: float
-    phi_rad: float
-    valid: bool
-
-
-class Residuals(NamedTuple):
-    """Measured-minus-theory per-bin differences on a shared grid."""
-
-    time_us: np.ndarray
-    kappa: np.ndarray
-    d_mean: dict[float, np.ndarray]
-    d_variance: dict[float, np.ndarray]
-
-
 def summarize(
     moments: MomentEstimates, theory: TheoryTraces | None = None
-) -> tuple[list[VarianceSummary], Residuals | None]:
+) -> tuple[np.recarray, np.recarray | None]:
     """Reconstruct and diagonalize each bin; optionally attach theory residuals.
+
+    Returns ``(summary, residuals)``: record arrays with one record per bin,
+    whose fields are ``SUMMARY_COLUMNS`` and ``RESIDUAL_COLUMNS``, so the
+    squeezing levels are in dB as in the CSV.  ``residuals`` (measured minus
+    theory) is None without ``theory``.
 
     Requires all three measurement angles in ``moments``, and every variance
     finite; a non-finite one raises ``ValueError`` naming its angle and bin.
     A bin whose finite variances are not positive or leave the physical cone
-    is flagged (``valid=False``).  When ``theory`` is given its grid must
-    match the measured one.
+    (a noise artifact of finite statistics) is flagged ``valid=False`` and
+    carries NaN derived fields.  When ``theory`` is given its grid must match
+    the measured one.
     """
     for angle in MEASUREMENT_ANGLES:
         if angle not in moments.variance:
@@ -198,59 +171,42 @@ def summarize(
                 f"{label_for_angle(angle)} variance of bin {bad[0]} is {v[bad[0]]}; "
                 "variances must be finite"
             )
-    n_bins = len(moments.time_us)
-    sxp, splus, sminus, phi = (np.full(n_bins, np.nan) for _ in range(4))
+    grid = (np.arange(len(moments.time_us)), moments.time_us, moments.kappa)
+    sxp, plus_db, minus_db, phi = (np.full(len(sx2), np.nan) for _ in range(4))
     valid = (sx2 > 0.0) & (sp2 > 0.0)
     v = reconstruct_variance_matrix(sx2[valid], sp2[valid], spi4[valid])
     sxp[valid] = v[:, 0, 1]
     definite = _positive_definite(v)
     valid[valid] = definite
-    splus[valid], sminus[valid], phi[valid] = diagonalize(v[definite])
-    rows = list(map(VarianceSummary._make, zip(range(n_bins), *(
-        np.asarray(column, dtype=float).tolist()
-        for column in (moments.time_us, moments.kappa, sx2, sp2, spi4, sxp, splus, sminus, phi)
-    ), valid.tolist())))
+    splus, sminus, phi[valid] = diagonalize(v[definite])
+    plus_db[valid], minus_db[valid] = variance_to_db(splus), variance_to_db(sminus)
+    summary = np.rec.fromarrays(
+        (*grid, sx2, sp2, spi4, sxp, plus_db, minus_db, phi, valid), names=SUMMARY_COLUMNS
+    )
     residuals = None
     if theory is not None:
         if not same_grid(theory.time_us, theory.kappa, moments.time_us, moments.kappa):
             raise ValueError("theory and moments are on different grids")
-        d_mean = {
-            a: moments.mean[a] - theory.mean[a] for a in MEASUREMENT_ANGLES
-        }
-        d_var = {
-            a: moments.variance[a] - theory.variance[a] for a in MEASUREMENT_ANGLES
-        }
-        residuals = Residuals(moments.time_us, moments.kappa, d_mean, d_var)
-    return rows, residuals
+        residuals = np.rec.fromarrays((
+            *grid,
+            *(moments.mean[a] - theory.mean[a] for a in MEASUREMENT_ANGLES),
+            *(moments.variance[a] - theory.variance[a] for a in MEASUREMENT_ANGLES),
+        ), names=RESIDUAL_COLUMNS)
+    return summary, residuals
 
 
-def write_summary_csv(path, rows: list[VarianceSummary]) -> None:
-    """Summary rows in the flat schema; squeezing levels are stored in dB."""
-    index, *floats, valid = list(zip(*rows)) or [()] * len(SUMMARY_COLUMNS)
-    time_us, kappa, sx2, sp2, spi4, sxp, splus, sminus, phi = (
-        np.array(column, dtype=float) for column in floats
-    )
-    valid = np.array(valid, dtype=bool)
-    plus_db, minus_db = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
-    plus_db[valid] = variance_to_db(splus[valid])
-    minus_db[valid] = variance_to_db(sminus[valid])
-    write_table(path, SUMMARY_COLUMNS, (
-        np.array(index, dtype=int), time_us, kappa, sx2, sp2, spi4, sxp,
-        plus_db, minus_db, phi, valid,
-    ))
+def write_summary_csv(path, summary) -> None:
+    """A summary record array in the flat schema, one row per bin."""
+    write_table(path, SUMMARY_COLUMNS, [summary[name] for name in SUMMARY_COLUMNS])
 
 
-def write_residuals_csv(path, res: Residuals) -> None:
-    write_table(path, RESIDUAL_COLUMNS, (
-        np.arange(len(res.time_us)), res.time_us, res.kappa,
-        res.d_mean[_X], res.d_mean[_P], res.d_mean[_PI4],
-        res.d_variance[_X], res.d_variance[_P], res.d_variance[_PI4],
-    ))
+def write_residuals_csv(path, residuals) -> None:
+    write_table(path, RESIDUAL_COLUMNS, [residuals[name] for name in RESIDUAL_COLUMNS])
 
 
-def read_summary_csv(path) -> dict:
-    """Summary CSV back to a dict of columns (arrays; ``valid`` as bool)."""
-    out = read_table(path, SUMMARY_COLUMNS)
-    out["bin_index"] = out["bin_index"].astype(int)
-    out["valid"] = out["valid"].astype(bool)
-    return out
+def read_summary_csv(path) -> np.recarray:
+    """Summary CSV back to the record array :func:`summarize` returns."""
+    data = read_table(path, SUMMARY_COLUMNS)
+    data["bin_index"] = data["bin_index"].astype(int)
+    data["valid"] = data["valid"].astype(bool)
+    return np.rec.fromarrays(list(data.values()), names=SUMMARY_COLUMNS)

@@ -81,6 +81,8 @@ def cmd_simulate(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = _load_cfg(args)
+    # checked before anything is allocated or --out is created
+    check_records_memory(cfg, RECORDS_PEAK_BLOCKS if args.save_records else 0)
     seed = cfg.seed if args.seed is None else args.seed
     conventions = calibrate_signs()
     print(
@@ -93,9 +95,6 @@ def cmd_simulate(args) -> int:
             f"model's {tuple(CONVENTIONS)}"
         )
     if args.save_records:
-        # simulate_records checks this too; checking first keeps a run that
-        # cannot fit from creating --out
-        check_records_memory(cfg, RECORDS_PEAK_BLOCKS)
         out = _outdir(args)
         records = out / "records.npz"
         est = simulate_records(cfg, records, seed)
@@ -120,6 +119,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_theory(args) -> int:
     cfg = _load_cfg(args)
+    check_records_memory(cfg, 0)
     th = theory_traces(cfg)
     out = _outdir(args)
     for angle in MEASUREMENT_ANGLES:
@@ -141,12 +141,13 @@ def cmd_theory(args) -> int:
     return 0
 
 
-def _read_angle_files(paths) -> dict[float, dict]:
+def _read_angle_files(paths) -> dict[str, dict[float, np.ndarray]]:
+    """Each column of three per-angle moments files, as a dict from angle to array."""
     by_angle = {}
     for path in paths:
         data = read_moments_csv(path)
         try:
-            angle = measurement_angle(data["angle"])
+            angle = measurement_angle(data.pop("angle"))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         if angle in by_angle:
@@ -158,49 +159,36 @@ def _read_angle_files(paths) -> dict[float, dict]:
     for data in by_angle.values():
         if not same_grid(data["time_us"], data["kappa"], ref["time_us"], ref["kappa"]):
             raise ValueError("moments files are on different grids")
-    return by_angle
+    return {col: {a: data[col] for a, data in by_angle.items()} for col in ref}
 
 
 def cmd_analyze(args) -> int:
-    measured = _read_angle_files(args.moments)
-    ref = measured[MEASUREMENT_ANGLES[0]]
-    variance = {a: d["variance"] for a, d in measured.items()}
-    se_var = {a: d["se_var"] for a, d in measured.items()}
+    x = MEASUREMENT_ANGLES[0]
+    m = _read_angle_files(args.moments)
     est = MomentEstimates(
-        time_us=ref["time_us"],
-        kappa=ref["kappa"],
-        n_trials=trials_from_moments(variance, se_var),
-        mean={a: d["mean"] for a, d in measured.items()},
-        variance=variance,
-        se_mean={a: d["se_mean"] for a, d in measured.items()},
-        se_var=se_var,
+        m["time_us"][x], m["kappa"][x], trials_from_moments(m["variance"], m["se_var"]),
+        m["mean"], m["variance"], m["se_mean"], m["se_var"],
     )
     theory = None
     if args.theory:
-        th_files = _read_angle_files(args.theory)
+        t = _read_angle_files(args.theory)
         theory = TheoryTraces(
-            time_us=th_files[MEASUREMENT_ANGLES[0]]["time_us"],
-            kappa=th_files[MEASUREMENT_ANGLES[0]]["kappa"],
-            mean={a: d["mean"] for a, d in th_files.items()},
-            variance={a: d["variance"] for a, d in th_files.items()},
-            p_variance_simplified=np.full(len(ref["time_us"]), np.nan),
+            t["time_us"][x], t["kappa"][x], t["mean"], t["variance"],
+            np.full(len(est.time_us), np.nan),
         )
-    rows, residuals = summarize(est, theory)
+    summary, residuals = summarize(est, theory)
     out = _outdir(args)
     path = out / "summary.csv"
-    write_summary_csv(path, rows)
+    write_summary_csv(path, summary)
     print(f"wrote {path}")
     if residuals is not None:
         path = out / "residuals.csv"
         write_residuals_csv(path, residuals)
         print(f"wrote {path}")
-    n_invalid = sum(1 for r in rows if not r.valid)
-    valid_minus = [r.sigma_minus2 for r in rows if r.valid]
-    print(f"{len(rows)} bins, {n_invalid} flagged non-positive-definite")
-    if valid_minus:
-        print(
-            f"best squeezed variance {variance_to_db(min(valid_minus)):.3f} dB"
-        )
+    n_flagged = len(summary) - np.count_nonzero(summary.valid)
+    print(f"{len(summary)} bins, {n_flagged} flagged non-positive-definite")
+    if n_flagged < len(summary):
+        print(f"best squeezed variance {summary.sigma_minus2_db[summary.valid].min():.3f} dB")
     return 0
 
 

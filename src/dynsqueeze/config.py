@@ -136,6 +136,14 @@ class RunConfig:
                 f"control_amplitude {self.control_amplitude} leaves the look-up-table range "
                 f"[{self.pwl_lo}, {self.pwl_hi}], where the tables would clamp"
             )
+        # feedforward_sign carries the sign of the gain, so one gate has one config
+        override = self.feedforward_gain_override
+        if override is not None and override < 0.0:
+            raise ConfigError(f"feedforward_gain_override must be >= 0, got {override}; "
+                              "feedforward_sign sets the sign")
+        if override == 0.0 and self.feedforward_sign == -1:
+            raise ConfigError("feedforward_sign -1 does not apply with "
+                              "feedforward_gain_override 0, which has no sign")
 
     @property
     def n_bins(self) -> int:

@@ -233,18 +233,27 @@ def _physical_memory() -> int | None:
 # copy np.lib.format.write_array makes of it.
 RECORDS_PEAK_BLOCKS = 2
 
+# Working set of a run per bin, shot blocks aside.  The tracemalloc peak of
+# simulate_moments was 1028 bytes a bin and that of theory_traces 338, at both
+# 2e4 and 2e5 bins; this rounds the larger up.
+BIN_BYTES = 1100
+
 
 def check_records_memory(cfg: RunConfig, blocks: int) -> None:
-    """Raise ConfigError when ``blocks`` shot blocks would not fit in physical memory.
+    """Raise ConfigError when a run on ``cfg``'s grid would not fit in physical memory.
 
-    One block is n_trials x n_bins float64.
+    The run holds BIN_BYTES per bin plus ``blocks`` shot blocks, each
+    n_trials x n_bins float64.
     """
-    need = blocks * cfg.n_trials * cfg.n_bins * 8
+    need = cfg.n_bins * (BIN_BYTES + blocks * cfg.n_trials * 8)
     have = _physical_memory()
     if have is not None and need > have:
+        what = f"raw records of {cfg.n_trials} trials x " if blocks else "a grid of "
+        # a float quotient of a need beyond 2**1000 bytes would overflow
+        gib = need / 2**30 if need < 2**1000 else float("inf")
         raise ConfigError(
-            f"raw records of {cfg.n_trials} trials x {cfg.n_bins} bins need "
-            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
+            f"{what}{cfg.n_bins} bins would need {gib:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
         )
 
 

@@ -22,7 +22,8 @@ from dynsqueeze import (
     variance_to_db,
 )
 from dynsqueeze.analysis import (
-    Residuals,
+    RESIDUAL_COLUMNS,
+    SUMMARY_COLUMNS,
     read_summary_csv,
     write_residuals_csv,
     write_summary_csv,
@@ -175,9 +176,12 @@ def test_summarize_equals_scalar_calls_on_noisy_input():
         assert r.sigma_xp == v[0, 1]
         assert r.valid == is_positive_definite(v)
         if r.valid:
-            assert (r.sigma_plus2, r.sigma_minus2, r.phi_rad) == diagonalize(v)
+            splus, sminus, phi = diagonalize(v)
+            assert (r.sigma_plus2_db, r.sigma_minus2_db, r.phi_rad) == (
+                variance_to_db(splus), variance_to_db(sminus), phi
+            )
         else:
-            assert np.isnan([r.sigma_plus2, r.sigma_minus2, r.phi_rad]).all()
+            assert np.isnan([r.sigma_plus2_db, r.sigma_minus2_db, r.phi_rad]).all()
 
 
 def test_scan_extrema_on_known_matrix():
@@ -206,9 +210,9 @@ def test_summarize_on_noise_free_traces():
     assert len(rows) == 200
     assert all(r.valid for r in rows)
     # residuals of theory against itself vanish
-    for a in MEASUREMENT_ANGLES:
-        assert np.max(np.abs(residuals.d_mean[a])) < 1e-12
-        assert np.max(np.abs(residuals.d_variance[a])) < 1e-12
+    for lab in ("x", "p", "pi4"):
+        assert np.max(np.abs(residuals[f"d_mean_{lab}"])) < 1e-12
+        assert np.max(np.abs(residuals[f"d_var_{lab}"])) < 1e-12
     # phi alternates against kappa: the squeezed axis at -phi tracks -sign(kappa)
     for r in rows:
         if abs(r.kappa) > 0.1:
@@ -261,24 +265,41 @@ def test_summarize_monte_carlo_recovers_cross_term():
 
 
 def test_summary_csv_round_trip(tmp_path):
-    est, th = _theory_moments(RunConfig(bins_per_period=10))
-    rows, residuals = summarize(est, th)
+    noise_free, th = _theory_moments(RunConfig(bins_per_period=10))
+    # five trials per bin flag some bins, whose rows carry NaN cells
+    noisy = estimate_moments(run_experiment(RunConfig(n_trials=5, seed=3)))
     path = tmp_path / "summary.csv"
-    write_summary_csv(path, rows)
-    data = read_summary_csv(path)
-    assert data["bin_index"].tolist() == list(range(20))
-    assert np.all(data["valid"])
-    r7 = rows[7]
-    assert data["sigma_xp"][7] == pytest.approx(r7.sigma_xp, rel=1e-11, abs=1e-12)
-    assert data["sigma_minus2_db"][7] == pytest.approx(
-        variance_to_db(r7.sigma_minus2), rel=1e-11
-    )
-    assert data["phi_rad"][7] == pytest.approx(r7.phi_rad, rel=1e-11, abs=1e-12)
+    for est in (noise_free, noisy):
+        summary, _ = summarize(est)
+        write_summary_csv(path, summary)
+        data = read_summary_csv(path)
+        assert data.dtype.names == SUMMARY_COLUMNS
+        assert data.bin_index.dtype.kind == "i" and data.valid.dtype.kind == "b"
+        assert np.array_equal(data.bin_index, summary.bin_index)
+        assert np.array_equal(data.valid, summary.valid)
+        for name in SUMMARY_COLUMNS[1:-1]:
+            # the file keeps each cell to 12 significant digits
+            kept = [float(f"{value:.12g}") for value in summary[name]]
+            np.testing.assert_array_equal(data[name], kept, err_msg=name)
+    assert 0 < np.count_nonzero(~data.valid) < len(data)
 
+    _, residuals = summarize(noise_free, th)
     res_path = tmp_path / "residuals.csv"
     write_residuals_csv(res_path, residuals)
     header = res_path.read_text().splitlines()[0]
     assert header.split(",")[:3] == ["bin_index", "time_us", "kappa"]
+
+
+def test_summaries_are_record_arrays_with_the_csv_columns():
+    est, th = _theory_moments(RunConfig(bins_per_period=10))
+    summary, residuals = summarize(est, th)
+    assert summary.dtype.names == SUMMARY_COLUMNS
+    assert residuals.dtype.names == RESIDUAL_COLUMNS
+    # the protocol a caller that counts valid bins by record relies on
+    assert len(summary) == len(residuals) == 20
+    assert [r.valid for r in summary] == summary.valid.tolist() == [True] * 20
+    assert summary[7].bin_index == residuals[7].bin_index == 7
+    assert np.array_equal(summary["kappa"], est.kappa)
 
 
 def test_read_summary_rejects_bad_header(tmp_path):

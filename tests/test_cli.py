@@ -23,7 +23,7 @@ from dynsqueeze import (
     run_experiment,
     save_config,
 )
-from dynsqueeze import cli
+from dynsqueeze import cli, harness
 from dynsqueeze.analysis import RESIDUAL_COLUMNS, read_summary_csv, summarize
 from dynsqueeze.cli import GAP_NOTE, main
 from dynsqueeze.harness import read_moments_csv, read_table, write_moments_csv
@@ -94,6 +94,45 @@ def test_records_beyond_physical_memory_exit_1(tmp_path, capsys):
     assert err.startswith("error:") and "physical memory" in err
     assert not out.exists()
     assert peak < 16 * 2**20
+
+
+_GUARDED = {
+    "simulate": ("simulate",),
+    "records": ("simulate", "--save-records"),
+    "theory": ("theory",),
+}
+
+
+@pytest.mark.parametrize("argv", list(_GUARDED.values()), ids=list(_GUARDED))
+def test_grid_beyond_physical_memory_exits_1(cfg_path, tmp_path, capsys, monkeypatch, argv):
+    # 10 bins need 11 kB of working set even without shot blocks
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 10_000)
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(cfg_path), "--out", str(out), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{SMALL.n_bins} bins" in err
+    assert "physical memory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "theory"])
+def test_trillion_bin_grid_exits_1_before_allocating(tmp_path, capsys, command):
+    # 2e12 bins at about 1 kB each: petabytes, refused before any array exists
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"bins_per_period": 10**12}))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", str(huge), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: a grid of 2000000000000 bins would need")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert peak < 2**20
 
 
 def test_save_records_holds_one_block_and_one_temporary(tmp_path):
@@ -421,7 +460,10 @@ def test_removed_delay_key_exits_1(tmp_path, capsys):
     ({"control_waveform": "custom", "control_samples": [0.0, 1.0], "control_phase_rad": 0.3},
      ("control_phase_rad", "control_waveform")),
     ({"pwl_segments": 64, "pwl_lo": -5, "pwl_hi": 7}, ("pwl_segments", "use_pwl_electronics")),
-], ids=["pwl-gain", "custom-phase", "no-tables"])
+    ({"feedforward_gain_override": -0.5}, ("feedforward_gain_override", "feedforward_sign")),
+    ({"feedforward_sign": -1, "feedforward_gain_override": 0},
+     ("feedforward_sign", "feedforward_gain_override")),
+], ids=["pwl-gain", "custom-phase", "no-tables", "negative-gain", "signed-zero-gain"])
 def test_config_field_that_would_be_ignored_exits_1(tmp_path, capsys, raw, names):
     path = tmp_path / "ignored.json"
     path.write_text(json.dumps(raw))

@@ -17,7 +17,7 @@ _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 FIELD_VALUES = {
     "ancilla_db": _FINITE,
     "feedforward_sign": st.sampled_from([-1, 1]),
-    "feedforward_gain_override": st.none() | _FINITE,
+    "feedforward_gain_override": st.none() | st.floats(min_value=0.0, allow_infinity=False),
     "hd1_efficiency": st.floats(min_value=1e-3, max_value=1.0),
     "control_waveform": st.sampled_from(VALID_WAVEFORMS),
     "control_frequency_mhz": _POSITIVE,
@@ -50,6 +50,8 @@ def configs(draw):
         values["feedforward_gain_override"] = None
     else:
         values.update(pwl_segments=16, pwl_lo=-2.0, pwl_hi=2.0)
+    if values["feedforward_gain_override"] == 0.0:
+        values["feedforward_sign"] = 1
     return RunConfig(**values)
 
 
@@ -143,12 +145,16 @@ IGNORED_PAIRS = [
     ({"pwl_segments": 64}, ("pwl_segments", "use_pwl_electronics")),
     ({"pwl_lo": -5}, ("pwl_lo", "use_pwl_electronics")),
     ({"pwl_hi": 7.0}, ("pwl_hi", "use_pwl_electronics")),
+    ({"feedforward_gain_override": -0.5}, ("feedforward_gain_override", "feedforward_sign")),
+    ({"feedforward_sign": -1, "feedforward_gain_override": 0.0},
+     ("feedforward_sign", "feedforward_gain_override")),
 ]
 
 
 @pytest.mark.parametrize(
     "raw, names", IGNORED_PAIRS,
-    ids=["pwl-gain", "custom-phase", "no-tables-segments", "no-tables-lo", "no-tables-hi"],
+    ids=["pwl-gain", "custom-phase", "no-tables-segments", "no-tables-lo", "no-tables-hi",
+         "negative-gain", "signed-zero-gain"],
 )
 def test_fields_that_would_be_ignored_are_rejected(raw, names):
     with pytest.raises(ConfigError) as info:

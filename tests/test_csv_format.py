@@ -15,12 +15,16 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynsqueeze import MomentEstimates, Residuals, VarianceSummary
-from dynsqueeze.analysis import write_residuals_csv, write_summary_csv
+from dynsqueeze import MomentEstimates, variance_to_db
+from dynsqueeze.analysis import (
+    RESIDUAL_COLUMNS,
+    SUMMARY_COLUMNS,
+    write_residuals_csv,
+    write_summary_csv,
+)
 from dynsqueeze.harness import read_table, write_moments_csv, write_table
 
 _P = np.pi / 2.0
-_PI4 = np.pi / 4.0
 _TIME = np.array([0.0, 0.01, 0.02])
 _KAPPA = np.array([0.0, 1.2345678901234567, -2.0])
 
@@ -43,14 +47,18 @@ def test_moments_csv_bytes(tmp_path):
     )
 
 
+def _summary_records():
+    nan, db = np.nan, variance_to_db
+    return np.rec.fromrecords([
+        (0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.0, db(0.5), db(0.5), 0.0, True),
+        (1, 0.01, 2.0, 0.3, 0.2, 1.9, 1.65, nan, nan, nan, False),
+        (2, 0.02, -2.0, 0.45, 2.1, 0.62, -0.655, db(2.3345), db(0.2155), -0.3838, True),
+    ], names=SUMMARY_COLUMNS)
+
+
 def test_summary_csv_bytes_with_an_invalid_bin(tmp_path):
-    rows = [
-        VarianceSummary(0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.0, 0.5, 0.5, 0.0, True),
-        VarianceSummary(1, 0.01, 2.0, 0.3, 0.2, 1.9, 1.65, np.nan, np.nan, np.nan, False),
-        VarianceSummary(2, 0.02, -2.0, 0.45, 2.1, 0.62, -0.655, 2.3345, 0.2155, -0.3838, True),
-    ]
     path = tmp_path / "summary.csv"
-    write_summary_csv(path, rows)
+    write_summary_csv(path, _summary_records())
     assert path.read_text() == (
         "bin_index,time_us,kappa,sigma_x2,sigma_p2,sigma_pi4_2,sigma_xp,"
         "sigma_plus2_db,sigma_minus2_db,phi_rad,valid\n"
@@ -62,7 +70,7 @@ def test_summary_csv_bytes_with_an_invalid_bin(tmp_path):
 
 def test_summary_csv_of_no_rows_is_the_header(tmp_path):
     path = tmp_path / "summary.csv"
-    write_summary_csv(path, [])
+    write_summary_csv(path, _summary_records()[:0])
     assert path.read_text() == (
         "bin_index,time_us,kappa,sigma_x2,sigma_p2,sigma_pi4_2,sigma_xp,"
         "sigma_plus2_db,sigma_minus2_db,phi_rad,valid\n"
@@ -70,19 +78,11 @@ def test_summary_csv_of_no_rows_is_the_header(tmp_path):
 
 
 def test_residuals_csv_bytes(tmp_path):
-    res = Residuals(
-        _TIME, _KAPPA,
-        d_mean={
-            0.0: np.array([0.1, -0.2, 0.0]),
-            _P: np.array([1e-9, 2.0, -3.5]),
-            _PI4: np.array([0.0, 0.0, 1.0 / 3.0]),
-        },
-        d_variance={
-            0.0: np.array([-0.01, 0.02, 0.0]),
-            _P: np.array([0.5, -1e-12, 7.0]),
-            _PI4: np.array([1.0 / 7.0, 0.0, -0.25]),
-        },
-    )
+    res = np.rec.fromarrays([
+        np.arange(3), _TIME, _KAPPA,
+        [0.1, -0.2, 0.0], [1e-9, 2.0, -3.5], [0.0, 0.0, 1.0 / 3.0],
+        [-0.01, 0.02, 0.0], [0.5, -1e-12, 7.0], [1.0 / 7.0, 0.0, -0.25],
+    ], names=RESIDUAL_COLUMNS)
     path = tmp_path / "residuals.csv"
     write_residuals_csv(path, res)
     assert path.read_text() == (

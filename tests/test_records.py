@@ -14,7 +14,6 @@ from dynsqueeze import (
     HomodyneRecordSet,
     MomentEstimates,
     PiecewiseLinearFunction,
-    Residuals,
     ShearDecomposition,
     SymplecticTransform,
     TheoryTraces,
@@ -102,7 +101,6 @@ def test_plain_records_are_named_tuples_in_field_order():
     assert TheoryTraces._fields == (
         "time_us", "kappa", "mean", "variance", "p_variance_simplified"
     )
-    assert Residuals._fields == ("time_us", "kappa", "d_mean", "d_variance")
     assert ShearDecomposition._fields == (
         "lam", "outer_rotation", "tilted_squeeze", "squeeze_factors"
     )
