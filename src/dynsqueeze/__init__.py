@@ -9,7 +9,6 @@ electronics, a repeated-shot measurement harness and the variance analysis.
 
 from .analysis import (
     diagonalize,
-    is_positive_definite,
     reconstruct_variance_matrix,
     scan_extrema,
     summarize,

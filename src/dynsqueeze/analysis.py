@@ -78,13 +78,26 @@ def reconstruct_variance_matrix(sigma_x2, sigma_p2, sigma_pi4_2) -> np.ndarray:
     return np.stack([np.stack([sx2, c], axis=-1), np.stack([c, sp2], axis=-1)], axis=-2)
 
 
-def is_positive_definite(matrix: np.ndarray) -> bool:
-    return bool(np.all(_positive_definite(matrix)))
+def _spectrum(a, b, c):
+    """(sigma_plus^2, sigma_minus^2, phi) of the symmetric [[a, c], [c, b]].
 
-
-def _positive_definite(matrix) -> np.ndarray:
-    """Per-matrix positive-definiteness of a (..., 2, 2) symmetric batch."""
-    return np.linalg.eigvalsh(np.asarray(matrix, dtype=float)).min(axis=-1) > 0.0
+    Elementwise and non-raising: sigma_pm^2 = (a + b)/2 +- hypot((a - b)/2, c),
+    with sigma_minus^2 taken as det / sigma_plus^2 because the difference
+    loses every digit once sigma_plus^2 / sigma_minus^2 nears 1/eps (|kappa|
+    ~ 1e8 for this gate).  The matrix is positive definite exactly where
+    sigma_minus^2 > 0.  phi is :func:`diagonalize`'s.
+    """
+    splus = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
+    # 0 / 0 only at splus = 0; near isotropy the quotient can pass splus by an ulp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sminus = np.minimum((a * b - c * c) / splus, splus)
+    # -phi is the maximum axis here; a quarter turn, kept in (-pi/2, pi/2],
+    # makes it the minimum one.  An isotropic matrix keeps phi = 0.
+    phi = 0.5 * np.arctan2(-2.0 * c, a - b)
+    turned = phi - np.pi / 2.0
+    phi = np.where(turned > -np.pi / 2.0, turned, phi + np.pi / 2.0)
+    phi = np.where((a == b) & (c == 0.0), 0.0, phi)
+    return splus, sminus, phi
 
 
 def diagonalize(matrix):
@@ -98,8 +111,8 @@ def diagonalize(matrix):
         phi = (1/2) arctan(-2 sigma_xp / (sigma_x^2 - sigma_p^2)).
 
     One (2, 2) matrix gives three floats; a (..., 2, 2) batch gives three
-    (...) arrays, and one asymmetric or non-positive-definite member rejects
-    the batch.
+    (...) arrays, and one asymmetric member, or one whose sigma_minus^2 is
+    not positive, rejects the batch.
     """
     v = np.asarray(matrix, dtype=float)
     if v.shape[-2:] != (2, 2):
@@ -107,26 +120,12 @@ def diagonalize(matrix):
     a, b, c = v[..., 0, 0], v[..., 1, 1], v[..., 0, 1]
     if np.any(np.abs(c - v[..., 1, 0]) > 1e-10):
         raise ValueError("matrix must be symmetric")
-    if not is_positive_definite(v):
+    spectrum = _spectrum(a, b, c)
+    if not np.all(spectrum[1] > 0.0):
         raise ValueError("matrix must be positive definite")
-    # -phi is the maximum axis here; a quarter turn, kept in (-pi/2, pi/2],
-    # makes it the minimum one.  An isotropic matrix keeps phi = 0.
-    phi = 0.5 * np.arctan2(-2.0 * c, a - b)
-    turned = phi - np.pi / 2.0
-    phi = np.where(turned > -np.pi / 2.0, turned, phi + np.pi / 2.0)
-    phi = np.where((a == b) & (c == 0.0), 0.0, phi)
-    # Squares as products: numpy's float64 scalar ``** 2`` is not always
-    # correctly rounded, so one matrix and a batch would differ in the last ulp.
-    sin, cos = np.sin(phi), np.cos(phi)
-    sin2, cos2 = sin * sin, cos * cos
-    sigma_plus2 = a * sin2 + b * cos2 + 2.0 * c * sin * cos
-    sigma_minus2 = a * cos2 + b * sin2 - 2.0 * c * sin * cos
-    # rounding can order a nearly isotropic pair either way
-    pair = (sigma_plus2, sigma_minus2)
-    sigma_plus2, sigma_minus2 = np.maximum(*pair), np.minimum(*pair)
     if v.ndim == 2:
-        return float(sigma_plus2), float(sigma_minus2), float(phi)
-    return sigma_plus2, sigma_minus2, phi
+        return tuple(float(x) for x in spectrum)
+    return spectrum
 
 
 def scan_extrema(matrix, n_angles: int = 10000) -> tuple[float, float, float, float]:
@@ -155,10 +154,10 @@ def summarize(
 
     Requires all three measurement angles in ``moments``, and every variance
     finite; a non-finite one raises ``ValueError`` naming its angle and bin.
-    A bin whose finite variances are not positive or leave the physical cone
-    (a noise artifact of finite statistics) is flagged ``valid=False`` and
-    carries NaN derived fields.  When ``theory`` is given its grid must match
-    the measured one.
+    A bin whose sigma_minus^2 is not positive (a noise artifact of finite
+    statistics) is flagged ``valid=False`` and carries NaN derived fields,
+    sigma_xp too if sigma_x^2 or sigma_p^2 is not positive.  When ``theory``
+    is given its grid must match the measured one.
     """
     for angle in MEASUREMENT_ANGLES:
         if angle not in moments.variance:
@@ -172,14 +171,11 @@ def summarize(
                 "variances must be finite"
             )
     grid = (np.arange(len(moments.time_us)), moments.time_us, moments.kappa)
-    sxp, plus_db, minus_db, phi = (np.full(len(sx2), np.nan) for _ in range(4))
-    valid = (sx2 > 0.0) & (sp2 > 0.0)
-    v = reconstruct_variance_matrix(sx2[valid], sp2[valid], spi4[valid])
-    sxp[valid] = v[:, 0, 1]
-    definite = _positive_definite(v)
-    valid[valid] = definite
-    splus, sminus, phi[valid] = diagonalize(v[definite])
-    plus_db[valid], minus_db[valid] = variance_to_db(splus), variance_to_db(sminus)
+    sxp = np.where((sx2 > 0.0) & (sp2 > 0.0), spi4 - 0.5 * (sx2 + sp2), np.nan)
+    splus, sminus, phi = _spectrum(sx2, sp2, sxp)
+    valid = sminus > 0.0
+    splus, sminus, phi = (np.where(valid, x, np.nan) for x in (splus, sminus, phi))
+    plus_db, minus_db = variance_to_db(splus), variance_to_db(sminus)
     summary = np.rec.fromarrays(
         (*grid, sx2, sp2, spi4, sxp, plus_db, minus_db, phi, valid), names=SUMMARY_COLUMNS
     )

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    diagonalize,
+    _spectrum,
     reconstruct_variance_matrix,
     same_grid,
     summarize,
@@ -121,6 +121,17 @@ def cmd_theory(args) -> int:
     cfg = _load_cfg(args)
     check_records_memory(cfg, 0)
     th = theory_traces(cfg)
+    # checked before --out is created, so a run that fails here leaves nothing
+    v = reconstruct_variance_matrix(*(th.variance[a] for a in MEASUREMENT_ANGLES))
+    minus2 = _spectrum(v[:, 0, 0], v[:, 1, 1], v[:, 0, 1])[1]
+    bad = np.flatnonzero(~(minus2 > 0.0))
+    if bad.size:
+        raise ValueError(
+            f"predicted covariance of bin {bad[0]} (kappa {th.kappa[bad[0]]:.6g}) is not "
+            "positive definite; at this |kappa| the reconstructed cross term is lost to "
+            "rounding"
+        )
+    minus_db = variance_to_db(minus2)
     out = _outdir(args)
     for angle in MEASUREMENT_ANGLES:
         path = out / f"theory_{label_for_angle(angle)}.csv"
@@ -129,8 +140,6 @@ def cmd_theory(args) -> int:
     path = out / "theory_p_simplified.csv"
     write_simplified_csv(path, th)
     print(f"wrote {path}")
-    v = reconstruct_variance_matrix(*(th.variance[a] for a in MEASUREMENT_ANGLES))
-    minus_db = variance_to_db(diagonalize(v)[1])
     print(f"config {config_digest(cfg)}")
     print(
         f"predicted squeezed variance: min {minus_db.min():.3f} dB, "

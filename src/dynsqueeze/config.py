@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -22,6 +23,23 @@ VALID_WAVEFORMS = ("sine", "square", "custom")
 
 class ConfigError(ValueError):
     """Invalid configuration file or field value."""
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# What each field annotation accepts, and how to say so.  A JSON bool is not a
+# number here although Python's bool is an int, and an int is a float.
+_ANNOTATION_CHECKS = {
+    "float": (_is_real, "a number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[float, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v)), "a list of numbers"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -61,13 +79,19 @@ class RunConfig:
     pwl_hi: float = 2.0
 
     def __post_init__(self) -> None:
+        self._validate()
         if self.control_samples is not None:
             object.__setattr__(
                 self, "control_samples", tuple(float(s) for s in self.control_samples)
             )
-        self._validate()
 
     def _validate(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            accepts, what = _ANNOTATION_CHECKS[kind]
+            if not (accepts(value) or (value is None and kind != f.type)):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+
         def positive(name):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
@@ -78,10 +102,8 @@ class RunConfig:
             if not np.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
 
-        def integer(name, minimum):
+        def at_least(name, minimum):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
             if v < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}, got {v}")
 
@@ -113,11 +135,11 @@ class RunConfig:
                                   f"whose samples set the phase; got {self.control_phase_rad}")
         elif self.control_samples is not None:
             raise ConfigError("control_samples only apply to the custom waveform")
-        integer("bins_per_period", 2)
-        integer("n_periods", 2)  # the grid spans at least 2 control periods
-        integer("n_trials", 2)
-        integer("seed", 0)
-        integer("pwl_segments", 1)
+        at_least("bins_per_period", 2)
+        at_least("n_periods", 2)  # the grid spans at least 2 control periods
+        at_least("n_trials", 2)
+        at_least("seed", 0)
+        at_least("pwl_segments", 1)
         if self.pwl_segments > MAX_SEGMENTS:
             raise ConfigError(f"pwl_segments must be <= {MAX_SEGMENTS}, got {self.pwl_segments}")
         if not self.pwl_lo < self.pwl_hi:

@@ -551,7 +551,8 @@ def read_moments_csv(path) -> dict:
     """Read one moments/theory CSV back into arrays.
 
     Returns a dict with the scalar ``angle`` and one array per remaining
-    column.  The header and the constancy of the angle column are enforced.
+    column.  The header, the constancy of the angle column and a bin_index
+    column that runs 0..n-1 are enforced.
     """
     data = read_table(path, MOMENTS_COLUMNS)
     angles = data.pop("angle_rad")
@@ -559,4 +560,8 @@ def read_moments_csv(path) -> dict:
     # costs a fresh analyze process 10-15 ms.
     if np.any(angles != angles[0]):
         raise ValueError(f"{path}: mixed angles {np.unique(angles)} in one file")
+    off = np.flatnonzero(data["bin_index"] != np.arange(len(angles)))
+    if off.size:
+        raise ValueError(f"{path}: bin_index {data['bin_index'][off[0]]:g} on line "
+                         f"{off[0] + 2}, expected {off[0]}: bins must run 0..{len(angles) - 1}")
     return {"angle": float(angles[0]), **data}

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from dynsqueeze import (
     diagonalize,
     estimate_moments,
     gate_output_state,
-    is_positive_definite,
     make_coherent,
     quadrature_variance,
     reconstruct_variance_matrix,
@@ -24,12 +25,19 @@ from dynsqueeze import (
 from dynsqueeze.analysis import (
     RESIDUAL_COLUMNS,
     SUMMARY_COLUMNS,
+    _spectrum,
     read_summary_csv,
     write_residuals_csv,
     write_summary_csv,
 )
+from dynsqueeze.harness import MomentEstimates
 
 X, P, PI4 = MEASUREMENT_ANGLES
+
+
+def _definite(v):
+    """Positive-definiteness from the symmetric eigensolver: the test oracle."""
+    return np.linalg.eigvalsh(v).min(axis=-1) > 0.0
 
 
 def test_reconstruction_recovers_gate_cross_term():
@@ -50,7 +58,7 @@ def test_reconstruction_validation():
         reconstruct_variance_matrix(0.5, np.nan, 0.5)
     # inconsistent inputs produce a non-PD matrix, flagged rather than raised
     v = reconstruct_variance_matrix(0.5, 0.5, 5.0)
-    assert not is_positive_definite(v)
+    assert not _definite(v)
 
 
 def test_diagonalize_anchor_at_full_strength():
@@ -96,6 +104,84 @@ def test_diagonalize_matches_eigensolver(a, b, corr):
     assert splus2 * sminus2 == pytest.approx(np.linalg.det(v), rel=1e-9)
     assert sminus2 <= splus2
     assert -np.pi / 2.0 < phi <= np.pi / 2.0
+
+
+# cross terms where a one-line half-angle arctan2 turns phi to -pi/2
+_EDGE_CROSS_TERMS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310])
+
+
+@st.composite
+def _symmetric_entries(draw):
+    """(a, b, c) of a positive-definite [[a, c], [c, b]], isotropic ones included."""
+    a = draw(st.floats(min_value=0.1, max_value=3.0))
+    b = draw(st.just(a) | st.floats(min_value=0.1, max_value=3.0))
+    corr = st.floats(min_value=-0.95, max_value=0.95)
+    return a, b, draw(_EDGE_CROSS_TERMS | corr.map(lambda r: r * np.sqrt(a * b)))
+
+
+@given(_symmetric_entries())
+@settings(max_examples=300)
+def test_spectrum_matches_eigensolver_and_scan(entries):
+    a, b, c = entries
+    v = np.array([[a, c], [c, b]])
+    splus2, sminus2, phi = (float(x) for x in _spectrum(*np.array([a, b, c])))
+    assert [sminus2, splus2] == pytest.approx(np.linalg.eigvalsh(v), rel=1e-12, abs=0.0)
+    assert -np.pi / 2.0 < phi <= np.pi / 2.0
+    assert sminus2 <= splus2
+    if a == b and c == 0.0:
+        assert phi == 0.0
+    if splus2 - sminus2 > 1e-3 * splus2:
+        # a distinct pair has one minimum axis, at -phi
+        _minval, argmin, _maxval, _argmax = scan_extrema(v, 20000)
+        d = abs((argmin - (-phi)) % np.pi)
+        assert min(d, np.pi - d) < np.pi / 20000 + 1e-12
+
+
+@pytest.mark.parametrize("kappa", [2.0, 1e4, 1e8, 1e12])
+def test_squeezed_variance_keeps_its_digits_at_large_kappa(kappa):
+    # sigma_plus^2 / sigma_minus^2 grows as kappa^2; near 1/eps the difference
+    # (a + b)/2 - hypot((a - b)/2, c) keeps no digit of sigma_minus^2
+    v = gate_output_state(make_coherent(0.0, 0.0), GateParams.exact(kappa)).cov
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b, c = (Decimal(float(x)) for x in (v[0, 0], v[1, 1], v[0, 1]))
+        exact = (a + b) / 2 - (((a - b) / 2) ** 2 + c * c).sqrt()
+    assert diagonalize(v)[1] == pytest.approx(float(exact), rel=1e-12)
+
+
+# correlations at and around the edge of the physical cone
+_NEAR_SINGULAR = st.sampled_from([1.0, -1.0, 1.0 - 1e-9, -1.0 + 1e-9, 1.0 + 1e-9, -1.0 - 1e-9,
+                                  1.0 - 1e-15, -1.0 + 1e-15])
+
+
+@given(st.lists(
+    st.tuples(
+        st.floats(min_value=-0.5, max_value=3.0),
+        st.floats(min_value=-0.5, max_value=3.0),
+        _NEAR_SINGULAR | st.floats(min_value=-1.2, max_value=1.2),
+    ),
+    min_size=1, max_size=40,
+))
+@settings(max_examples=200)
+def test_summarize_flags_exactly_the_non_positive_definite_bins(bins):
+    sx2, sp2, corr = (np.array(col) for col in zip(*bins))
+    spi4 = corr * np.sqrt(np.abs(sx2 * sp2)) + 0.5 * (sx2 + sp2)
+    zeros = {angle: np.zeros(len(bins)) for angle in MEASUREMENT_ANGLES}
+    est = MomentEstimates(
+        0.01 * np.arange(len(bins)), np.zeros(len(bins)), 0, zeros,
+        {X: sx2, P: sp2, PI4: spi4}, zeros, zeros,
+    )
+    summary, _ = summarize(est)
+    c = spi4 - 0.5 * (sx2 + sp2)
+    v = np.stack([np.stack([sx2, c], axis=-1), np.stack([c, sp2], axis=-1)], axis=-2)
+    # away from singular matrices the eigensolver's sign of the minimum is exact
+    clear = np.abs(sx2 * sp2 - c * c) > 1e-12 * np.sum(v * v, axis=(-2, -1))
+    assert np.array_equal(summary.valid[clear], _definite(v)[clear])
+    assert not summary.valid[(sx2 <= 0.0) | (sp2 <= 0.0)].any()
+    assert np.isnan(summary.sigma_xp[(sx2 <= 0.0) | (sp2 <= 0.0)]).all()
+    derived = np.stack([summary.sigma_plus2_db, summary.sigma_minus2_db, summary.phi_rad])
+    assert np.isfinite(derived[:, summary.valid]).all()
+    assert np.isnan(derived[:, ~summary.valid]).all()
 
 
 @given(
@@ -174,7 +260,7 @@ def test_summarize_equals_scalar_calls_on_noisy_input():
         assert (r.sigma_x2, r.sigma_p2, r.sigma_pi4_2) == (sx2, sp2, spi4)
         v = reconstruct_variance_matrix(sx2, sp2, spi4)
         assert r.sigma_xp == v[0, 1]
-        assert r.valid == is_positive_definite(v)
+        assert r.valid == _definite(v)
         if r.valid:
             splus, sminus, phi = diagonalize(v)
             assert (r.sigma_plus2_db, r.sigma_minus2_db, r.phi_rad) == (
@@ -195,8 +281,6 @@ def test_scan_extrema_on_known_matrix():
 
 def _theory_moments(cfg):
     """Package theory traces as if they were measured moments."""
-    from dynsqueeze.harness import MomentEstimates
-
     th = theory_traces(cfg)
     zeros = {a: np.zeros_like(th.time_us) for a in MEASUREMENT_ANGLES}
     return MomentEstimates(

@@ -204,6 +204,20 @@ def test_theory_gap_note_only_for_the_gate_it_describes(overrides, noted, tmp_pa
     assert notes == ([GAP_NOTE] if noted else [])
 
 
+def test_theory_with_a_cross_term_lost_to_rounding_exits_1_and_writes_nothing(
+        tmp_path, capsys):
+    # at |kappa| ~ 1e20, sigma_pi4^2 - (sigma_x^2 + sigma_p^2) / 2 cancels to noise
+    path = tmp_path / "huge_kappa.json"
+    path.write_text(json.dumps({"control_amplitude": 1e20, "bins_per_period": 5}))
+    out = tmp_path / "th"
+    assert main(["theory", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: predicted covariance of bin 1 (kappa 9.51057e+19) is not positive definite")
+    assert not out.exists()
+
+
 def test_analyze_with_theory_residuals(cfg_path, tmp_path, capsys):
     sim, th, an = tmp_path / "sim", tmp_path / "th", tmp_path / "an"
     assert _simulate(cfg_path, sim) == 0
@@ -302,6 +316,22 @@ def test_analyze_names_file_and_line_of_a_non_number(cfg_path, tmp_path, capsys)
     assert rc == 1
     assert "moments_x.csv:3: not a number: 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "an" / "summary.csv").exists()
+
+
+def test_analyze_rejects_a_bin_index_that_is_not_0_to_n(cfg_path, tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert _simulate(cfg_path, sim) == 0
+    bad = sim / "moments_x.csv"
+    lines = bad.read_text().splitlines()
+    for row, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        cells[1] = str(1000 + 7 * row)
+        lines[1 + row] = ",".join(cells)
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(_analyze_argv(sim, tmp_path / "an")) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: bin_index 1000 on line 2, expected 0" in err
+    assert not (tmp_path / "an").exists()
 
 
 def _analyze_argv(sim, out, theory=None):
@@ -508,6 +538,16 @@ def test_calibration_mismatch_exits_2(cfg_path, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "internal check failed" in err and "(1, -1, 1)" in err
     assert not (tmp_path / "sim" / "moments_x.csv").exists()
+
+
+def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys):
+    # the string "false" is truthy, and once ran the look-up-table electronics
+    path = tmp_path / "string_flag.json"
+    path.write_text(json.dumps({"use_pwl_electronics": "false"}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: use_pwl_electronics must be true or false")
+    assert not (tmp_path / "sim").exists()
 
 
 def test_non_integer_grid_exits_1(tmp_path, capsys):

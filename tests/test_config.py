@@ -136,6 +136,35 @@ def test_validation_rejects(overrides):
         config_from_dict(overrides)
 
 
+# values of the wrong JSON type, each refused with the field's name
+WRONG_TYPES = {
+    "pwl-flag-string": ({"use_pwl_electronics": "false"}, "use_pwl_electronics"),
+    "pwl-flag-int": ({"use_pwl_electronics": 1}, "use_pwl_electronics"),
+    "sign-bool": ({"feedforward_sign": True}, "feedforward_sign"),
+    "ancilla-bool": ({"ancilla_db": True}, "ancilla_db"),
+    "efficiency-bool": ({"hd1_efficiency": True}, "hd1_efficiency"),
+    "gain-bool": ({"feedforward_gain_override": True}, "feedforward_gain_override"),
+    "samples-digit-string": (
+        {"control_waveform": "custom", "control_samples": "12"}, "control_samples"),
+    "samples-string": ({"control_waveform": "custom", "control_samples": "abc"}, "control_samples"),
+    "samples-bool-member": (
+        {"control_waveform": "custom", "control_samples": [1.0, True]}, "control_samples"),
+    "waveform-number": ({"control_waveform": 1}, "control_waveform"),
+}
+
+
+@pytest.mark.parametrize("raw, name", list(WRONG_TYPES.values()), ids=list(WRONG_TYPES))
+def test_wrong_json_type_rejected(raw, name):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw)
+    assert str(info.value).startswith(f"config: {name} must be ")
+
+
+def test_int_samples_are_numbers():
+    cfg = config_from_dict({"control_waveform": "custom", "control_samples": [1, -1]})
+    assert cfg.control_samples == (1.0, -1.0)
+
+
 # config fields that another field's value makes unused: each pair is refused
 IGNORED_PAIRS = [
     ({"use_pwl_electronics": True, "feedforward_gain_override": 0.5},
