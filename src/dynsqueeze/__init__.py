@@ -50,14 +50,11 @@ from .states import (
     make_coherent,
     make_squeezed_vacuum,
     make_vacuum,
-    pure_loss,
     quadrature_mean,
     quadrature_variance,
     symplectic_eigenvalues,
     symplectic_form,
-    tensor,
     variance_to_db,
 )
-from .symplectic import SymplecticTransform, apply, beamsplitter
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import numpy as np
 
 from .analysis import (
     _spectrum,
-    reconstruct_variance_matrix,
     same_grid,
     summarize,
     write_residuals_csv,
@@ -28,13 +27,13 @@ from .harness import (
     RECORDS_PEAK_BLOCKS,
     MomentEstimates,
     TheoryTraces,
+    _theory,
     check_records_memory,
     label_for_angle,
     measurement_angle,
     read_moments_csv,
     simulate_moments,
     simulate_records,
-    theory_traces,
     trials_from_moments,
     write_moments_csv,
     write_simplified_csv,
@@ -120,18 +119,11 @@ def cmd_simulate(args) -> int:
 def cmd_theory(args) -> int:
     cfg = _load_cfg(args)
     check_records_memory(cfg, 0)
-    th = theory_traces(cfg)
-    # checked before --out is created, so a run that fails here leaves nothing
-    v = reconstruct_variance_matrix(*(th.variance[a] for a in MEASUREMENT_ANGLES))
-    minus2 = _spectrum(v[:, 0, 0], v[:, 1, 1], v[:, 0, 1])[1]
-    bad = np.flatnonzero(~(minus2 > 0.0))
-    if bad.size:
-        raise ValueError(
-            f"predicted covariance of bin {bad[0]} (kappa {th.kappa[bad[0]]:.6g}) is not "
-            "positive definite; at this |kappa| the reconstructed cross term is lost to "
-            "rounding"
-        )
-    minus_db = variance_to_db(minus2)
+    th, outs = _theory(cfg)
+    # From the closed-form covariance itself: rebuilt from the three projected
+    # variances, its cross term is lost to rounding at large |kappa|.
+    cov = outs.cov
+    minus_db = variance_to_db(_spectrum(cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1])[1])
     out = _outdir(args)
     for angle in MEASUREMENT_ANGLES:
         path = out / f"theory_{label_for_angle(angle)}.csv"

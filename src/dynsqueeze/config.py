@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .electronics import MAX_SEGMENTS
+from .states import MIN_SQUEEZED_VARIANCE, db_to_variance
 
 VALID_WAVEFORMS = ("sine", "square", "custom")
 
@@ -80,10 +81,6 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self._validate()
-        if self.control_samples is not None:
-            object.__setattr__(
-                self, "control_samples", tuple(float(s) for s in self.control_samples)
-            )
 
     def _validate(self) -> None:
         for f in fields(self):
@@ -91,6 +88,13 @@ class RunConfig:
             accepts, what = _ANNOTATION_CHECKS[kind]
             if not (accepts(value) or (value is None and kind != f.type)):
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+            if value is not None and kind in ("float", "tuple[float, ...]"):
+                # an int beyond float range, which JSON allows, stops here
+                try:
+                    value = float(value) if kind == "float" else tuple(map(float, value))
+                except OverflowError:
+                    raise ConfigError(f"{f.name} must lie within float range") from None
+                object.__setattr__(self, f.name, value)
 
         def positive(name):
             v = getattr(self, name)
@@ -110,6 +114,11 @@ class RunConfig:
         for name in ("ancilla_db", "control_phase_rad", "input_phase_rad",
                      "input_x_amplitude", "input_p_amplitude"):
             finite(name)
+        with np.errstate(over="ignore"):
+            ancilla_vx = db_to_variance(self.ancilla_db)
+        if not MIN_SQUEEZED_VARIANCE <= ancilla_vx < np.inf:
+            raise ConfigError(f"ancilla_db must give a finite variance >= "
+                              f"{MIN_SQUEEZED_VARIANCE:g}, got {self.ancilla_db}")
         for name in ("control_frequency_mhz", "input_frequency_mhz", "control_amplitude"):
             positive(name)
         if self.feedforward_sign not in (-1, 1):
@@ -176,9 +185,9 @@ class RunConfig:
         return 1.0 / (self.control_frequency_mhz * self.bins_per_period)
 
 
-# Fields annotated float (or float | None); an int given for one is written
-# as a float and -0.0 as 0.0, so configs that compare equal share one
-# canonical form.
+# Fields annotated float (or float | None).  RunConfig stores an int given
+# for one as a float, and -0.0 is written as 0.0, so configs that compare
+# equal share one canonical form.
 _FLOAT_FIELDS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "float | None"))
 
 
@@ -186,7 +195,7 @@ def to_json_dict(cfg: RunConfig) -> dict:
     d = asdict(cfg)
     for name in _FLOAT_FIELDS:
         if d[name] is not None:
-            d[name] = float(d[name]) + 0.0
+            d[name] = d[name] + 0.0
     if d["control_samples"] is not None:
         d["control_samples"] = [s + 0.0 for s in d["control_samples"]]
     return d

@@ -23,16 +23,15 @@ import numpy as np
 
 from .electronics import TARGETS
 from .states import (
+    MIN_SQUEEZED_VARIANCE,
+    SHOT_NOISE_VARIANCE,
     GaussianState,
     Immutable,
     _scalar_or_array,
     db_to_variance,
     make_coherent,
     make_squeezed_vacuum,
-    pure_loss,
-    tensor,
 )
-from .symplectic import apply, beamsplitter
 
 DEFAULT_ANCILLA_VX = db_to_variance(-3.1)
 
@@ -73,7 +72,8 @@ class GateParams(Immutable):
     Attributes:
         lo_phase: Local-oscillator phase theta of the feed-forward homodyne.
         feedforward_gain: Signed gain f g applied to the measured value.
-        ancilla_vx: x variance of the squeezed-vacuum ancilla (shot noise = 0.5).
+        ancilla_vx: x variance of the squeezed-vacuum ancilla (shot noise = 0.5),
+            at least MIN_SQUEEZED_VARIANCE.
         hd1_efficiency: Detection efficiency of the feed-forward homodyne.
     """
 
@@ -87,8 +87,10 @@ class GateParams(Immutable):
         for name, value in (("lo_phase", lo_phase), ("feedforward_gain", feedforward_gain)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
-        if not np.isfinite(ancilla_vx) or ancilla_vx <= 0.0:
-            raise ValueError(f"ancilla_vx must be positive, got {ancilla_vx}")
+        if not np.isfinite(ancilla_vx) or ancilla_vx < MIN_SQUEEZED_VARIANCE:
+            raise ValueError(
+                f"ancilla_vx must be finite and >= {MIN_SQUEEZED_VARIANCE:g}, got {ancilla_vx}"
+            )
         if not 0.0 < hd1_efficiency <= 1.0:
             raise ValueError(f"hd1_efficiency must lie in (0, 1], got {hd1_efficiency}")
         self._set(lo_phase, feedforward_gain, ancilla_vx, hd1_efficiency)
@@ -154,7 +156,7 @@ def closed_form_output(state: GaussianState, params: GateParams) -> GaussianStat
 
     where (x_s, p_s) is the ancilla and (x_v, p_v) the vacuum that detector
     loss lets in.  Means and second moments are propagated term by term,
-    independently of the symplectic pipeline that :func:`gate_output_state`
+    independently of the physical pipeline that :func:`gate_output_state`
     builds, so it is the reference the pipeline is checked against for every
     phase, signed gain and efficiency.  At theta = arctan(kappa),
     G = sqrt(1 + kappa^2) and eta = 1 (:meth:`GateParams.exact`) it is the
@@ -187,21 +189,49 @@ def closed_form_output(state: GaussianState, params: GateParams) -> GaussianStat
     return GaussianState(1, mean, cov)
 
 
-def _premeasurement_state(
+def _beamsplitter(sign: int) -> np.ndarray:
+    """Balanced beamsplitter on (input, ancilla) as a 4x4 symplectic matrix.
+
+    Per quadrature, identically for x and p, the measured port is
+    (in + s) / sqrt(2) and the kept port sign * (in - s) / sqrt(2).
+    """
+    r, eye = np.sqrt(0.5), np.eye(2)
+    return np.block([[r * eye, r * eye], [sign * r * eye, -sign * r * eye]])
+
+
+def _premeasurement_moments(
     state: GaussianState, params: GateParams, conventions: SignConventions
-) -> GaussianState:
-    """Input plus ancilla after the balanced beamsplitter and detector loss.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means and covariances of input plus ancilla after the beamsplitter and detector loss.
 
     Mode 0 is the measured port (sum port for beamsplitter_sign +1), mode 1 the
-    kept output port.
+    kept output port.  The two-mode moments are not checked for physicality:
+    a symplectic map or a loss channel keeps a state physical, and with a
+    strongly squeezed ancilla rounding alone fails a valid two-mode check.
+    The output state's check covers the whole chain.
     """
     if state.n_modes != 1:
         raise ValueError("gate acts on a single mode")
-    joint = tensor(state, make_squeezed_vacuum(params.ancilla_vx))
-    joint = apply(beamsplitter(0.5, conventions.beamsplitter_sign), joint)
-    if params.hd1_efficiency < 1.0:
-        joint = pure_loss(joint, 0, params.hd1_efficiency)
-    return joint
+    ancilla = make_squeezed_vacuum(params.ancilla_vx)
+    batch = state.batch_shape
+    mean = np.concatenate([state.mean, np.broadcast_to(ancilla.mean, batch + (2,))], axis=-1)
+    cov = np.zeros(batch + (4, 4))
+    cov[..., :2, :2] = state.cov
+    cov[..., 2:, 2:] = ancilla.cov
+    s = _beamsplitter(conventions.beamsplitter_sign)
+    mean = mean @ s.T
+    cov = s @ cov @ s.T
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    eta = params.hd1_efficiency
+    if eta < 1.0:
+        # pure loss on the measured port: its moments scale by sqrt(eta) and
+        # its block relaxes toward vacuum
+        root = np.sqrt(eta)
+        scale = np.array([root, root, 1.0, 1.0])
+        mean = mean * scale
+        cov = cov * np.outer(scale, scale)
+        cov[..., :2, :2] += (1.0 - eta) * SHOT_NOISE_VARIANCE * np.eye(2)
+    return mean, cov
 
 
 def _feedforward_map(params: GateParams, conventions: SignConventions) -> np.ndarray:
@@ -230,10 +260,10 @@ def _feedforward_map(params: GateParams, conventions: SignConventions) -> np.nda
 def _output_state(
     state: GaussianState, params: GateParams, conventions: SignConventions
 ) -> GaussianState:
-    joint = _premeasurement_state(state, params, conventions)
+    mean, cov = _premeasurement_moments(state, params, conventions)
     c = _feedforward_map(params, conventions)
-    mean = (c @ joint.mean[..., None])[..., 0]
-    cov = c @ joint.cov @ c.swapaxes(-1, -2)
+    mean = (c @ mean[..., None])[..., 0]
+    cov = c @ cov @ c.swapaxes(-1, -2)
     return GaussianState(1, mean, 0.5 * (cov + cov.swapaxes(-1, -2)))
 
 

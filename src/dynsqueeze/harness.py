@@ -456,6 +456,11 @@ def theory_traces(cfg: RunConfig) -> TheoryTraces:
     Both routes run at the same configured operating point: look-up tables,
     gain override, feed-forward sign and detection efficiency included.
     """
+    return _theory(cfg)[0]
+
+
+def _theory(cfg: RunConfig) -> tuple[TheoryTraces, GaussianState]:
+    """:func:`theory_traces` of ``cfg`` and the closed-form output states it projects."""
     traces = generate_traces(cfg)
     vx = db_to_variance(cfg.ancilla_db)
     outs = closed_form_output(
@@ -464,7 +469,7 @@ def theory_traces(cfg: RunConfig) -> TheoryTraces:
     mean = {angle: quadrature_mean(outs, angle) for angle in MEASUREMENT_ANGLES}
     variance = {angle: quadrature_variance(outs, angle) for angle in MEASUREMENT_ANGLES}
     simplified = 1.0 + 0.5 * traces.kappa**2 * (0.5 + vx)
-    return TheoryTraces(traces.time_us, traces.kappa, mean, variance, simplified)
+    return TheoryTraces(traces.time_us, traces.kappa, mean, variance, simplified), outs
 
 
 def write_table(path, columns, arrays) -> None:

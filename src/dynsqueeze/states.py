@@ -1,4 +1,4 @@
-"""Gaussian states of traveling optical modes, and the pure-loss channel.
+"""Gaussian states of traveling optical modes.
 
 Conventions used throughout the package:
 
@@ -191,43 +191,6 @@ def make_squeezed_vacuum(vx: float) -> GaussianState:
     if not np.isfinite(vx) or vx < MIN_SQUEEZED_VARIANCE:
         raise ValueError(f"squeezed variance must be finite and >= 1e-12, got {vx}")
     return GaussianState(1, np.zeros(2), np.diag([vx, 1.0 / (4.0 * vx)]))
-
-
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state of two registers; ``a`` keeps the lower mode indices.
-
-    Batch axes broadcast, so a single ancilla pairs with every member of a batch.
-    """
-    n = a.n_modes + b.n_modes
-    batch = np.broadcast_shapes(a.batch_shape, b.batch_shape)
-    mean = np.concatenate(
-        [np.broadcast_to(s.mean, batch + s.mean.shape[-1:]) for s in (a, b)], axis=-1
-    )
-    cov = np.zeros(batch + (2 * n, 2 * n))
-    cov[..., : 2 * a.n_modes, : 2 * a.n_modes] = a.cov
-    cov[..., 2 * a.n_modes :, 2 * a.n_modes :] = b.cov
-    return GaussianState(n, mean, cov)
-
-
-def pure_loss(state: GaussianState, mode: int, efficiency: float) -> GaussianState:
-    """Mix one mode with vacuum on a beamsplitter of the given transmittance.
-
-    Means scale by sqrt(efficiency); the mode's covariance block relaxes toward
-    the vacuum value, C -> eta C + (1 - eta)/2 on that block.  A batched state
-    is attenuated member by member.
-    """
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
-    root = np.sqrt(efficiency)
-    scale = np.ones(2 * state.n_modes)
-    scale[2 * mode : 2 * mode + 2] = root
-    mean = state.mean * scale
-    cov = state.cov * np.outer(scale, scale)
-    sl = slice(2 * mode, 2 * mode + 2)
-    cov[..., sl, sl] += (1.0 - efficiency) * SHOT_NOISE_VARIANCE * np.eye(2)
-    return GaussianState(state.n_modes, mean, cov)
 
 
 def quadrature_mean(state: GaussianState, angle: float):

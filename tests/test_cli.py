@@ -204,18 +204,31 @@ def test_theory_gap_note_only_for_the_gate_it_describes(overrides, noted, tmp_pa
     assert notes == ([GAP_NOTE] if noted else [])
 
 
-def test_theory_with_a_cross_term_lost_to_rounding_exits_1_and_writes_nothing(
-        tmp_path, capsys):
-    # at |kappa| ~ 1e20, sigma_pi4^2 - (sigma_x^2 + sigma_p^2) / 2 cancels to noise
+@pytest.mark.parametrize("amplitude", [1e13, 1e15, 1e20, 1e150])
+def test_theory_range_at_huge_kappa_is_that_of_the_closed_form(tmp_path, capsys, amplitude):
+    # sigma_pi4^2 - (sigma_x^2 + sigma_p^2) / 2 would lose the cross term to
+    # rounding here; the closed-form covariance keeps every digit
     path = tmp_path / "huge_kappa.json"
-    path.write_text(json.dumps({"control_amplitude": 1e20, "bins_per_period": 5}))
-    out = tmp_path / "th"
-    assert main(["theory", "--config", str(path), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
-        "error: predicted covariance of bin 1 (kappa 9.51057e+19) is not positive definite")
-    assert not out.exists()
+    path.write_text(json.dumps({"control_amplitude": amplitude, "bins_per_period": 5}))
+    assert main(["theory", "--config", str(path), "--out", str(tmp_path / "th")]) == 0
+    assert ("predicted squeezed variance: min -1.821 dB, max -1.279 dB over 10 bins"
+            in capsys.readouterr().out)
+
+
+def test_simulate_at_extreme_ancilla_squeezing(tmp_path, capsys):
+    # -100 dB passes; -120 dB is below the ancilla's 1e-12 variance floor,
+    # which theory and simulate share, and is refused before --out exists
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps({"ancilla_db": -100, "bins_per_period": 5, "n_trials": 200}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+    path.write_text(json.dumps({"ancilla_db": -120, "bins_per_period": 5, "n_trials": 200}))
+    capsys.readouterr()
+    for command in (["simulate", "--save-records"], ["theory"]):
+        out = tmp_path / "refused"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: ancilla_db must give a finite variance >= 1e-12")
+        assert not out.exists()
 
 
 def test_analyze_with_theory_residuals(cfg_path, tmp_path, capsys):
@@ -548,6 +561,18 @@ def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: use_pwl_electronics must be true or false")
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("raw, name", [
+    ({"ancilla_db": 10**400}, "ancilla_db"),
+    ({"control_waveform": "custom", "control_samples": [0, 10**400]}, "control_samples"),
+], ids=["float-field", "samples-member"])
+def test_integer_beyond_float_range_exits_1(tmp_path, capsys, raw, name):
+    path = tmp_path / "huge_int.json"
+    path.write_text(json.dumps(raw))
+    assert main(["theory", "--config", str(path), "--out", str(tmp_path / "th")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {name} must lie within float range\n"
+    assert not (tmp_path / "th").exists()
 
 
 def test_non_integer_grid_exits_1(tmp_path, capsys):

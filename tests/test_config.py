@@ -15,7 +15,7 @@ _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 # the narrowest table range and the custom samples inside the smallest
 # amplitude, so any single field can change without breaking another's check.
 FIELD_VALUES = {
-    "ancilla_db": _FINITE,
+    "ancilla_db": st.floats(min_value=-116.0, max_value=3000.0),  # variance in [1e-12, inf)
     "feedforward_sign": st.sampled_from([-1, 1]),
     "feedforward_gain_override": st.none() | st.floats(min_value=0.0, allow_infinity=False),
     "hd1_efficiency": st.floats(min_value=1e-3, max_value=1.0),
@@ -160,9 +160,35 @@ def test_wrong_json_type_rejected(raw, name):
     assert str(info.value).startswith(f"config: {name} must be ")
 
 
+# JSON integers beyond float range, each refused with the field's name
+BEYOND_FLOAT = {
+    "float-field": ({"ancilla_db": 10**400}, "ancilla_db"),
+    "samples-member": (
+        {"control_waveform": "custom", "control_samples": [0, 10**400]}, "control_samples"),
+}
+
+
+@pytest.mark.parametrize("raw, name", list(BEYOND_FLOAT.values()), ids=list(BEYOND_FLOAT))
+def test_integer_beyond_float_range_rejected(raw, name):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw)
+    assert str(info.value) == f"config: {name} must lie within float range"
+
+
+def test_ancilla_variance_outside_the_squeezed_vacuum_range_rejected():
+    # -116.9897 dB is a variance of 1e-12, MIN_SQUEEZED_VARIANCE
+    assert config_from_dict({"ancilla_db": -116.98}).ancilla_db == -116.98
+    # a variance that overflows to inf, past 3083 dB, is refused by the same rule
+    for db in (-117.0, -120.0, 4000.0):
+        with pytest.raises(ConfigError, match="ancilla_db must give a finite variance >= 1e-12"):
+            config_from_dict({"ancilla_db": db})
+
+
 def test_int_samples_are_numbers():
     cfg = config_from_dict({"control_waveform": "custom", "control_samples": [1, -1]})
     assert cfg.control_samples == (1.0, -1.0)
+    assert all(type(v) is float for v in cfg.control_samples)
+    assert type(config_from_dict({"ancilla_db": -3}).ancilla_db) is float
 
 
 # config fields that another field's value makes unused: each pair is refused

@@ -13,8 +13,9 @@ from dynsqueeze import (
     make_coherent,
     make_vacuum,
     symplectic_eigenvalues,
+    symplectic_form,
 )
-from dynsqueeze.gate import CONVENTIONS, SignConventions, _output_state
+from dynsqueeze.gate import CONVENTIONS, SignConventions, _beamsplitter, _output_state
 
 KAPPA_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -41,6 +42,10 @@ def test_param_overrides_and_validation():
         GateParams(np.array([0.0, 0.3]), np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         GateParams.exact(1.0, ancilla_vx=0.0)
+    # the squeezed-vacuum ancilla's floor, MIN_SQUEEZED_VARIANCE
+    with pytest.raises(ValueError, match="ancilla_vx must be finite and >= 1e-12"):
+        GateParams.exact(1.0, ancilla_vx=5e-13)
+    assert GateParams.exact(1.0, ancilla_vx=1e-12).ancilla_vx == 1e-12
     with pytest.raises(ValueError):
         GateParams.exact(1.0, hd1_efficiency=0.0)
 
@@ -93,6 +98,18 @@ def test_disabled_feedforward_inflates_p_variance():
         assert off.cov[1, 1] == pytest.approx(2.75, abs=1e-12)
         on = closed_form_output(make_vacuum(), GateParams.exact(kappa, ancilla_vx=0.05))
         assert off.cov[1, 1] > on.cov[1, 1]
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_pipeline_beamsplitter_is_symplectic(sign):
+    s = _beamsplitter(sign)
+    omega = symplectic_form(2)
+    assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-12
+    # sum and difference ports, the second flipped by the sign
+    r = 1.0 / np.sqrt(2.0)
+    assert s @ [1.0, 0.5, 3.0, -0.5] == pytest.approx(
+        [r * 4.0, r * 0.0, sign * r * (1.0 - 3.0), sign * r * (0.5 + 0.5)], abs=1e-12
+    )
 
 
 def test_calibrate_signs_is_unique_and_canonical():

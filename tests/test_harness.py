@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,22 @@ def test_theory_traces_match_pipeline_at_configured_operating_point(name):
         np.testing.assert_allclose(
             th.variance[angle], quadrature_variance(states, angle), rtol=1e-9, atol=0.0
         )
+
+
+def test_output_states_match_theory_at_extreme_ancilla_squeezing():
+    # The ancilla's p variance runs from 5e7 to 2e11 here, where the symplectic
+    # spectrum of a two-mode covariance is lost to rounding.  Only the one-mode
+    # output is checked, and it must still agree with the closed form.
+    for db in range(-80, -117, -2):
+        cfg = replace(SMALL, ancilla_db=float(db))
+        states, th = run_output_states(cfg), theory_traces(cfg)
+        for angle in MEASUREMENT_ANGLES:
+            np.testing.assert_allclose(
+                quadrature_mean(states, angle), th.mean[angle], rtol=1e-12, atol=1e-15
+            )
+            np.testing.assert_allclose(
+                quadrature_variance(states, angle), th.variance[angle], rtol=1e-12, atol=0.0
+            )
 
 
 def test_run_experiment_shapes_and_determinism():

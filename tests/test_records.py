@@ -15,7 +15,6 @@ from dynsqueeze import (
     MomentEstimates,
     PiecewiseLinearFunction,
     ShearDecomposition,
-    SymplecticTransform,
     TheoryTraces,
 )
 
@@ -25,11 +24,6 @@ VALIDATED = {
         lambda: GaussianState(1, [1.0, 0.0], 0.5 * np.eye(2)),
         lambda: GaussianState(1, [0.0, 0.0], 0.1 * np.eye(2)),
         "unphysical covariance",
-    ),
-    "SymplecticTransform": (
-        lambda: SymplecticTransform(1, [[0.0, -1.0], [1.0, 0.0]]),
-        lambda: SymplecticTransform(1, 2.0 * np.eye(2)),
-        "not symplectic",
     ),
     "GateParams": (
         lambda: GateParams(np.array([0.0, 0.785]), 0.5),
