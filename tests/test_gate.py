@@ -105,11 +105,15 @@ def test_pipeline_beamsplitter_is_symplectic(sign):
     s = _beamsplitter(sign)
     omega = symplectic_form(2)
     assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-12
+
+
+def test_pipeline_beamsplitter_sum_difference_ports():
     # sum and difference ports, the second flipped by the sign
     r = 1.0 / np.sqrt(2.0)
-    assert s @ [1.0, 0.5, 3.0, -0.5] == pytest.approx(
-        [r * 4.0, r * 0.0, sign * r * (1.0 - 3.0), sign * r * (0.5 + 0.5)], abs=1e-12
-    )
+    for sign in (1, -1):
+        assert _beamsplitter(sign) @ [1.0, 0.5, 3.0, -0.5] == pytest.approx(
+            [r * 4.0, r * 0.0, sign * r * (1.0 - 3.0), sign * r * (0.5 + 0.5)], abs=1e-12
+        )
 
 
 def test_calibrate_signs_is_unique_and_canonical():
