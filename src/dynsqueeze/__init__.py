@@ -49,11 +49,9 @@ from .states import (
     db_to_variance,
     make_coherent,
     make_squeezed_vacuum,
-    make_vacuum,
     quadrature_mean,
     quadrature_variance,
     symplectic_eigenvalues,
-    symplectic_form,
     variance_to_db,
 )
 

@@ -142,6 +142,18 @@ def scan_extrema(matrix, n_angles: int = 10000) -> tuple[float, float, float, fl
     return float(values[lo]), float(angles[lo]), float(values[hi]), float(angles[hi])
 
 
+def _require_finite(source: str, moment: str, by_angle: dict) -> None:
+    """Raise ValueError naming the first angle and bin whose ``moment`` is not finite."""
+    for angle in MEASUREMENT_ANGLES:
+        v = np.asarray(by_angle[angle], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(
+                f"{source}{label_for_angle(angle)} {moment} of bin {bad[0]} is {v[bad[0]]}; "
+                f"{moment}s must be finite"
+            )
+
+
 def summarize(
     moments: MomentEstimates, theory: TheoryTraces | None = None
 ) -> tuple[np.recarray, np.recarray | None]:
@@ -152,8 +164,9 @@ def summarize(
     squeezing levels are in dB as in the CSV.  ``residuals`` (measured minus
     theory) is None without ``theory``.
 
-    Requires all three measurement angles in ``moments``, and every variance
-    finite; a non-finite one raises ``ValueError`` naming its angle and bin.
+    Requires all three measurement angles in ``moments``, and every mean and
+    variance finite, in ``theory`` too; a non-finite one raises
+    ``ValueError`` naming its angle and bin.
     A bin whose sigma_minus^2 is not positive (a noise artifact of finite
     statistics) is flagged ``valid=False`` and carries NaN derived fields,
     sigma_xp too if sigma_x^2 or sigma_p^2 is not positive.  When ``theory``
@@ -162,14 +175,12 @@ def summarize(
     for angle in MEASUREMENT_ANGLES:
         if angle not in moments.variance:
             raise ValueError(f"moments are missing angle {angle}")
+    _require_finite("", "variance", moments.variance)
+    _require_finite("", "mean", moments.mean)
+    if theory is not None:
+        _require_finite("theory ", "variance", theory.variance)
+        _require_finite("theory ", "mean", theory.mean)
     sx2, sp2, spi4 = (np.asarray(moments.variance[a], dtype=float) for a in MEASUREMENT_ANGLES)
-    for angle, v in zip(MEASUREMENT_ANGLES, (sx2, sp2, spi4)):
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise ValueError(
-                f"{label_for_angle(angle)} variance of bin {bad[0]} is {v[bad[0]]}; "
-                "variances must be finite"
-            )
     grid = (np.arange(len(moments.time_us)), moments.time_us, moments.kappa)
     sxp = np.where((sx2 > 0.0) & (sp2 > 0.0), spi4 - 0.5 * (sx2 + sp2), np.nan)
     splus, sminus, phi = _spectrum(sx2, sp2, sxp)

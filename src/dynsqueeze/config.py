@@ -10,24 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .electronics import MAX_SEGMENTS
-from .states import MIN_SQUEEZED_VARIANCE, db_to_variance
+from .electronics import MAX_SEGMENTS, TARGETS
+from .states import MIN_SQUEEZED_VARIANCE, _is_real, db_to_variance
 
 VALID_WAVEFORMS = ("sine", "square", "custom")
 
 
 class ConfigError(ValueError):
     """Invalid configuration file or field value."""
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 # What each field annotation accepts, and how to say so.  A JSON bool is not a
@@ -175,6 +170,41 @@ class RunConfig:
         if override == 0.0 and self.feedforward_sign == -1:
             raise ConfigError("feedforward_sign -1 does not apply with "
                               "feedforward_gain_override 0, which has no sign")
+        self._validate_run_arithmetic()
+
+    def _validate_run_arithmetic(self) -> None:
+        """Refuse values whose run would overflow, computing what the run computes, as it does."""
+        width = self.bin_width_us
+        if not 0.0 < width < np.inf:
+            raise ConfigError(
+                f"control_frequency_mhz {self.control_frequency_mhz} at bins_per_period "
+                f"{self.bins_per_period} gives a bin width of {width} us, which must be "
+                "positive and finite"
+            )
+        # generate_traces' phase 2 pi f t + phase grows with t, so the last bin
+        # bounds it; an infinite 2 pi f shows there too
+        t_last = (self.n_bins - 1) * width
+        phases = {"input_frequency_mhz": self.input_phase_rad}
+        if self.control_waveform != "custom":
+            phases["control_frequency_mhz"] = self.control_phase_rad
+        for name, phase in phases.items():
+            frequency = getattr(self, name)
+            if not np.isfinite(2.0 * np.pi * frequency * t_last + phase):
+                raise ConfigError(
+                    f"{name} {frequency} overflows the phase 2 pi f t + phase "
+                    f"over the {t_last:g} us grid"
+                )
+        # the gain sqrt(1 + kappa^2) at the largest |kappa| it is taken at:
+        # the control amplitude, and the ends of the look-up tables' range
+        ends = {"control_amplitude": self.control_amplitude}
+        if self.use_pwl_electronics:
+            ends.update(pwl_lo=self.pwl_lo, pwl_hi=self.pwl_hi)
+        for name, kappa in ends.items():
+            with np.errstate(over="ignore"):
+                gain = TARGETS["sqrt1px2"][0](np.float64(kappa))
+            if not np.isfinite(gain):
+                raise ConfigError(f"{name} {kappa} overflows the feed-forward gain "
+                                  "sqrt(1 + kappa^2)")
 
     @property
     def n_bins(self) -> int:

@@ -27,6 +27,7 @@ from .states import (
     SHOT_NOISE_VARIANCE,
     GaussianState,
     Immutable,
+    _is_real,
     _scalar_or_array,
     db_to_variance,
     make_coherent,
@@ -73,8 +74,9 @@ class GateParams(Immutable):
         lo_phase: Local-oscillator phase theta of the feed-forward homodyne.
         feedforward_gain: Signed gain f g applied to the measured value.
         ancilla_vx: x variance of the squeezed-vacuum ancilla (shot noise = 0.5),
-            at least MIN_SQUEEZED_VARIANCE.
-        hd1_efficiency: Detection efficiency of the feed-forward homodyne.
+            a real number of at least MIN_SQUEEZED_VARIANCE.
+        hd1_efficiency: Detection efficiency of the feed-forward homodyne, a
+            real number in (0, 1].
     """
 
     __slots__ = ("lo_phase", "feedforward_gain", "ancilla_vx", "hd1_efficiency")
@@ -87,6 +89,9 @@ class GateParams(Immutable):
         for name, value in (("lo_phase", lo_phase), ("feedforward_gain", feedforward_gain)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
+        for name, value in (("ancilla_vx", ancilla_vx), ("hd1_efficiency", hd1_efficiency)):
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not np.isfinite(ancilla_vx) or ancilla_vx < MIN_SQUEEZED_VARIANCE:
             raise ValueError(
                 f"ancilla_vx must be finite and >= {MIN_SQUEEZED_VARIANCE:g}, got {ancilla_vx}"
@@ -163,8 +168,6 @@ def closed_form_output(state: GaussianState, params: GateParams) -> GaussianStat
     ideal gate of the module docstring.  The batch axes of ``state`` and
     ``params`` broadcast together.
     """
-    if state.n_modes != 1:
-        raise ValueError("gate acts on a single mode")
     theta, fg = params.lo_phase, params.feedforward_gain
     eta = params.hd1_efficiency
     a = fg * np.sqrt(eta) * np.sin(theta)
@@ -186,7 +189,7 @@ def closed_form_output(state: GaussianState, params: GateParams) -> GaussianStat
     cov = np.stack(
         [np.stack([out_vx, out_c], axis=-1), np.stack([out_c, out_vp], axis=-1)], axis=-2
     )
-    return GaussianState(1, mean, cov)
+    return GaussianState(mean, cov)
 
 
 def _beamsplitter(sign: int) -> np.ndarray:
@@ -210,8 +213,6 @@ def _premeasurement_moments(
     strongly squeezed ancilla rounding alone fails a valid two-mode check.
     The output state's check covers the whole chain.
     """
-    if state.n_modes != 1:
-        raise ValueError("gate acts on a single mode")
     ancilla = make_squeezed_vacuum(params.ancilla_vx)
     batch = state.batch_shape
     mean = np.concatenate([state.mean, np.broadcast_to(ancilla.mean, batch + (2,))], axis=-1)
@@ -264,7 +265,7 @@ def _output_state(
     c = _feedforward_map(params, conventions)
     mean = (c @ mean[..., None])[..., 0]
     cov = c @ cov @ c.swapaxes(-1, -2)
-    return GaussianState(1, mean, 0.5 * (cov + cov.swapaxes(-1, -2)))
+    return GaussianState(mean, 0.5 * (cov + cov.swapaxes(-1, -2)))
 
 
 def gate_output_state(state: GaussianState, params: GateParams) -> GaussianState:

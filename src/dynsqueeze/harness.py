@@ -199,10 +199,9 @@ def _write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None
     what ``np.savez`` writes.  ``blocks`` yields (angle, block) pairs; each
     block is dropped once written, before the next is taken.
     """
-    if not hasattr(path, "write"):
-        path = os.fspath(path)
-        if not path.endswith(".npz"):
-            path += ".npz"
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
     angles = []
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
 

@@ -1,14 +1,16 @@
-"""Gaussian states of traveling optical modes.
+"""Gaussian states of a traveling optical mode.
 
 Conventions used throughout the package:
 
 * hbar = 1, so each vacuum quadrature has variance 1/2.
-* Quadrature ordering is interleaved: (x1, p1, x2, p2, ...).
+* Quadratures are ordered (x, p).
 * Noise powers in dB are quoted relative to shot noise,
   dB = 10 * log10(v / 0.5), so vacuum sits at 0 dB and squeezing is negative.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -22,13 +24,13 @@ SYMMETRY_TOL = 1e-10
 MIN_SQUEEZED_VARIANCE = 1e-12
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Symplectic form for the interleaved ordering: block-diagonal [[0, 1], [-1, 0]]."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    return omega
+# Symplectic form of one mode in the (x, p) ordering.
+_OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _is_real(v) -> bool:
+    """Whether ``v`` is a real number: a bool is not one here, although it is an int."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _scalar_or_array(values) -> float | np.ndarray:
@@ -52,19 +54,16 @@ def db_to_variance(db: float) -> float:
 
 
 def symplectic_eigenvalues(cov) -> np.ndarray:
-    """Symplectic eigenvalues of a covariance matrix or a stack of them, sorted ascending.
+    """Symplectic eigenvalue nu of a covariance matrix, or of each in a stack.
 
-    Computed as the moduli of the eigenvalues of Omega*cov, which come in
-    +/- i*nu pairs; one representative per pair is returned, so a stack of
-    shape (..., 2n, 2n) gives shape (..., n).  Physical states have every
-    symplectic eigenvalue >= 1/2.
+    The eigenvalues of Omega*cov are the pair +/- i*nu, and nu is the mean of
+    their moduli.  A stack of shape (..., 2, 2) gives shape (...), one matrix
+    a 0-d value.  A physical state has nu >= 1/2.
     """
     if isinstance(cov, GaussianState):
         cov = cov.cov
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[-1] // 2
-    vals = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ cov)), axis=-1)
-    return 0.5 * (vals[..., ::2] + vals[..., 1::2])
+    return np.abs(np.linalg.eigvals(_OMEGA @ cov)).mean(axis=-1)
 
 
 class Immutable:
@@ -103,34 +102,30 @@ class Immutable:
 
 
 class GaussianState(Immutable):
-    """Gaussian state, or a batch of them, given by quadrature means and covariances.
+    """One-mode Gaussian state, or a batch of them, given by quadrature means and covariances.
 
     Leading axes of ``mean`` and ``cov`` are a batch axis: one state per time
     bin, say.  A state without leading axes is a batch of one.  Both arrays
     are copied and made read-only at construction.  Construction validates
     the whole batch at once: shapes, symmetry of every covariance (to 1e-10),
-    finiteness, and physicality (every symplectic eigenvalue >= 1/2 - 1e-9).
+    finiteness, and physicality (symplectic eigenvalue >= 1/2 - 1e-9).
     Indexing or iterating over a batched state yields its members.
 
     Attributes:
-        n_modes: Number of optical modes.
-        mean: Quadrature means, shape (..., 2 * n_modes), interleaved ordering.
-        cov: Quadrature covariance matrices, shape (..., 2*n_modes, 2*n_modes).
+        mean: Quadrature means (x, p), shape (..., 2).
+        cov: Quadrature covariance matrices, shape (..., 2, 2).
     """
 
-    __slots__ = ("n_modes", "mean", "cov")
+    __slots__ = ("mean", "cov")
 
-    def __init__(self, n_modes: int, mean, cov) -> None:
-        n = n_modes
-        if n < 1:
-            raise ValueError("state needs at least one mode")
+    def __init__(self, mean, cov) -> None:
         mean = np.array(mean, dtype=float)
         cov = np.array(cov, dtype=float)
-        if mean.ndim < 1 or mean.shape[-1] != 2 * n:
-            raise ValueError(f"mean must have shape (..., {2 * n}), got {mean.shape}")
-        if cov.shape != mean.shape + (2 * n,):
+        if mean.ndim < 1 or mean.shape[-1] != 2:
+            raise ValueError(f"mean must have shape (..., 2), got {mean.shape}")
+        if cov.shape != mean.shape + (2,):
             raise ValueError(
-                f"cov must have shape {mean.shape + (2 * n,)} to match the mean, got {cov.shape}"
+                f"cov must have shape {mean.shape + (2,)} to match the mean, got {cov.shape}"
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("moments must be finite")
@@ -145,7 +140,7 @@ class GaussianState(Immutable):
             )
         mean.setflags(write=False)
         cov.setflags(write=False)
-        self._set(n_modes, mean, cov)
+        self._set(mean, cov)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -155,20 +150,13 @@ class GaussianState(Immutable):
     def __getitem__(self, index) -> "GaussianState":
         if not self.batch_shape:
             raise TypeError("a single state cannot be indexed")
-        return GaussianState(self.n_modes, self.mean[index], self.cov[index])
+        return GaussianState(self.mean[index], self.cov[index])
 
     def __iter__(self):
         if not self.batch_shape:
             raise TypeError("a single state cannot be iterated over")
         for i in range(self.batch_shape[0]):
             yield self[i]
-
-
-def make_vacuum(n_modes: int = 1) -> GaussianState:
-    """Vacuum in every mode: zero means, covariance (1/2) * identity."""
-    return GaussianState(
-        n_modes, np.zeros(2 * n_modes), SHOT_NOISE_VARIANCE * np.eye(2 * n_modes)
-    )
 
 
 def make_coherent(x, p) -> GaussianState:
@@ -178,7 +166,7 @@ def make_coherent(x, p) -> GaussianState:
     """
     mean = np.stack(np.broadcast_arrays(x, p), axis=-1)
     cov = np.broadcast_to(SHOT_NOISE_VARIANCE * np.eye(2), mean.shape + (2,))
-    return GaussianState(1, mean, cov)
+    return GaussianState(mean, cov)
 
 
 def make_squeezed_vacuum(vx: float) -> GaussianState:
@@ -190,27 +178,23 @@ def make_squeezed_vacuum(vx: float) -> GaussianState:
     vx = float(vx)
     if not np.isfinite(vx) or vx < MIN_SQUEEZED_VARIANCE:
         raise ValueError(f"squeezed variance must be finite and >= 1e-12, got {vx}")
-    return GaussianState(1, np.zeros(2), np.diag([vx, 1.0 / (4.0 * vx)]))
+    return GaussianState(np.zeros(2), np.diag([vx, 1.0 / (4.0 * vx)]))
 
 
 def quadrature_mean(state: GaussianState, angle: float):
-    """Mean of the rotated quadrature x*cos(angle) + p*sin(angle) of a one-mode state.
+    """Mean of the rotated quadrature x*cos(angle) + p*sin(angle).
 
     A float for a single state, an array over the batch axes otherwise.
     """
-    if state.n_modes != 1:
-        raise ValueError(f"need a one-mode state, got {state.n_modes} modes")
     return _scalar_or_array(state.mean @ np.array([np.cos(angle), np.sin(angle)]))
 
 
 def quadrature_variance(state: GaussianState, angle: float):
-    """Variance of the rotated quadrature x*cos(angle) + p*sin(angle) of a one-mode state.
+    """Variance of the rotated quadrature x*cos(angle) + p*sin(angle).
 
     angle = 0 gives the x variance, pi/2 the p variance, and pi/4 the variance
     of (x + p) / sqrt(2).  A float for a single state, an array over the batch
-    axes otherwise.  A state of more than one mode raises ``ValueError``.
+    axes otherwise.
     """
-    if state.n_modes != 1:
-        raise ValueError(f"need a one-mode state, got {state.n_modes} modes")
     u = np.array([np.cos(angle), np.sin(angle)])
     return _scalar_or_array(u @ state.cov @ u)

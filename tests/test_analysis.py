@@ -336,6 +336,31 @@ def test_summarize_requires_all_angles():
         summarize(est2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "side, moment, angle, message",
+    [
+        ("moments", "mean", X, "x mean of bin 3 is {}; means must be finite"),
+        ("moments", "mean", PI4, "pi4 mean of bin 3 is {}; means must be finite"),
+        ("theory", "mean", P, "theory p mean of bin 3 is {}; means must be finite"),
+        ("theory", "variance", X, "theory x variance of bin 3 is {}; variances must be finite"),
+    ],
+    ids=["mean-x", "mean-pi4", "theory-mean-p", "theory-variance-x"],
+)
+def test_summarize_rejects_non_finite_means_and_theory(side, moment, angle, message, value):
+    est, th = _theory_moments(RunConfig(bins_per_period=4))
+    source = est if side == "moments" else th
+    edited = dict(getattr(source, moment))
+    edited[angle] = edited[angle].copy()
+    edited[angle][3] = value
+    if side == "moments":
+        est = est._replace(**{moment: edited})
+    else:
+        th = th._replace(**{moment: edited})
+    with pytest.raises(ValueError, match=message.format(value)):
+        summarize(est, th)
+
+
 def test_summarize_monte_carlo_recovers_cross_term():
     cfg = RunConfig(
         control_waveform="custom", control_samples=[2.0], bins_per_period=2,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -354,11 +355,11 @@ def _analyze_argv(sim, out, theory=None):
     return argv
 
 
-def _set_variance(path, bin_index, text):
-    """Overwrite the variance cell of one bin in a moments CSV."""
+def _set_variance(path, bin_index, text, column=5):
+    """Overwrite the variance cell, or another ``column``, of one bin in a moments CSV."""
     lines = path.read_text().splitlines()
     cells = lines[1 + bin_index].split(",")
-    cells[5] = text
+    cells[column] = text
     lines[1 + bin_index] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
 
@@ -373,6 +374,28 @@ def test_analyze_non_finite_variance_exits_1(cfg_path, tmp_path, capsys, label, 
     err = capsys.readouterr().err
     assert f"error: {label} variance of bin 4 is {value}; variances must be finite" in err
     assert not (an / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "edited, column, value, message",
+    [
+        ("moments_x.csv", 4, "inf", "x mean of bin 0 is inf; means must be finite"),
+        ("theory_x.csv", 5, "nan", "theory x variance of bin 0 is nan; variances must be finite"),
+        ("theory_p.csv", 4, "-inf", "theory p mean of bin 0 is -inf; means must be finite"),
+    ],
+    ids=["measured-mean", "theory-variance", "theory-mean"],
+)
+def test_analyze_non_finite_mean_or_theory_exits_1(
+    cfg_path, tmp_path, capsys, edited, column, value, message
+):
+    # before, each wrote inf or nan to residuals.csv and exited 0
+    sim, an = tmp_path / "sim", tmp_path / "an"
+    assert _simulate(cfg_path, sim) == 0
+    assert main(["theory", "--config", str(cfg_path), "--out", str(sim)]) == 0
+    _set_variance(sim / edited, 0, value, column)
+    assert main(_analyze_argv(sim, an, theory=sim)) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not an.exists()
 
 
 @pytest.mark.parametrize("extra", [(), ("--save-records",)], ids=["streamed", "records"])
@@ -632,3 +655,24 @@ def test_circuits_bad_range_exits_1(tmp_path, capsys):
     rc = main(["circuits", "--out", str(tmp_path), "--range", "2", "-2"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, name", [
+    ({"control_frequency_mhz": 1e-320}, "control_frequency_mhz"),
+    ({"input_frequency_mhz": 1e308}, "input_frequency_mhz"),
+    ({"control_amplitude": 1e155}, "control_amplitude"),
+], ids=["bin-width", "input-phase", "gain"])
+@pytest.mark.parametrize("command", [["simulate"], ["simulate", "--save-records"], ["theory"]],
+                         ids=["simulate", "records", "theory"])
+def test_config_that_overflows_the_run_exits_1(tmp_path, capsys, raw, name, command):
+    # before, these exited 1 naming no field ("moments must be finite") after
+    # numpy's RuntimeWarnings
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {name} ") and err.count("\n") == 1
+    assert not out.exists()

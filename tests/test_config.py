@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields, replace
 
 import pytest
@@ -329,3 +330,37 @@ def test_lookup_range_only_binds_the_table_electronics():
     assert config_from_dict({"use_pwl_electronics": True}).control_amplitude == 2.0
     # exact electronics have no table to leave
     assert config_from_dict({"control_amplitude": 3.0}).pwl_hi == 2.0
+
+
+# values whose run would overflow, each refused with the field's name; the
+# rules compute what the run computes, so no cap stands in for them
+OVERFLOWING = {
+    "bin-width-inf": ({"control_frequency_mhz": 1e-320}, "control_frequency_mhz"),
+    "bin-width-zero": ({"control_frequency_mhz": 1e307}, "control_frequency_mhz"),
+    "control-phase": ({"control_frequency_mhz": 5e307, "bins_per_period": 2},
+                      "control_frequency_mhz"),
+    "input-phase": ({"input_frequency_mhz": 1e308}, "input_frequency_mhz"),
+    "gain": ({"control_amplitude": 1e155}, "control_amplitude"),
+    "gain-override": ({"control_amplitude": 1e155, "feedforward_gain_override": 1.0},
+                      "control_amplitude"),
+    "table-gain": ({"use_pwl_electronics": True, "pwl_hi": 1e200}, "pwl_hi"),
+}
+
+
+@pytest.mark.parametrize("raw, name", list(OVERFLOWING.values()), ids=list(OVERFLOWING))
+def test_values_that_overflow_the_run_are_rejected(raw, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+    assert str(info.value).startswith(f"config: {name} ")
+
+
+def test_values_just_inside_the_overflow_rules_pass():
+    # sqrt(1 + kappa^2) of 1e150 is finite, and a custom waveform computes no control phase
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert config_from_dict({"control_amplitude": 1e150}).control_amplitude == 1e150
+        config_from_dict({"use_pwl_electronics": True, "pwl_lo": -1e150})
+        config_from_dict({"control_waveform": "custom", "control_samples": [1.0],
+                          "control_frequency_mhz": 5e307, "bins_per_period": 2})

@@ -11,13 +11,12 @@ from dynsqueeze import (
     decompose_shear,
     gate_output_state,
     make_coherent,
-    make_vacuum,
     symplectic_eigenvalues,
-    symplectic_form,
 )
 from dynsqueeze.gate import CONVENTIONS, SignConventions, _beamsplitter, _output_state
 
 KAPPA_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+VACUUM = make_coherent(0.0, 0.0)
 
 
 def test_default_phase_and_gain_track_kappa():
@@ -48,12 +47,17 @@ def test_param_overrides_and_validation():
     assert GateParams.exact(1.0, ancilla_vx=1e-12).ancilla_vx == 1e-12
     with pytest.raises(ValueError):
         GateParams.exact(1.0, hd1_efficiency=0.0)
+    # one ancilla and one detector serve every bin: each is a real scalar
+    for name in ("ancilla_vx", "hd1_efficiency"):
+        for value in (np.array([0.3, 0.4]), "0.3", True):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                GateParams(0.1, 1.0, **{name: value})
 
 
 @pytest.mark.parametrize("kappa", KAPPA_GRID)
 @pytest.mark.parametrize("vs", (0.05, 0.24494, 0.5, 1.3))
 def test_pipeline_matches_closed_form(kappa, vs):
-    for state in (make_vacuum(), make_coherent(3.0, 0.0), make_coherent(1.5, -0.4)):
+    for state in (VACUUM, make_coherent(3.0, 0.0), make_coherent(1.5, -0.4)):
         params = GateParams.exact(kappa, ancilla_vx=vs)
         a = closed_form_output(state, params)
         b = gate_output_state(state, params)
@@ -80,12 +84,12 @@ def test_closed_form_mean_map():
 def test_strong_ancilla_limit_is_shear_after_fixed_squeeze():
     # V_S -> 0: the gate reduces to the shear composed onto a 3 dB x squeeze
     params = GateParams.exact(1.0, ancilla_vx=1e-12)
-    out = closed_form_output(make_vacuum(), params)
+    out = closed_form_output(VACUUM, params)
     assert np.allclose(out.cov, [[0.25, 0.25], [0.25, 1.25]], atol=1e-9)
     for k in KAPPA_GRID:
         m = np.array([[1.0, 0.0], [k, 1.0]]) @ np.diag([1.0 / np.sqrt(2.0), np.sqrt(2.0)])
         want = m @ (0.5 * np.eye(2)) @ m.T
-        got = closed_form_output(make_vacuum(), GateParams.exact(k, ancilla_vx=1e-12))
+        got = closed_form_output(VACUUM, GateParams.exact(k, ancilla_vx=1e-12))
         assert np.allclose(got.cov, want, atol=1e-9)
 
 
@@ -94,16 +98,17 @@ def test_disabled_feedforward_inflates_p_variance():
     # kept port keeps the ancilla's p noise, (0.5 + 1/(4*0.05)) / 2 = 2.75
     for kappa in (0.0, 1.0):
         params_off = GateParams(np.arctan(kappa), 0.0, ancilla_vx=0.05)
-        off = gate_output_state(make_vacuum(), params_off)
+        off = gate_output_state(VACUUM, params_off)
         assert off.cov[1, 1] == pytest.approx(2.75, abs=1e-12)
-        on = closed_form_output(make_vacuum(), GateParams.exact(kappa, ancilla_vx=0.05))
+        on = closed_form_output(VACUUM, GateParams.exact(kappa, ancilla_vx=0.05))
         assert off.cov[1, 1] > on.cov[1, 1]
 
 
 @pytest.mark.parametrize("sign", (1, -1))
 def test_pipeline_beamsplitter_is_symplectic(sign):
     s = _beamsplitter(sign)
-    omega = symplectic_form(2)
+    # the symplectic form of (input, ancilla), block-diagonal [[0, 1], [-1, 0]]
+    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
     assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-12
 
 
@@ -178,15 +183,10 @@ def test_tilted_squeeze_diagonalizes_on_diagonal_axes():
 def test_detector_loss_changes_output():
     params_ideal = GateParams.exact(1.0)
     params_lossy = GateParams.exact(1.0, hd1_efficiency=0.8)
-    ideal = gate_output_state(make_vacuum(), params_ideal)
-    lossy = gate_output_state(make_vacuum(), params_lossy)
+    ideal = gate_output_state(VACUUM, params_ideal)
+    lossy = gate_output_state(VACUUM, params_lossy)
     assert np.max(np.abs(ideal.cov - lossy.cov)) > 1e-4
     assert symplectic_eigenvalues(lossy).min() >= 0.5 - 1e-9
-
-
-def test_gate_rejects_multimode_input():
-    with pytest.raises(ValueError):
-        gate_output_state(make_vacuum(2), GateParams.exact(1.0))
 
 
 @given(
@@ -209,7 +209,7 @@ def test_pipeline_matches_closed_form_on_random_inputs(
     # any symmetric input covariance with vx > 0 and det >= 1/4 is physical;
     # excess = 0 gives a pure state, excess > 0 a mixed one
     vp = (0.25 + cxp * cxp + excess) / vx
-    state = GaussianState(1, [mx, mp], [[vx, cxp], [cxp, vp]])
+    state = GaussianState([mx, mp], [[vx, cxp], [cxp, vp]])
     # an undrawn phase or gain is the exact electronics' value at kappa
     theta = np.arctan(kappa) if theta is None else theta
     gain = np.sqrt(1.0 + kappa**2) if gain is None else gain

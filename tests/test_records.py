@@ -21,8 +21,8 @@ from dynsqueeze import (
 # name -> (a valid instance, a bad constructor call, the error it raises)
 VALIDATED = {
     "GaussianState": (
-        lambda: GaussianState(1, [1.0, 0.0], 0.5 * np.eye(2)),
-        lambda: GaussianState(1, [0.0, 0.0], 0.1 * np.eye(2)),
+        lambda: GaussianState([1.0, 0.0], 0.5 * np.eye(2)),
+        lambda: GaussianState([0.0, 0.0], 0.1 * np.eye(2)),
         "unphysical covariance",
     ),
     "GateParams": (

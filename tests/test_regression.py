@@ -140,10 +140,10 @@ def test_batch_equals_scalar_calls(route, size):
 )
 def test_batch_with_one_bad_member_is_rejected(defect, message):
     cov = np.tile(0.6 * np.eye(2), (6, 1, 1))
-    GaussianState(1, np.zeros((6, 2)), cov)
+    GaussianState(np.zeros((6, 2)), cov)
     cov[4] = defect
     with pytest.raises(ValueError, match=message):
-        GaussianState(1, np.zeros((6, 2)), cov)
+        GaussianState(np.zeros((6, 2)), cov)
 
 
 if __name__ == "__main__":
