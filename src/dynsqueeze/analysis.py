@@ -22,7 +22,7 @@ from .harness import (
     read_table,
     write_table,
 )
-from .states import variance_to_db
+from .states import SYMMETRY_TOL, variance_to_db
 
 SUMMARY_COLUMNS = (
     "bin_index",
@@ -88,9 +88,12 @@ def _spectrum(a, b, c):
     sigma_minus^2 > 0.  phi is :func:`diagonalize`'s.
     """
     splus = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
-    # 0 / 0 only at splus = 0; near isotropy the quotient can pass splus by an ulp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sminus = np.minimum((a * b - c * c) / splus, splus)
+    # 0 / 0 only at splus = 0; near isotropy the quotient can pass splus by an ulp.
+    # Where a * b or c * c overflows, the same det / splus is taken without them.
+    with np.errstate(all="ignore"):
+        sminus = (a * b - c * c) / splus
+        sminus = np.where(np.isfinite(sminus), sminus, a / splus * (b - c * (c / a)))
+        sminus = np.minimum(sminus, splus)
     # -phi is the maximum axis here; a quarter turn, kept in (-pi/2, pi/2],
     # makes it the minimum one.  An isotropic matrix keeps phi = 0.
     phi = 0.5 * np.arctan2(-2.0 * c, a - b)
@@ -118,7 +121,7 @@ def diagonalize(matrix):
     if v.shape[-2:] != (2, 2):
         raise ValueError(f"need a 2x2 matrix, got shape {v.shape}")
     a, b, c = v[..., 0, 0], v[..., 1, 1], v[..., 0, 1]
-    if np.any(np.abs(c - v[..., 1, 0]) > 1e-10):
+    if np.any(np.abs(c - v[..., 1, 0]) > SYMMETRY_TOL):
         raise ValueError("matrix must be symmetric")
     spectrum = _spectrum(a, b, c)
     if not np.all(spectrum[1] > 0.0):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    _spectrum,
+    diagonalize,
     same_grid,
     summarize,
     write_residuals_csv,
@@ -122,8 +122,7 @@ def cmd_theory(args) -> int:
     th, outs = _theory(cfg)
     # From the closed-form covariance itself: rebuilt from the three projected
     # variances, its cross term is lost to rounding at large |kappa|.
-    cov = outs.cov
-    minus_db = variance_to_db(_spectrum(cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1])[1])
+    minus_db = variance_to_db(diagonalize(outs.cov)[1])
     out = _outdir(args)
     for angle in MEASUREMENT_ANGLES:
         path = out / f"theory_{label_for_angle(angle)}.csv"

@@ -205,6 +205,12 @@ class RunConfig:
             if not np.isfinite(gain):
                 raise ConfigError(f"{name} {kappa} overflows the feed-forward gain "
                                   "sqrt(1 + kappa^2)")
+        # the closed form's detector-loss term takes the square of an override
+        override = self.feedforward_gain_override
+        with np.errstate(over="ignore"):
+            if override is not None and not np.isfinite(np.float64(override) ** 2):
+                raise ConfigError(f"feedforward_gain_override {override} overflows its "
+                                  "square, which the closed form takes")
 
     @property
     def n_bins(self) -> int:

@@ -24,10 +24,6 @@ SYMMETRY_TOL = 1e-10
 MIN_SQUEEZED_VARIANCE = 1e-12
 
 
-# Symplectic form of one mode in the (x, p) ordering.
-_OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 def _is_real(v) -> bool:
     """Whether ``v`` is a real number: a bool is not one here, although it is an int."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
@@ -54,16 +50,18 @@ def db_to_variance(db: float) -> float:
 
 
 def symplectic_eigenvalues(cov) -> np.ndarray:
-    """Symplectic eigenvalue nu of a covariance matrix, or of each in a stack.
+    """Symplectic eigenvalue nu = sqrt(det cov) of a one-mode covariance, or of each in a stack.
 
-    The eigenvalues of Omega*cov are the pair +/- i*nu, and nu is the mean of
-    their moduli.  A stack of shape (..., 2, 2) gives shape (...), one matrix
-    a 0-d value.  A physical state has nu >= 1/2.
+    NaN wherever the covariance is not positive definite (sigma_x^2 <= 0 or
+    det < 0), so that a check nu >= 1/2 fails there.  A stack of shape
+    (..., 2, 2) gives shape (...), one matrix a 0-d value.
     """
-    if isinstance(cov, GaussianState):
-        cov = cov.cov
-    cov = np.asarray(cov, dtype=float)
-    return np.abs(np.linalg.eigvals(_OMEGA @ cov)).mean(axis=-1)
+    cov = np.asarray(cov.cov if isinstance(cov, GaussianState) else cov, dtype=float)
+    a, b, c = cov[..., 0, 0], cov[..., 1, 1], cov[..., 0, 1]
+    with np.errstate(all="ignore"):
+        det = a * b - c * c
+        det = np.where(np.isfinite(det), det, a * (b - c * (c / a)))  # a * b or c * c overflowed
+        return np.sqrt(np.where(a > 0.0, det, np.nan))  # and sqrt(det < 0) is NaN
 
 
 class Immutable:
@@ -107,8 +105,10 @@ class GaussianState(Immutable):
     Leading axes of ``mean`` and ``cov`` are a batch axis: one state per time
     bin, say.  A state without leading axes is a batch of one.  Both arrays
     are copied and made read-only at construction.  Construction validates
-    the whole batch at once: shapes, symmetry of every covariance (to 1e-10),
-    finiteness, and physicality (symplectic eigenvalue >= 1/2 - 1e-9).
+    the whole batch at once: shapes, finiteness, symmetry of every covariance
+    (to 1e-10), then positive definiteness and nu = sqrt(det cov) >= 1/2 - 1e-9
+    in one test, as :func:`symplectic_eigenvalues` gives NaN for a covariance
+    that is not positive definite.
     Indexing or iterating over a batched state yields its members.
 
     Attributes:
@@ -132,9 +132,10 @@ class GaussianState(Immutable):
         cov_t = cov.swapaxes(-1, -2)
         if np.max(np.abs(cov - cov_t)) > SYMMETRY_TOL:
             raise ValueError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov_t)
+        # 0.5 * (cov + cov_t) to the bit for normal entries, and cannot overflow
+        cov = 0.5 * cov + 0.5 * cov_t
         nu_min = float(symplectic_eigenvalues(cov).min())
-        if nu_min < SHOT_NOISE_VARIANCE - PHYSICALITY_TOL:
+        if not nu_min >= SHOT_NOISE_VARIANCE - PHYSICALITY_TOL:  # NaN fails too
             raise ValueError(
                 f"unphysical covariance: min symplectic eigenvalue {nu_min:.9g} < 1/2"
             )

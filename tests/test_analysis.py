@@ -1,3 +1,4 @@
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -104,6 +105,16 @@ def test_diagonalize_matches_eigensolver(a, b, corr):
     assert splus2 * sminus2 == pytest.approx(np.linalg.det(v), rel=1e-9)
     assert sminus2 <= splus2
     assert -np.pi / 2.0 < phi <= np.pi / 2.0
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_diagonalize_where_the_det_overflows(scale):
+    # a * b and c * c overflow from entries of about 1.3e154; their difference need not
+    v = scale * np.array([[1.0, 0.6], [0.6, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        splus2, sminus2, _phi = diagonalize(v)
+    assert [sminus2, splus2] == pytest.approx(np.linalg.eigvalsh(v), rel=1e-12, abs=0.0)
 
 
 # cross terms where a one-line half-angle arctan2 turns phi to -pi/2

@@ -216,6 +216,20 @@ def test_theory_range_at_huge_kappa_is_that_of_the_closed_form(tmp_path, capsys,
             in capsys.readouterr().out)
 
 
+def test_theory_range_where_the_covariance_det_overflows(tmp_path, capsys):
+    # sigma_p^2 is 3.9e307 and sigma_xp -1.7e154 here, so sigma_x^2 sigma_p^2 and
+    # sigma_xp^2 overflow although the state and its det are finite
+    path = tmp_path / "big_gain.json"
+    path.write_text(json.dumps({"feedforward_gain_override": 1e154, "hd1_efficiency": 0.5,
+                                "ancilla_db": 30, "control_amplitude": 0.01, "bins_per_period": 5}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["theory", "--config", str(path), "--out", str(tmp_path / "th")]) == 0
+    # eigvalsh of the same covariances gives 26.865 and 26.994 dB
+    assert ("predicted squeezed variance: min 26.865 dB, max 26.994 dB over 10 bins"
+            in capsys.readouterr().out)
+
+
 def test_simulate_at_extreme_ancilla_squeezing(tmp_path, capsys):
     # -100 dB passes; -120 dB is below the ancilla's 1e-12 variance floor,
     # which theory and simulate share, and is refused before --out exists

@@ -18,7 +18,8 @@ _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 FIELD_VALUES = {
     "ancilla_db": st.floats(min_value=-116.0, max_value=3000.0),  # variance in [1e-12, inf)
     "feedforward_sign": st.sampled_from([-1, 1]),
-    "feedforward_gain_override": st.none() | st.floats(min_value=0.0, allow_infinity=False),
+    # a larger override's square overflows, which RunConfig refuses
+    "feedforward_gain_override": st.none() | st.floats(min_value=0.0, max_value=1e154),
     "hd1_efficiency": st.floats(min_value=1e-3, max_value=1.0),
     "control_waveform": st.sampled_from(VALID_WAVEFORMS),
     "control_frequency_mhz": _POSITIVE,
@@ -344,6 +345,7 @@ OVERFLOWING = {
     "gain-override": ({"control_amplitude": 1e155, "feedforward_gain_override": 1.0},
                       "control_amplitude"),
     "table-gain": ({"use_pwl_electronics": True, "pwl_hi": 1e200}, "pwl_hi"),
+    "override-square": ({"feedforward_gain_override": 1.35e154}, "feedforward_gain_override"),
 }
 
 
@@ -362,5 +364,6 @@ def test_values_just_inside_the_overflow_rules_pass():
         warnings.simplefilter("error")
         assert config_from_dict({"control_amplitude": 1e150}).control_amplitude == 1e150
         config_from_dict({"use_pwl_electronics": True, "pwl_lo": -1e150})
+        config_from_dict({"feedforward_gain_override": 1e154})
         config_from_dict({"control_waveform": "custom", "control_samples": [1.0],
                           "control_frequency_mhz": 5e307, "bins_per_period": 2})

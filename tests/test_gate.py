@@ -189,6 +189,16 @@ def test_detector_loss_changes_output():
     assert symplectic_eigenvalues(lossy).min() >= 0.5 - 1e-9
 
 
+def test_physicality_check_fails_on_sign_flipped_outputs():
+    # a 2x2 covariance and its negative share one det, so nu must see the sign
+    flipped = -gate_output_state(VACUUM, GateParams.exact(np.array(KAPPA_GRID))).cov
+    nu = symplectic_eigenvalues(flipped)
+    assert np.isnan(nu).all()
+    assert not nu.min() >= 0.5 - 1e-9  # criterion 09's test
+    with pytest.raises(ValueError, match="unphysical"):
+        GaussianState(np.zeros((len(KAPPA_GRID), 2)), flipped)
+
+
 @given(
     st.floats(min_value=-2.0, max_value=2.0),
     st.floats(min_value=0.05, max_value=1.5),

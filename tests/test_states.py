@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,11 +67,31 @@ def test_db_round_trip(db):
         (np.zeros(2), 0.5 * np.eye(4)),  # wrong cov shape
         (np.zeros(4), 0.5 * np.eye(4)),  # two modes
         (np.array([np.nan, 0.0]), 0.5 * np.eye(2)),
+        # not positive definite, although each has |det| >= 1/4
+        (np.zeros(2), -np.eye(2)),
+        (np.zeros(2), -0.6 * np.eye(2)),
+        (np.zeros(2), np.array([[0.5, 4.5], [4.5, 0.5]])),
     ],
 )
 def test_state_construction_rejects_bad_moments(mean, cov):
     with pytest.raises(ValueError):
         GaussianState(mean, cov)
+
+
+def test_symplectic_eigenvalue_is_nan_unless_positive_definite():
+    covs = np.array([0.6 * np.eye(2), -0.6 * np.eye(2), [[0.5, 4.5], [4.5, 0.5]]])
+    nu = symplectic_eigenvalues(covs)
+    assert nu[0] == pytest.approx(0.6)
+    assert np.isnan(nu[1:]).all()
+
+
+@pytest.mark.parametrize("cov", [np.diag([1e308, 1e308]), [[1.5e308, 1e308], [1e308, 1.5e308]]])
+def test_state_with_entries_near_float_max_is_built_as_given(cov):
+    # cov + cov.T overflows for both, and a * b and c * c for the second too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = GaussianState(np.zeros(2), cov)
+    assert np.array_equal(state.cov, cov)
 
 
 def test_thermal_state_is_physical():
@@ -139,5 +161,9 @@ def test_symplectic_eigenvalues_invariant_under_gaussian_unitaries(magnitude, si
     # any real 2x2 matrix of unit determinant is a one-mode Gaussian unitary
     a = sign * magnitude
     s = np.array([[a, b], [c, (1.0 + b * c) / a]])
-    after = symplectic_eigenvalues(s @ base @ s.T)
+    moved = s @ base @ s.T
+    after = symplectic_eigenvalues(moved)
     assert after == pytest.approx(before, rel=1e-9, abs=1e-9)
+    # the eigenvalues of Omega V are +/- i nu
+    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert after == pytest.approx(np.abs(np.linalg.eigvals(omega @ moved)).mean(-1), rel=1e-12)
