@@ -14,15 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harness import (
-    MEASUREMENT_ANGLES,
-    MomentEstimates,
-    TheoryTraces,
-    label_for_angle,
-    read_table,
-    write_table,
-)
+from .harness import MEASUREMENT_ANGLES, MomentEstimates, TheoryTraces, label_for_angle
 from .states import SYMMETRY_TOL, variance_to_db
+from .tables import read_table, write_table
 
 SUMMARY_COLUMNS = (
     "bin_index",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +27,7 @@ from .states import (
     quadrature_mean,
     quadrature_variance,
 )
+from .tables import read_table, write_table
 
 # Output homodyne angles probed each run: x, p, and the diagonal quadrature.
 MEASUREMENT_ANGLES = (0.0, np.pi / 2.0, np.pi / 4.0)
@@ -196,18 +196,25 @@ def _write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None
 
     The members are ``meta``, ``time_us``, ``kappa``, ``samples_0`` .. and
     ``angles``, each an uncompressed ``.npy`` in a zip file, byte for byte
-    what ``np.savez`` writes.  ``blocks`` yields (angle, block) pairs; each
-    block is dropped once written, before the next is taken.
+    what ``np.savez`` writes.  ``blocks`` yields (angle, block) pairs; a
+    C-ordered block is written from its own buffer, not copied, and each
+    block is dropped before the next is taken.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    angles = []
+    angles, fmt = [], np.lib.format
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
 
         def write(name, array):
+            array = np.asanyarray(array)
             with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, np.asanyarray(array), allow_pickle=False)
+                if array.ndim == 2 and array.flags.c_contiguous:
+                    # write_array would copy the whole block through tobytes()
+                    fmt.write_array_header_1_0(fh, fmt.header_data_from_array_1_0(array))
+                    fh.write(memoryview(array))
+                else:
+                    fmt.write_array(fh, array, allow_pickle=False)
 
         write("meta", np.array(json.dumps({"seed": seed, "config_digest": digest})))
         write("time_us", time_us)
@@ -227,24 +234,28 @@ def _physical_memory() -> int | None:
         return None
 
 
-# Shot blocks that simulate_records holds at its peak: the block in hand plus
-# one block-sized temporary, either the deviations of its variance or the
-# copy np.lib.format.write_array makes of it.
-RECORDS_PEAK_BLOCKS = 2
+# Shot blocks that simulate_records holds at its peak: the block in hand.  Its
+# variance is summed in chunks and it is written without a copy.
+RECORDS_PEAK_BLOCKS = 1
 
 # Working set of a run per bin, shot blocks aside.  The tracemalloc peak of
 # simulate_moments was 1028 bytes a bin and that of theory_traces 338, at both
-# 2e4 and 2e5 bins; this rounds the larger up.
+# 2e4 and 2e5 bins; this rounds the larger up, with room for the three rows of
+# chunk scratch _block_moments holds beyond _CHUNK_BYTES.
 BIN_BYTES = 1100
+
+# Squared deviations _block_moments sums at a time: 128 KiB of rows stays in
+# cache yet takes few Python-level steps.
+_CHUNK_BYTES = 1 << 17
 
 
 def check_records_memory(cfg: RunConfig, blocks: int) -> None:
     """Raise ConfigError when a run on ``cfg``'s grid would not fit in physical memory.
 
     The run holds BIN_BYTES per bin plus ``blocks`` shot blocks, each
-    n_trials x n_bins float64.
+    n_trials x n_bins float64, and with any block the chunk scratch.
     """
-    need = cfg.n_bins * (BIN_BYTES + blocks * cfg.n_trials * 8)
+    need = cfg.n_bins * (BIN_BYTES + blocks * cfg.n_trials * 8) + (blocks > 0) * _CHUNK_BYTES
     have = _physical_memory()
     if have is not None and need > have:
         what = f"raw records of {cfg.n_trials} trials x " if blocks else "a grid of "
@@ -296,7 +307,8 @@ def _shot_blocks(n_trials: int, laws: dict[float, tuple]):
 def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet:
     """Simulate the repeated-shot run and return the raw homodyne records in memory.
 
-    This is the in-memory route: all three angles' blocks are held at once.
+    This is the in-memory route: all three angles' blocks are held at once,
+    and :func:`estimate_moments` reduces them with no block-sized temporary.
     :func:`simulate_records` draws the same shots and writes them to disk one
     angle at a time, and :func:`simulate_moments` draws no shot at all.
     Every bin's output state is Gaussian, so the n_trials samples per (angle,
@@ -367,8 +379,26 @@ def _moment_estimates(time_us, kappa, n: int, mean: dict, variance: dict) -> Mom
 
 
 def _block_moments(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin sample mean and unbiased sample variance of one (n_trials, n_bins) block."""
-    return block.mean(axis=0), block.var(axis=0, ddof=1)
+    """Per-bin ``block.mean(axis=0)`` and ``block.var(axis=0, ddof=1)``, bit for bit.
+
+    np.var holds every squared deviation at once.  Here they are squared a
+    row chunk at a time and summed onto the running sum in row 0 of a small
+    scratch, which keeps numpy's row-by-row order for a C-ordered float64
+    block two or more bins wide.  np.var takes any other block.
+    """
+    mean = block.mean(axis=0)
+    n, m = block.shape
+    if not (block.flags.c_contiguous and block.dtype == float and m > 1):
+        return mean, block.var(axis=0, ddof=1)
+    rows = max(1, _CHUNK_BYTES // (8 * m))
+    buf = np.zeros((min(rows, n) + 1, m))
+    for start in range(0, n, rows):
+        chunk = block[start:start + rows]
+        dev = buf[1:len(chunk) + 1]
+        np.subtract(chunk, mean, out=dev)
+        np.square(dev, out=dev)
+        buf[0] = buf[:len(chunk) + 1].sum(axis=0)
+    return mean, buf[0] / (n - 1)
 
 
 def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
@@ -388,10 +418,10 @@ def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEst
     The shots, the archive and the moments are those of
     ``run_experiment(cfg, seed).save(path)`` and ``estimate_moments`` of those
     records, byte for byte.  Each angle's block is drawn, reduced to its
-    moments and written before the next is drawn, so at most
-    RECORDS_PEAK_BLOCKS blocks are alive at once instead of three plus a
-    temporary.  Raises ConfigError before drawing or writing anything when
-    that much would not fit in physical memory.
+    moments and written before the next is drawn, and neither the reduction
+    nor the writer copies it, so one block is alive at a time instead of
+    three.  Raises ConfigError before drawing or writing anything when that
+    much would not fit in physical memory.
     """
     seed = cfg.seed if seed is None else seed
     n = cfg.n_trials
@@ -469,61 +499,6 @@ def _theory(cfg: RunConfig) -> tuple[TheoryTraces, GaussianState]:
     variance = {angle: quadrature_variance(outs, angle) for angle in MEASUREMENT_ANGLES}
     simplified = 1.0 + 0.5 * traces.kappa**2 * (0.5 + vx)
     return TheoryTraces(traces.time_us, traces.kappa, mean, variance, simplified), outs
-
-
-def write_table(path, columns, arrays) -> None:
-    """Write equal-length columns as CSV: a header line, then one row per entry.
-
-    Integer and boolean columns print as integers (``%d``), float columns as
-    ``%.12g`` (the same bytes as ``{:.12g}``); a scalar is formatted once and
-    repeated down its column.
-    """
-    if len(arrays) != len(columns):
-        raise ValueError(f"{len(columns)} columns but {len(arrays)} arrays")
-    arrays = [np.asarray(a) for a in arrays]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    fields = ("%d" if a.dtype.kind in "biu" else "%.12g" for a in arrays)
-    row = ",".join(f if a.ndim else f % a.item() for f, a in zip(fields, arrays)) + "\n"
-    cols = [np.broadcast_to(a, shape).tolist() for a in arrays if a.ndim]
-    body = "".join([row % values for values in zip(*cols)])
-    Path(path).write_text(",".join(columns) + "\n" + body)
-
-
-def read_table(path, columns) -> dict[str, np.ndarray]:
-    """Read a CSV written by :func:`write_table`; one float array per column.
-
-    The header must equal ``columns``, every row must carry one number per
-    column, and there must be at least one row.  A bad row is reported as
-    ``path:line``.
-    """
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].split(",") != list(columns):
-        raise ValueError(f"{path}: expected header {','.join(columns)}")
-    body = lines[1:]
-    if not body:
-        raise ValueError(f"{path}: no data rows")
-    try:
-        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise _row_error(path, body, len(columns), exc) from exc
-    if data.shape != (len(body), len(columns)):
-        # loadtxt skips empty lines and takes any field count all rows share
-        raise _row_error(path, body, len(columns), f"read {data.shape} values")
-    return {col: data[:, i] for i, col in enumerate(columns)}
-
-
-def _row_error(path, body, n_fields, cause) -> ValueError:
-    """The error naming the first row of ``body`` that is not ``n_fields`` numbers."""
-    for ln, line in enumerate(body, start=2):
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            return ValueError(f"{path}:{ln}: expected {n_fields} fields")
-        for part in parts:
-            try:
-                float(part)
-            except ValueError:
-                return ValueError(f"{path}:{ln}: not a number: {part.strip()!r}")
-    return ValueError(f"{path}: {cause}")
 
 
 def _write_moments(path, angle, grid, mean, variance, se_mean, se_var) -> None:

@@ -358,6 +358,24 @@ def test_saved_records_match_np_savez_byte_for_byte(tmp_path):
     assert (tmp_path / "records.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
 
 
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_saved_records_not_in_c_order_match_np_savez_byte_for_byte(tmp_path, layout):
+    # blocks the archive writer cannot hand over as one C-ordered buffer
+    rec = run_experiment(SMALL)
+    order = {"fortran": np.asfortranarray, "strided": lambda b: np.repeat(b, 2, axis=1)[:, ::2]}
+    samples = {a: order[layout](b) for a, b in rec.samples.items()}
+    HomodyneRecordSet(rec.time_us, rec.kappa, samples, rec.seed, rec.config_digest).save(
+        tmp_path / "records.npz"
+    )
+    meta = json.dumps({"seed": rec.seed, "config_digest": rec.config_digest})
+    np.savez(
+        tmp_path / "savez.npz", meta=np.array(meta), time_us=rec.time_us, kappa=rec.kappa,
+        **{f"samples_{i}": samples[a] for i, a in enumerate(rec.angles)},
+        angles=np.array(rec.angles),
+    )
+    assert (tmp_path / "records.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
+
+
 def test_simulate_records_writes_and_reduces_the_in_memory_records(tmp_path):
     cfg = RunConfig(use_pwl_electronics=True, bins_per_period=20, n_trials=300, seed=4)
     est = simulate_records(cfg, tmp_path / "streamed.npz")
@@ -397,16 +415,72 @@ def test_simulate_records_drops_each_block_before_drawing_the_next(tmp_path, mon
     assert alive_at_draw == [0, 0, 0]
 
 
-def test_records_memory_guards_count_three_blocks_in_memory_and_two_streamed(tmp_path, monkeypatch):
-    block = SMALL.n_trials * SMALL.n_bins * 8
-    monkeypatch.setattr(harness, "_physical_memory", lambda: int(2.5 * block))
-    with pytest.raises(ConfigError, match="physical memory"):
-        run_experiment(SMALL)
-    simulate_records(SMALL, tmp_path / "fits.npz")
+def test_records_memory_guards_count_three_blocks_in_memory_and_one_streamed(tmp_path, monkeypatch):
+    # a block of 3.2 MB, so the 128 KiB chunk scratch and 1.1 kB a bin
+    # come to 0.11 block beside it
+    cfg = replace(SMALL, n_trials=2000, bins_per_period=100)
+    block = cfg.n_trials * cfg.n_bins * 8
     monkeypatch.setattr(harness, "_physical_memory", lambda: int(1.5 * block))
     with pytest.raises(ConfigError, match="physical memory"):
-        simulate_records(SMALL, tmp_path / "too_big.npz")
+        run_experiment(cfg)
+    simulate_records(cfg, tmp_path / "fits.npz")
+    monkeypatch.setattr(harness, "_physical_memory", lambda: int(0.9 * block))
+    with pytest.raises(ConfigError, match="physical memory"):
+        simulate_records(cfg, tmp_path / "too_big.npz")
     assert not (tmp_path / "too_big.npz").exists()
+
+
+# (n_trials, n_bins): every n_trials of 2, 3, 17, 2000 and 10851 at 4, 5 and
+# 200 bins, and up to 301 at 6000.  A 128 KiB chunk holds 81 rows of 200
+# bins, so 162 ends on a whole chunk and 2000 and 10851 on a ragged one; it
+# holds 2 rows of 6000 bins, and 1 row of 16400.
+BLOCK_SHAPES = [
+    *((n, m) for n in (2, 3, 17, 2000, 10851) for m in (4, 5, 200)),
+    (162, 200), (2, 6000), (3, 6000), (17, 6000), (301, 6000), (3, 16400), (17, 16400),
+]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_block_moments_are_numpy_mean_and_var_bit_for_bit(shape):
+    rng = np.random.default_rng(shape)
+    # a mean far from zero in some bins, so the deviations cancel digits
+    loc, scale = rng.uniform(-1e3, 1e3, shape[1]), rng.uniform(0.1, 10.0, shape[1])
+    block = loc + scale * rng.standard_normal(shape)
+    mean, variance = harness._block_moments(block)
+    assert mean.tobytes() == block.mean(axis=0).tobytes()
+    assert variance.tobytes() == np.var(block, axis=0, ddof=1).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transposed", "strided", "one-bin", "float32"])
+def test_block_moments_off_the_chunked_path_are_numpy_bit_for_bit(layout):
+    # numpy reduces these in another order (pairwise down a contiguous
+    # column) or dtype, so _block_moments hands them to np.var
+    z = np.random.default_rng(5).standard_normal((2000, 40)) + 7.0
+    block = {
+        "fortran": np.asfortranarray(z),
+        "transposed": np.ascontiguousarray(z.T).T,
+        "strided": z[:, ::2],
+        "one-bin": z[:, :1].copy(),
+        "float32": z.astype(np.float32),
+    }[layout]
+    mean, variance = harness._block_moments(block)
+    assert mean.tobytes() == block.mean(axis=0).tobytes()
+    assert variance.tobytes() == np.var(block, axis=0, ddof=1).tobytes()
+
+
+def test_estimate_moments_allocates_no_block_sized_temporary(tmp_path):
+    cfg = RunConfig(n_trials=2000, seed=3)
+    block = cfg.n_trials * cfg.n_bins * 8  # 3.05 MiB
+    run_experiment(cfg).save(tmp_path / "records.npz")
+    records = HomodyneRecordSet.load(tmp_path / "records.npz")
+    estimate_moments(records)  # first call pays for one-off imports and caches
+    tracemalloc.start()
+    try:
+        estimate_moments(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * block, peak / block
 
 
 def _csv_trials(tmp_path, est):
