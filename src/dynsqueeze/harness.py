@@ -210,7 +210,7 @@ def _write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None
             array = np.asanyarray(array)
             with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
                 if array.ndim == 2 and array.flags.c_contiguous:
-                    # write_array would copy the whole block through tobytes()
+                    # write_array copies up to 16 MiB at a time through tobytes()
                     fmt.write_array_header_1_0(fh, fmt.header_data_from_array_1_0(array))
                     fh.write(memoryview(array))
                 else:

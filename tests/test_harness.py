@@ -417,12 +417,14 @@ def test_simulate_records_drops_each_block_before_drawing_the_next(tmp_path, mon
 
 def test_records_memory_guards_count_three_blocks_in_memory_and_one_streamed(tmp_path, monkeypatch):
     # a block of 3.2 MB, so the 128 KiB chunk scratch and 1.1 kB a bin
-    # come to 0.11 block beside it
+    # come to 0.11 block beside it: a guard counting two blocks in memory
+    # would admit run_experiment at 2.5
     cfg = replace(SMALL, n_trials=2000, bins_per_period=100)
     block = cfg.n_trials * cfg.n_bins * 8
-    monkeypatch.setattr(harness, "_physical_memory", lambda: int(1.5 * block))
+    monkeypatch.setattr(harness, "_physical_memory", lambda: int(2.5 * block))
     with pytest.raises(ConfigError, match="physical memory"):
         run_experiment(cfg)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: int(1.5 * block))
     simulate_records(cfg, tmp_path / "fits.npz")
     monkeypatch.setattr(harness, "_physical_memory", lambda: int(0.9 * block))
     with pytest.raises(ConfigError, match="physical memory"):
