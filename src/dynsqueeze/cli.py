@@ -21,14 +21,12 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_digest, load_config
 from .electronics import TARGETS, fit_pwl, max_error, save_pwl_table
-from .gate import CONVENTIONS, GateCalibrationError, calibrate_signs, closed_form_output
+from .gate import GateCalibrationError, calibrate_signs, closed_form_output
 from .harness import (
     MEASUREMENT_ANGLES,
-    RECORDS_PEAK_BLOCKS,
     MomentEstimates,
     TheoryTraces,
     _route,
-    check_records_memory,
     label_for_angle,
     measurement_angle,
     read_moments_csv,
@@ -79,28 +77,17 @@ def cmd_simulate(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = _load_cfg(args)
-    # checked before anything is allocated or --out is created
-    check_records_memory(cfg, RECORDS_PEAK_BLOCKS if args.save_records else 0)
     seed = cfg.seed if args.seed is None else args.seed
-    conventions = calibrate_signs()
-    print(
-        "sign calibration: beamsplitter %+d, lo %+d, feedforward %+d"
-        % conventions
-    )
-    if conventions != CONVENTIONS:
-        raise GateCalibrationError(
-            f"calibrated sign conventions {tuple(conventions)} differ from the "
-            f"model's {tuple(CONVENTIONS)}"
-        )
+    print("sign calibration: beamsplitter %+d, lo %+d, feedforward %+d" % calibrate_signs())
+    # --out is created once the library has accepted the grid
+    records = Path(args.out) / "records.npz"
     if args.save_records:
-        out = _outdir(args)
-        records = out / "records.npz"
         est = simulate_records(cfg, records, seed)
     else:
         # No shot is drawn: each bin's sample mean and variance come straight
         # from their exact law (see simulate_moments).
         est = simulate_moments(cfg, seed)
-        out = _outdir(args)
+    out = _outdir(args)
     written = []
     for angle in MEASUREMENT_ANGLES:
         path = out / f"moments_{label_for_angle(angle)}.csv"
@@ -117,9 +104,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_theory(args) -> int:
     cfg = _load_cfg(args)
-    check_records_memory(cfg, 0)
-    traces, _, outs, mean, variance = _route(cfg, closed_form_output)
-    th = TheoryTraces(traces.time_us, traces.kappa, mean, variance)
+    th, outs = _route(cfg, closed_form_output)
     # From the closed-form covariance itself: rebuilt from the three projected
     # variances, its cross term is lost to rounding at large |kappa|.
     minus_db = variance_to_db(diagonalize(outs.cov)[1])

@@ -111,7 +111,9 @@ def _equidistributed_knots(target: str, n_segments: int, lo: float, hi: float) -
     # atol=0: numpy's default 1e-8 would call a range as narrow as [0, 1e-8] symmetric
     symmetric = np.isclose(lo, -hi, atol=0.0) and hi > 0.0
     grid = np.linspace(0.0 if symmetric else lo, hi, _DENSE_GRID)
-    density = np.sqrt(np.abs(d2(grid)))
+    # where 1 + x^2 or 2 x overflows, f'' takes its true limit, 0, not inf / inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = np.nan_to_num(np.sqrt(np.abs(d2(grid))), nan=0.0)
     density = np.maximum(density, 1e-9 * max(float(density.max()), 1.0))
     if symmetric:
         half = n_segments / 2.0
@@ -137,14 +139,18 @@ def fit_pwl(target: str, n_segments: int, lo: float, hi: float) -> PiecewiseLine
     Knots are placed by error equidistribution (density |f''|^(1/2)) and the
     values are the target samples at the knots.  The fit falls back to uniform
     knots whenever those happen to do better, so the result is never worse
-    than the naive baseline.
+    than the naive baseline.  A target not finite at ``lo`` or ``hi`` raises ValueError.
     """
     if not 1 <= n_segments <= MAX_SEGMENTS:
         raise ValueError(f"n_segments must lie in [1, {MAX_SEGMENTS}], got {n_segments}")
     lo, hi = float(lo), float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise ValueError(f"need lo < hi a finite distance apart, got [{lo}, {hi}]")
     fun, _d2 = _lookup_target(target)
+    with np.errstate(over="ignore"):
+        ends = fun(np.array([lo, hi]))
+    if not np.all(np.isfinite(ends)):
+        raise ValueError(f"{target} is not finite at an end of the range [{lo:g}, {hi:g}]")
     candidates = [
         PiecewiseLinearFunction(xs, fun(xs))
         for xs in (

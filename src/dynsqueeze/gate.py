@@ -286,10 +286,11 @@ def calibrate_signs() -> SignConventions:
     A coherent input with nonzero means on both quadratures over a kappa grid
     separates all eight combinations: a wrong feed-forward or LO sign shows up
     in the output covariance for kappa != 0, a wrong beamsplitter orientation
-    flips the output means.  Exactly one combination must survive.
+    flips the output means.  Exactly one combination must survive, and it must
+    be CONVENTIONS, the one :func:`gate_output_state` runs on.
 
     Raises:
-        GateCalibrationError: If zero or several combinations match.
+        GateCalibrationError: Unless exactly one combination matches and it is CONVENTIONS.
     """
     probe = make_coherent(1.3, -0.7)
     params = GateParams.exact(np.array([-2.0, -1.0, 0.5, 2.0]), ancilla_vx=0.24494)
@@ -309,5 +310,10 @@ def calibrate_signs() -> SignConventions:
     if len(matches) != 1:
         raise GateCalibrationError(
             f"expected exactly one sign convention to match, found {len(matches)}"
+        )
+    if matches[0] != CONVENTIONS:
+        raise GateCalibrationError(
+            f"calibrated sign conventions {tuple(matches[0])} differ from the "
+            f"model's {tuple(CONVENTIONS)}"
         )
     return matches[0]

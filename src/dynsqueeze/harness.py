@@ -71,6 +71,20 @@ class Traces(NamedTuple):
     mean_p: np.ndarray
 
 
+class TheoryTraces(NamedTuple):
+    """Noise-free moments per bin and angle, of either gate route.
+
+    ``p_variance_simplified`` is always None here: the field stays only
+    because the benchmark's traced pass builds this record by position.
+    """
+
+    time_us: np.ndarray
+    kappa: np.ndarray
+    mean: dict[float, np.ndarray]
+    variance: dict[float, np.ndarray]
+    p_variance_simplified: np.ndarray | None = None
+
+
 def generate_traces(cfg: RunConfig) -> Traces:
     """Control kappa(t) and the coherent input's means on the configured grid.
 
@@ -122,18 +136,19 @@ def _gate_params(cfg: RunConfig, kappa: np.ndarray) -> GateParams:
     )
 
 
-def _route(cfg: RunConfig, gate) -> tuple[Traces, GateParams, GaussianState, dict, dict]:
+def _route(cfg: RunConfig, gate, blocks: int = 0) -> tuple[TheoryTraces, GaussianState]:
     """``cfg``'s coherent inputs through ``gate``, gate_output_state or closed_form_output.
 
-    Returns the traces, the gate parameters, the output states and, per angle,
-    their quadrature means and variances.
+    Returns the route's noise-free per-bin moments and its output states.  Every
+    run starts here, so check_records_memory first refuses, with ConfigError, a
+    grid that would not fit in physical memory beside ``blocks`` shot blocks.
     """
+    check_records_memory(cfg, blocks)
     traces = generate_traces(cfg)
-    params = _gate_params(cfg, traces.kappa)
-    states = gate(make_coherent(traces.mean_x, traces.mean_p), params)
+    states = gate(make_coherent(traces.mean_x, traces.mean_p), _gate_params(cfg, traces.kappa))
     mean = {angle: quadrature_mean(states, angle) for angle in MEASUREMENT_ANGLES}
     variance = {angle: quadrature_variance(states, angle) for angle in MEASUREMENT_ANGLES}
-    return traces, params, states, mean, variance
+    return TheoryTraces(traces.time_us, traces.kappa, mean, variance), states
 
 
 def run_output_states(cfg: RunConfig) -> GaussianState:
@@ -141,7 +156,7 @@ def run_output_states(cfg: RunConfig) -> GaussianState:
 
     Returns a single batched state whose batch axis runs over the time bins.
     """
-    return _route(cfg, gate_output_state)[2]
+    return _route(cfg, gate_output_state)[1]
 
 
 class HomodyneRecordSet(Immutable):
@@ -205,13 +220,15 @@ def _write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None
 
     The members are ``meta``, ``time_us``, ``kappa``, ``samples_0`` .. and
     ``angles``, each an uncompressed ``.npy`` in a zip file, byte for byte
-    what ``np.savez`` writes.  ``blocks`` yields (angle, block) pairs; a
-    C-ordered block is written from its own buffer, not copied, and each
-    block is dropped before the next is taken.
+    what ``np.savez`` writes, into ``path``'s directory, which is created if
+    need be.  ``blocks`` yields (angle, block) pairs; a C-ordered block is
+    written from its own buffer, not copied, and each block is dropped before
+    the next is taken.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     angles, fmt = [], np.lib.format
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
 
@@ -276,16 +293,16 @@ def check_records_memory(cfg: RunConfig, blocks: int) -> None:
         )
 
 
-def _shot_laws(cfg: RunConfig, seed: int) -> tuple[Traces, dict[float, tuple]]:
-    """The time grid and, per angle, (loc, variance, generator) of its shots.
+def _shot_laws(cfg: RunConfig, seed: int, blocks: int = 0) -> tuple[TheoryTraces, dict]:
+    """The pipeline's moments and, per angle, (loc, variance, generator) of its shots.
 
     Every shot of one (angle, bin) is N(loc, variance) for that bin; each angle
-    draws from its own child stream of ``seed``.
+    draws from its own child stream of ``seed``; the caller holds ``blocks`` blocks.
     """
-    traces, _, _, mean, variance = _route(cfg, gate_output_state)
+    moments, _ = _route(cfg, gate_output_state, blocks)
     children = np.random.SeedSequence(seed).spawn(len(MEASUREMENT_ANGLES))
-    return traces, {
-        angle: (mean[angle], variance[angle], np.random.default_rng(child))
+    return moments, {
+        angle: (moments.mean[angle], moments.variance[angle], np.random.default_rng(child))
         for angle, child in zip(MEASUREMENT_ANGLES, children)
     }
 
@@ -318,14 +335,13 @@ def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet
     Every bin's output state is Gaussian, so the n_trials samples per (angle,
     bin) are drawn directly from the projected normal law.  Each angle gets an
     independent child stream of the seed; identical (config, seed) pairs give
-    bit-identical records.  Raises ConfigError before drawing anything when
-    the records (3 x n_trials x n_bins float64) would not fit in physical
-    memory.
+    bit-identical records.  Raises ConfigError, from _route, before drawing
+    anything when the records (3 x n_trials x n_bins float64) would not fit in
+    physical memory.
     """
     if seed is None:
         seed = cfg.seed
-    check_records_memory(cfg, len(MEASUREMENT_ANGLES))
-    traces, laws = _shot_laws(cfg, seed)
+    traces, laws = _shot_laws(cfg, seed, len(MEASUREMENT_ANGLES))
     return HomodyneRecordSet(
         traces.time_us, traces.kappa, dict(_shot_blocks(cfg.n_trials, laws)),
         int(seed), config_digest(cfg),
@@ -424,13 +440,13 @@ def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEst
     records, byte for byte.  Each angle's block is drawn, reduced to its
     moments and written before the next is drawn, and neither the reduction
     nor the writer copies it, so one block is alive at a time instead of
-    three.  Raises ConfigError before drawing or writing anything when that
-    much would not fit in physical memory.
+    three.  The archive's directory is created if need be.  Raises
+    ConfigError, from _route, before drawing or writing anything, or creating
+    that directory, when one block would not fit in physical memory.
     """
     seed = cfg.seed if seed is None else seed
     n = cfg.n_trials
-    check_records_memory(cfg, RECORDS_PEAK_BLOCKS)
-    traces, laws = _shot_laws(cfg, seed)
+    traces, laws = _shot_laws(cfg, seed, RECORDS_PEAK_BLOCKS)
     mean, variance = {}, {}
 
     def reduced():
@@ -464,36 +480,16 @@ def simulate_moments(cfg: RunConfig, seed: int | None = None) -> MomentEstimates
     return _moment_estimates(traces.time_us, traces.kappa, n, mean, variance)
 
 
-class TheoryTraces(NamedTuple):
-    """Noise-free predicted moments per bin and angle.
-
-    ``p_variance_simplified`` is the ideal-gate shortcut
-    1 + (kappa^2 / 2)(1/2 + v_s) for coherent inputs, or None.  Mean-field
-    modulation moves only the means, so it equals the full p-variance
-    prediction when feedforward_sign, feedforward_gain_override, hd1_efficiency
-    and use_pwl_electronics are at their defaults, and only then.  The CLI
-    writes no file of it; the benchmark's traced pass does.
-    """
-
-    time_us: np.ndarray
-    kappa: np.ndarray
-    mean: dict[float, np.ndarray]
-    variance: dict[float, np.ndarray]
-    p_variance_simplified: np.ndarray | None = None
-
-
 def theory_traces(cfg: RunConfig) -> TheoryTraces:
     """Closed-form per-bin predictions for the three measurement angles.
 
     Deliberately computed from the scalar input-output relations (not the
     pipeline), so Monte Carlo vs theory comparisons cross independent routes.
     Both routes run at the same configured operating point: look-up tables,
-    gain override, feed-forward sign and detection efficiency included.  The
-    shortcut is inf, with numpy's overflow warning, where it exceeds float range.
+    gain override, feed-forward sign and detection efficiency included.
+    Raises ConfigError when the grid would not fit in physical memory.
     """
-    traces, params, _, mean, variance = _route(cfg, closed_form_output)
-    simplified = 1.0 + 0.5 * traces.kappa**2 * (0.5 + params.ancilla_vx)
-    return TheoryTraces(traces.time_us, traces.kappa, mean, variance, simplified)
+    return _route(cfg, closed_form_output)[0]
 
 
 def _write_moments(path, angle, grid, mean, variance, se_mean, se_var) -> None:
@@ -516,9 +512,14 @@ def write_theory_csv(path, theory: TheoryTraces, angle: float) -> None:
 
 
 def write_simplified_csv(path, theory: TheoryTraces) -> None:
-    """The shortcut p-variance trace, angle pi/2; the benchmark writes it, the CLI does not."""
-    p = np.pi / 2.0
-    _write_moments(path, p, theory, theory.mean[p], theory.p_variance_simplified, 0.0, 0.0)
+    """The ideal-gate shortcut 1 + kappa^2 Var(x_out) as the p variance, angle pi/2.
+
+    For a coherent input that is 1 + (kappa^2 / 2)(1/2 + v_s) bit for bit, the
+    theory p variance at the default hardware only.  Only the benchmark writes it.
+    """
+    x, p = MEASUREMENT_ANGLES[:2]
+    simplified = 1.0 + theory.kappa**2 * theory.variance[x]
+    _write_moments(path, p, theory, theory.mean[p], simplified, 0.0, 0.0)
 
 
 def read_moments_csv(path) -> dict:

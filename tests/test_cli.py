@@ -599,8 +599,8 @@ def test_calibration_failure_exits_2(cfg_path, tmp_path, monkeypatch, capsys):
 
 
 def test_calibration_mismatch_exits_2(cfg_path, tmp_path, monkeypatch, capsys):
-    # a calibration that singles out a convention other than the model's
-    monkeypatch.setattr("dynsqueeze.cli.calibrate_signs", lambda: SignConventions(1, -1, 1))
+    # a model built on a convention other than the one calibration singles out
+    monkeypatch.setattr("dynsqueeze.gate.CONVENTIONS", SignConventions(1, -1, 1))
     rc = _simulate(cfg_path, tmp_path / "sim")
     assert rc == 2
     err = capsys.readouterr().err
@@ -687,6 +687,35 @@ def test_circuits_bad_range_exits_1(tmp_path, capsys):
     rc = main(["circuits", "--out", str(tmp_path), "--range", "2", "-2"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_circuits_where_arctan_curvature_overflows_exits_0_quietly(tmp_path, capsys):
+    # (1 + x^2)^2 in arctan's f'' overflows from |x| = 1.2e77
+    out = tmp_path / "pwl"
+    rc = main(["circuits", "--target", "arctan", "--range", "0", "1e200", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert np.all(np.isfinite(load_pwl_table(out / "pwl_arctan.txt").ys))
+
+
+def test_circuits_where_the_target_is_not_finite_exits_1_naming_the_range(tmp_path, capsys):
+    # sqrt(1 + x^2) overflows from |x| = 1.34e154
+    out = tmp_path / "pwl"
+    rc = main(["circuits", "--target", "sqrt1px2", "--range", "0", "1e200", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sqrt1px2 ") and err.count("\n") == 1
+    assert "[0, 1e+200]" in err
+    assert not out.exists()
+
+
+def test_theory_on_a_wide_look_up_table_range_exits_0_quietly(tmp_path, capsys):
+    # the knots of the phase table pass where arctan's f'' overflows
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"use_pwl_electronics": True, "pwl_hi": 1e100,
+                                "bins_per_period": 4}))
+    assert main(["theory", "--config", str(path), "--out", str(tmp_path / "th")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("raw, name", [

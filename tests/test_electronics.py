@@ -128,6 +128,18 @@ def test_max_error_needs_ten_points_per_segment():
     assert max_error(f, "arctan", grid_points=2000) > 0.0
 
 
+def test_fit_over_a_range_where_curvature_overflows():
+    # arctan's f'' overflows from |x| = 1.2e77 and its -2x from 9e307; the
+    # density takes its limit, 0, there without a warning
+    for hi in (1e100, 1e200, 1e308):
+        f = fit_pwl("arctan", 16, 0.0, hi)
+        assert np.all(np.isfinite(f.xs)) and f.xs[-1] == hi
+    with pytest.raises(ValueError, match=r"sqrt1px2 is not finite .* \[0, 1e\+200\]"):
+        fit_pwl("sqrt1px2", 16, 0.0, 1e200)
+    with pytest.raises(ValueError, match="finite distance"):
+        fit_pwl("arctan", 16, -1e308, 1e308)
+
+
 def test_pwl_validation():
     with pytest.raises(ValueError):
         PiecewiseLinearFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsqueeze import (
+    GateCalibrationError,
     GateParams,
     GaussianState,
     calibrate_signs,
@@ -124,6 +125,12 @@ def test_pipeline_beamsplitter_sum_difference_ports():
 def test_calibrate_signs_is_unique_and_canonical():
     assert calibrate_signs() == SignConventions(1, 1, 1)
     assert CONVENTIONS == SignConventions(1, 1, 1)
+
+
+def test_calibrate_signs_refuses_a_model_on_another_convention(monkeypatch):
+    monkeypatch.setattr("dynsqueeze.gate.CONVENTIONS", SignConventions(1, -1, 1))
+    with pytest.raises(GateCalibrationError, match=r"\(1, 1, 1\) differ .* \(1, -1, 1\)"):
+        calibrate_signs()
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from dynsqueeze.harness import (
     read_table,
     trials_from_moments,
     write_moments_csv,
+    write_simplified_csv,
     write_theory_csv,
 )
 
@@ -535,11 +536,58 @@ def test_streamed_memory_does_not_grow_with_trials():
     assert _streamed_peak(20000) < 8 * (1 << 20)
 
 
+def _ideal_gate_shortcut(cfg: RunConfig, kappa: np.ndarray) -> np.ndarray:
+    return 1.0 + 0.5 * kappa**2 * (0.5 + db_to_variance(cfg.ancilla_db))
+
+
 def test_theory_traces_simplified_matches_full_p_variance():
-    th = theory_traces(RunConfig())
-    assert th.p_variance_simplified == pytest.approx(th.variance[np.pi / 2.0], abs=1e-12)
+    cfg = RunConfig()
+    th = theory_traces(cfg)
+    shortcut = _ideal_gate_shortcut(cfg, th.kappa)
+    assert shortcut == pytest.approx(th.variance[np.pi / 2.0], abs=1e-12)
     # and it is genuinely kappa-dependent
-    assert np.ptp(th.p_variance_simplified) > 1.0
+    assert np.ptp(shortcut) > 1.0
+
+
+@pytest.mark.parametrize("name", HARDWARE_CONFIGS)
+def test_simplified_csv_holds_the_ideal_gate_shortcut_bit_for_bit(tmp_path, name):
+    cfg = HARDWARE_CONFIGS[name]
+    th = theory_traces(cfg)
+    p = np.pi / 2.0
+    shortcut = th._replace(variance={**th.variance, p: _ideal_gate_shortcut(cfg, th.kappa)})
+    write_simplified_csv(tmp_path / "simplified.csv", th)
+    write_theory_csv(tmp_path / "shortcut.csv", shortcut, p)
+    assert (tmp_path / "simplified.csv").read_bytes() == (tmp_path / "shortcut.csv").read_bytes()
+
+
+def test_theory_traces_where_the_ideal_gate_shortcut_overflows():
+    # kappa^2 v_s is 1e300 x 1e10 here; theory_traces no longer computes it
+    cfg = RunConfig(ancilla_db=100, control_amplitude=1e150, feedforward_gain_override=1e-3,
+                    bins_per_period=4)
+    th = theory_traces(cfg)
+    assert th.p_variance_simplified is None
+    for angle in MEASUREMENT_ANGLES:
+        assert np.all(np.isfinite(th.mean[angle])) and np.all(np.isfinite(th.variance[angle]))
+
+
+@pytest.mark.parametrize("run", [theory_traces, run_output_states, simulate_moments])
+def test_every_route_refuses_a_grid_beyond_physical_memory(monkeypatch, run):
+    # 10 bins need 11 kB of working set without any shot block
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 10_000)
+    cfg = RunConfig(bins_per_period=5, n_periods=2)
+    with pytest.raises(ConfigError, match="a grid of 10 bins would need .* physical memory"):
+        run(cfg)
+
+
+def test_simulate_records_creates_the_archive_directory_unless_refused(tmp_path, monkeypatch):
+    path = tmp_path / "new" / "dir" / "records.npz"
+    simulate_records(SMALL, path)
+    assert HomodyneRecordSet.load(path).n_trials == SMALL.n_trials
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 10_000)
+    refused = tmp_path / "refused" / "records.npz"
+    with pytest.raises(ConfigError, match="physical memory"):
+        simulate_records(SMALL, refused)
+    assert not refused.parent.exists()
 
 
 def test_theory_pi4_mean_combines_quadratures():
