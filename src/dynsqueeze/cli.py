@@ -7,6 +7,7 @@ internal consistency check fails.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -221,6 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=16)
     p.add_argument("--range", nargs=2, type=float, default=[-2.0, 2.0],
                    metavar=("LO", "HI"))
+    # argparse takes "-1e6" for an option, as its negative-number pattern has
+    # no exponent form, and gives no public hook to widen it
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

@@ -689,6 +689,17 @@ def test_circuits_bad_range_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_circuits_takes_a_negative_range_end_in_exponent_form(tmp_path, capsys):
+    # argparse reads "-1e6" as an option unless the pattern allows exponents
+    out = tmp_path / "pwl"
+    rc = main(["circuits", "--target", "arctan", "--range", "-1e6", "1e6", "--out", str(out)])
+    assert rc == 0
+    assert "[-1e+06, 1e+06], max error 1.139e+00" in capsys.readouterr().out
+    for lo, hi in (("-2", "2"), ("-2.0", "2.0"), ("-1.5E+3", "-.5e1")):
+        assert main(["circuits", "--range", lo, hi, "--segments", "2", "--out", str(out)]) == 0
+        assert f"[{float(lo):g}, {float(hi):g}]" in capsys.readouterr().out
+
+
 def test_circuits_where_arctan_curvature_overflows_exits_0_quietly(tmp_path, capsys):
     # (1 + x^2)^2 in arctan's f'' overflows from |x| = 1.2e77
     out = tmp_path / "pwl"

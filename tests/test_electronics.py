@@ -8,7 +8,7 @@ from dynsqueeze import (
     max_error,
     save_pwl_table,
 )
-from dynsqueeze.electronics import MAX_SEGMENTS
+from dynsqueeze.electronics import MAX_SEGMENTS, TARGETS
 
 # accuracy targets for the 16-segment look-up tables on [-2, 2]
 ARCTAN_TARGET = 0.01
@@ -37,7 +37,7 @@ def test_single_segment_equals_chord_optimum():
     m = np.arctan(2.0) / 2.0
     xstar = np.sqrt(1.0 / m - 1.0)
     want = np.arctan(xstar) - m * xstar
-    assert max_error(f, "arctan", grid_points=200001) == pytest.approx(want, abs=1e-8)
+    assert max_error(f, "arctan") == pytest.approx(want, abs=1e-15)
 
 
 @pytest.mark.parametrize("target", ["arctan", "sqrt1px2"])
@@ -49,8 +49,6 @@ def test_error_never_increases_when_doubling_segments(target):
 @pytest.mark.parametrize("target", ["arctan", "sqrt1px2"])
 @pytest.mark.parametrize("n", [3, 5, 7, 16])
 def test_fit_never_worse_than_uniform(target, n):
-    from dynsqueeze.electronics import TARGETS
-
     fun = TARGETS[target][0]
     xs = np.linspace(-2.0, 2.0, n + 1)
     uniform = PiecewiseLinearFunction(xs, fun(xs))
@@ -103,29 +101,66 @@ def test_fit_validation():
         fit_pwl("arctan", MAX_SEGMENTS + 1, -2.0, 2.0)
     with pytest.raises(ValueError):
         fit_pwl("arctan", 4, 2.0, -2.0)
-    with pytest.raises(ValueError):
-        max_error(fit_pwl("arctan", 4, -2.0, 2.0), "arctan", grid_points=100)
+
+
+def _dense_reference(f, target, points):
+    """Max |f - target| over ``points`` evenly spaced points inside each segment."""
+    fun = TARGETS[target][0]
+    t = np.linspace(0.0, 1.0, points)
+    chunk = max(1, 500_000 // points)
+    best = 0.0
+    for i in range(0, f.n_segments, chunk):
+        a, b = f.xs[:-1][i:i + chunk], f.xs[1:][i:i + chunk]
+        x = a[:, None] + t * (b - a)[:, None]
+        best = max(best, float(np.max(np.abs(f(x) - fun(x)))))
+    return best
+
+
+def _assert_exact(f, target):
+    # never below a sample of the table's own points; above one only by the
+    # sample's spacing (20001 points in a segment, 2001 at 1000 segments)
+    reference = _dense_reference(f, target, 2001 if f.n_segments >= 1000 else 20001)
+    err = max_error(f, target)
+    assert reference <= err <= reference * (1.0 + 1e-6)
 
 
 @pytest.mark.parametrize("target", ["arctan", "sqrt1px2"])
-@pytest.mark.parametrize("n", [1, 16, 64, MAX_SEGMENTS])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, MAX_SEGMENTS])
 def test_reported_error_matches_a_fine_grid(target, n):
-    # up to the largest table the default grid still probes segment interiors
-    f = fit_pwl(target, n, -2.0, 2.0)
-    reference = max_error(f, target, grid_points=2_000_001)
-    assert max_error(f, target) == pytest.approx(reference, rel=0.01)
+    for r in (2.0, 10.0, 1e3, 1e6):
+        for lo in (-r, 0.0, -r / 3.0):
+            _assert_exact(fit_pwl(target, n, lo, r), target)
 
 
-def test_max_error_needs_ten_points_per_segment():
-    # a grid of knots alone would read an error of zero; it is refused instead
+@pytest.mark.parametrize("target", ["arctan", "sqrt1px2"])
+def test_max_error_of_a_table_that_does_not_interpolate(target):
+    xs = np.linspace(-3.0, 5.0, 13)
+    f = PiecewiseLinearFunction(xs, TARGETS[target][0](xs) + 0.01 * np.cos(7.0 * xs))
+    _assert_exact(f, target)
+
+
+def test_max_error_finds_the_peak_between_crowded_knots():
+    # a uniform grid across [-1e6, 1e6] steps over the 16 segments near 0;
+    # it read 5.27e-4 and 1.11e-2
+    assert f"{max_error(fit_pwl('arctan', 16, -1e6, 1e6), 'arctan'):.4g}" == "1.139"
+    assert f"{max_error(fit_pwl('sqrt1px2', 16, -1e6, 1e6), 'sqrt1px2'):.4g}" == "0.4802"
+
+
+def test_max_error_where_no_slope_matches_is_finite_and_quiet():
+    # slopes that underflow to 0 or round to +-1 have no matching point
+    assert np.isfinite(max_error(fit_pwl("arctan", 16, 0.0, 1e308), "arctan"))
+    xs = np.linspace(-1e10, 1e10, 17)
+    f = PiecewiseLinearFunction(xs, np.sqrt(1.0 + xs**2))
+    assert np.isfinite(max_error(f, "sqrt1px2"))
+
+
+def test_max_error_of_a_dense_table_is_its_chord_error():
+    # 20000 segments of width 2e-4: the chord error h^2 max|arctan''| / 8
+    # with max|arctan''| = 3 sqrt(3) / 8 at x = 1 / sqrt(3)
     xs = np.linspace(-2.0, 2.0, 20001)
     dense = PiecewiseLinearFunction(xs, np.arctan(xs))
-    with pytest.raises(ValueError, match="10 per segment"):
-        max_error(dense, "arctan")
-    f = fit_pwl("arctan", 200, -2.0, 2.0)
-    with pytest.raises(ValueError, match="10 per segment"):
-        max_error(f, "arctan", grid_points=1999)
-    assert max_error(f, "arctan", grid_points=2000) > 0.0
+    want = (4.0 / 20000) ** 2 * (3.0 * np.sqrt(3.0) / 8.0) / 8.0
+    assert max_error(dense, "arctan") == pytest.approx(want, rel=1e-6)
 
 
 def test_fit_over_a_range_where_curvature_overflows():
