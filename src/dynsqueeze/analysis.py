@@ -14,9 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harness import MEASUREMENT_ANGLES, MomentEstimates, TheoryTraces, label_for_angle
 from .states import SYMMETRY_TOL, variance_to_db
-from .tables import read_table, write_table
+from .tables import (
+    MEASUREMENT_ANGLES,
+    MomentEstimates,
+    TheoryTraces,
+    label_for_angle,
+    read_table,
+    write_table,
+)
 
 SUMMARY_COLUMNS = (
     "bin_index",

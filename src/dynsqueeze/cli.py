@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success, 1 for bad usage/configuration/input files, 2 when an
 internal consistency check fails.
+
+Each subcommand imports the modules it runs when it runs, so a process loads
+no module of another subcommand: analyze and circuits never load the
+simulator.
 """
 
 from __future__ import annotations
@@ -10,34 +14,12 @@ import argparse
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .analysis import (
-    diagonalize,
-    same_grid,
-    summarize,
-    write_residuals_csv,
-    write_summary_csv,
-)
-from .config import ConfigError, RunConfig, config_digest, load_config
-from .electronics import TARGETS, fit_pwl, max_error, save_pwl_table
-from .gate import GateCalibrationError, calibrate_signs, closed_form_output
-from .harness import (
-    MEASUREMENT_ANGLES,
-    MomentEstimates,
-    TheoryTraces,
-    _route,
-    label_for_angle,
-    measurement_angle,
-    read_moments_csv,
-    simulate_moments,
-    simulate_records,
-    trials_from_moments,
-    write_moments_csv,
-    write_theory_csv,
-)
-from .states import variance_to_db
+    from .config import RunConfig
 
 # Printed with theory output so the model's reach is not oversold, for the
 # configs it describes (see _gap_note_applies).
@@ -65,6 +47,8 @@ def _gap_note_applies(cfg: RunConfig) -> bool:
 
 
 def _load_cfg(args) -> RunConfig:
+    from .config import RunConfig, load_config
+
     return RunConfig() if args.config is None else load_config(args.config)
 
 
@@ -75,6 +59,11 @@ def _outdir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
+    from .config import ConfigError, config_digest
+    from .gate import calibrate_signs
+    from .harness import simulate_moments, simulate_records
+    from .tables import MEASUREMENT_ANGLES, label_for_angle, write_moments_csv
+
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = _load_cfg(args)
@@ -104,6 +93,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_theory(args) -> int:
+    from .analysis import diagonalize
+    from .config import config_digest
+    from .gate import closed_form_output
+    from .harness import _route
+    from .states import variance_to_db
+    from .tables import MEASUREMENT_ANGLES, label_for_angle, write_theory_csv
+
     cfg = _load_cfg(args)
     th, outs = _route(cfg, closed_form_output)
     # From the closed-form covariance itself: rebuilt from the three projected
@@ -126,6 +122,9 @@ def cmd_theory(args) -> int:
 
 def _read_angle_files(paths) -> dict[str, dict[float, np.ndarray]]:
     """Each column of three per-angle moments files, as a dict from angle to array."""
+    from .analysis import same_grid
+    from .tables import MEASUREMENT_ANGLES, measurement_angle, read_moments_csv
+
     by_angle = {}
     for path in paths:
         data = read_moments_csv(path)
@@ -146,6 +145,11 @@ def _read_angle_files(paths) -> dict[str, dict[float, np.ndarray]]:
 
 
 def cmd_analyze(args) -> int:
+    import numpy as np
+
+    from .analysis import summarize, write_residuals_csv, write_summary_csv
+    from .tables import MEASUREMENT_ANGLES, MomentEstimates, TheoryTraces, trials_from_moments
+
     x = MEASUREMENT_ANGLES[0]
     m = _read_angle_files(args.moments)
     est = MomentEstimates(
@@ -173,6 +177,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_circuits(args) -> int:
+    from .electronics import TARGETS, fit_pwl, max_error, save_pwl_table
+
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
     fits = [(target, fit_pwl(target, args.segments, *args.range)) for target in targets]
     out = _outdir(args)
@@ -189,6 +195,8 @@ def cmd_circuits(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .electronics import TARGETS
+
     parser = argparse.ArgumentParser(
         prog="dynsqueeze",
         description="Simulate and analyze a measurement-based dynamic squeezing gate.",
@@ -236,12 +244,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; that code is reserved here for
         # internal check failures, so fold usage problems into 1.
         return 0 if exc.code in (0, None) else 1
+    # GateCalibrationError, a failed self-check, is a RuntimeError and
+    # ConfigError a ValueError: caught by their bases, naming them would load
+    # their modules
     try:
         return args.func(args)
-    except (GateCalibrationError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,6 @@ output file to the exact configuration that produced it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -265,5 +264,8 @@ def config_from_dict(raw: dict, source: str = "config") -> RunConfig:
 
 def config_digest(cfg: RunConfig) -> str:
     """SHA-256 of the canonical JSON form; key order and float repr are fixed."""
+    # here, not at the top: _hashlib alone adds about 3.5 MB to a process
+    import hashlib
+
     payload = json.dumps(to_json_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -30,8 +30,8 @@ def _arctan_d2(x):
     return -2.0 * x / (1.0 + x**2) ** 2
 
 
-def _arctan_slope_inverse(s):
-    return np.sqrt(1.0 / s - 1.0)
+def _arctan_slope_inverse(a, b, ya, yb):
+    return np.sqrt(1.0 / ((yb - ya) / (b - a)) - 1.0)
 
 
 def _sqrt1px2(x):
@@ -42,13 +42,17 @@ def _sqrt1px2_d2(x):
     return (1.0 + x**2) ** -1.5
 
 
-def _sqrt1px2_slope_inverse(s):
-    return s / np.sqrt((1.0 - s) * (1.0 + s))
+def _sqrt1px2_slope_inverse(a, b, ya, yb):
+    # x = s / sqrt(1 - s^2) with s = dy / dx is dy / sqrt(dx^2 - dy^2).  Far
+    # from 0, s rounds to +-1 and 1 - s^2 to 0; (dx - dy)(dx + dy), taken
+    # from the ends, keeps the difference that rounding loses.
+    return (yb - ya) / np.sqrt(((b - yb) - (a - ya)) * ((b + yb) - (a + ya)))
 
 
 # target name -> (function, second derivative, slope inverse: an x where f'
-# equals s, NaN or +-inf if none); the functions are the exact electronics,
-# read by GateParams.exact and harness._gate_params
+# equals the slope of the chord from (a, ya) to (b, yb), NaN or +-inf if
+# none); the functions are the exact electronics, read by GateParams.exact
+# and harness._gate_params
 TARGETS = {
     "arctan": (np.arctan, _arctan_d2, _arctan_slope_inverse),
     "sqrt1px2": (_sqrt1px2, _sqrt1px2_d2, _sqrt1px2_slope_inverse),
@@ -175,13 +179,15 @@ def max_error(f: PiecewiseLinearFunction, target: str) -> float:
 
     On each segment f - target peaks at an end or where the target's slope
     equals the segment's, so only those points are evaluated.  The result is
-    exact up to the float rounding there; beyond about |x| = 1e8 a sqrt1px2
-    segment's slope can round to +-1, and then its peak is not found.
+    exact up to the float rounding there, which is about an ulp of the
+    segment's end values: once sqrt1px2's pass about 1e15, evaluating the
+    table can round by more than the table deviates, and that rounding is
+    read only at those points.
     """
     fun, _d2, slope_inverse = _lookup_target(target)
     lo, hi = f.xs[:-1], f.xs[1:]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = slope_inverse(np.diff(f.ys) / (hi - lo))
+        x = slope_inverse(lo, hi, f.ys[:-1], f.ys[1:])
     # arctan' is even, so -x matches too (for sqrt1px2 it is one more point);
     # fmax sends NaN (no match) to the segment's lower end, fmin/fmax clip inf
     x = np.concatenate([f.xs, np.fmin(np.fmax(np.stack([x, -x]), lo), hi).ravel()])

@@ -30,7 +30,7 @@ from dynsqueeze.analysis import (
     write_residuals_csv,
     write_summary_csv,
 )
-from dynsqueeze.harness import MomentEstimates
+from dynsqueeze.tables import MomentEstimates
 
 X, P, PI4 = MEASUREMENT_ANGLES
 

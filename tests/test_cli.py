@@ -23,10 +23,10 @@ from dynsqueeze import (
     run_experiment,
     save_config,
 )
-from dynsqueeze import cli, harness
+from dynsqueeze import harness
 from dynsqueeze.analysis import RESIDUAL_COLUMNS, read_summary_csv, summarize
 from dynsqueeze.cli import GAP_NOTE, main
-from dynsqueeze.harness import read_moments_csv, read_table, write_moments_csv
+from dynsqueeze.tables import read_moments_csv, read_table, write_moments_csv
 
 SMALL = RunConfig(bins_per_period=5, n_periods=2, n_trials=400, seed=7)
 
@@ -440,7 +440,7 @@ def test_analyze_recovers_n_trials_from_the_moments(cfg_path, tmp_path, monkeypa
         seen.append(est.n_trials)
         return summarize(est, theory)
 
-    monkeypatch.setattr(cli, "summarize", spy)
+    monkeypatch.setattr("dynsqueeze.analysis.summarize", spy)
     assert main(_analyze_argv(sim, tmp_path / "an")) == 0
     assert seen == [SMALL.n_trials]
 
@@ -496,22 +496,41 @@ def test_analyze_outputs_match_pinned_sha256(tmp_path, capsys):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == pin, name
 
 
-def test_analyze_does_not_import_numpy_ma(cfg_path, tmp_path):
-    # numpy's unique() imports numpy.ma, which costs a fresh process 10-15 ms.
+# Modules each subcommand must not load.  Every process pays to compile and
+# run what it imports: gate, config and harness (with hashlib's _hashlib, about
+# 3.5 MB) cost analyze and circuits 20-30 ms and 4 MB of a fresh process,
+# and numpy's unique() imports numpy.ma, 10-15 ms more.
+_NOT_LOADED = {
+    "analyze": {"dynsqueeze.gate", "dynsqueeze.config", "dynsqueeze.harness", "hashlib", "numpy.ma"},
+    "circuits": {"dynsqueeze.gate", "dynsqueeze.harness"},
+    "simulate": {"dynsqueeze.analysis"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NOT_LOADED))
+def test_subcommand_loads_only_what_it_runs(cfg_path, tmp_path, command):
     sim = tmp_path / "sim"
-    assert _simulate(cfg_path, sim) == 0
+    argv = {
+        "analyze": _analyze_argv(sim, tmp_path / "an"),
+        "circuits": ["circuits", "--out", str(tmp_path / "c")],
+        "simulate": ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s")],
+    }[command]
+    if command == "analyze":
+        assert _simulate(cfg_path, sim) == 0
     script = (
         "import sys\n"
         "from dynsqueeze import cli\n"
-        f"assert cli.main({_analyze_argv(sim, tmp_path / 'an')!r}) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     )
     src = str(Path(dynsqueeze.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
-    assert done.stdout.splitlines()[-1] == "False"
+    loaded = set(done.stdout.splitlines()[-1].split())
+    assert "dynsqueeze.cli" in loaded
+    assert loaded & _NOT_LOADED[command] == set()
 
 
 def test_analyze_names_the_smaller_variance_sigma_minus(tmp_path, capsys):
@@ -592,7 +611,7 @@ def test_calibration_failure_exits_2(cfg_path, tmp_path, monkeypatch, capsys):
     def boom():
         raise GateCalibrationError("forced")
 
-    monkeypatch.setattr("dynsqueeze.cli.calibrate_signs", boom)
+    monkeypatch.setattr("dynsqueeze.gate.calibrate_signs", boom)
     rc = _simulate(cfg_path, tmp_path / "sim")
     assert rc == 2
     assert "internal check failed: forced" in capsys.readouterr().err

@@ -22,7 +22,7 @@ from dynsqueeze.analysis import (
     write_residuals_csv,
     write_summary_csv,
 )
-from dynsqueeze.harness import read_table, write_moments_csv, write_table
+from dynsqueeze.tables import read_table, write_moments_csv, write_table
 
 _P = np.pi / 2.0
 _TIME = np.array([0.0, 0.01, 0.02])

@@ -146,6 +146,16 @@ def test_max_error_finds_the_peak_between_crowded_knots():
     assert f"{max_error(fit_pwl('sqrt1px2', 16, -1e6, 1e6), 'sqrt1px2'):.4g}" == "0.4802"
 
 
+def test_max_error_finds_the_peak_where_the_slope_rounds_to_one():
+    # the segment [0, 1.25e19] has slope (1.25e19 - 1) / 1.25e19, which rounds
+    # to 1; taken from that slope, the peak at x = 2.5e9 was missed and the
+    # error read 0.0
+    f = fit_pwl("sqrt1px2", 16, -1e20, 1e20)
+    peak = abs(f(2.5e9) - np.sqrt(1.0 + 2.5e9**2))
+    assert peak == pytest.approx(1.0, abs=1e-5)
+    assert max_error(f, "sqrt1px2") == pytest.approx(peak, abs=1e-5)
+
+
 def test_max_error_where_no_slope_matches_is_finite_and_quiet():
     # slopes that underflow to 0 or round to +-1 have no matching point
     assert np.isfinite(max_error(fit_pwl("arctan", 16, 0.0, 1e308), "arctan"))

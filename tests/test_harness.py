@@ -26,9 +26,9 @@ from dynsqueeze import (
     theory_traces,
 )
 from dynsqueeze import harness
-from dynsqueeze.harness import (
+from dynsqueeze.harness import HomodyneRecordSet
+from dynsqueeze.tables import (
     MOMENTS_COLUMNS,
-    HomodyneRecordSet,
     label_for_angle,
     read_moments_csv,
     read_table,

@@ -107,7 +107,7 @@ def test_no_public_dataclass_but_run_config():
     # 2-core VM, with and without a bytecode cache).  RunConfig keeps its
     # dataclass: fields / asdict / replace define the config schema.
     found = [
-        name for name, value in vars(dynsqueeze).items()
-        if not name.startswith("_") and dataclasses.is_dataclass(value)
+        name for name in dynsqueeze.__all__
+        if dataclasses.is_dataclass(getattr(dynsqueeze, name))
     ]
     assert found == ["RunConfig"]

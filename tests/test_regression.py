@@ -34,7 +34,7 @@ from dynsqueeze import (
     run_experiment,
     theory_traces,
 )
-from dynsqueeze.harness import label_for_angle
+from dynsqueeze.tables import label_for_angle
 
 FIXTURE = Path(__file__).parent / "data" / "pinned_outputs.npz"
 
