@@ -230,7 +230,8 @@ RECORDS_PEAK_BLOCKS = 1
 # Working set of a run per bin, shot blocks aside.  The tracemalloc peak of
 # simulate_moments was 1028 bytes a bin and that of theory_traces 338, at both
 # 2e4 and 2e5 bins; this rounds the larger up, with room for the three rows of
-# chunk scratch _block_moments holds beyond _CHUNK_BYTES.
+# chunk scratch _block_moments holds beyond _CHUNK_BYTES.  Writing the CSVs is
+# outside this count: tables.write_table holds one fixed block of rows.
 BIN_BYTES = 1100
 
 # Squared deviations _block_moments sums at a time: 128 KiB of rows stays in

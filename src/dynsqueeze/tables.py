@@ -13,32 +13,52 @@ from typing import NamedTuple
 import numpy as np
 
 
+# Rows formatted and written at a time, about 14 KB of moments text: writing a
+# table holds that much whatever its length.  256 rows were no faster and left
+# a 200-bin simulate's peak RSS 0.2 MiB higher.
+_BLOCK_ROWS = 128
+
+
 def write_table(path, columns, arrays) -> None:
     """Write equal-length columns as CSV: a header line, then one row per entry.
 
     Integer and boolean columns print as integers (``%d``), float columns as
     ``%.12g`` (the same bytes as ``{:.12g}``); a scalar is formatted once and
-    repeated down its column.
+    repeated down its column.  The rows are formatted and written
+    ``_BLOCK_ROWS`` at a time, so writing takes a fixed amount of memory
+    whatever the number of rows.  Every column is checked before the file is
+    opened: each must be a real number or a 1-D array of them.
     """
     if len(arrays) != len(columns):
         raise ValueError(f"{len(columns)} columns but {len(arrays)} arrays")
     arrays = [np.asarray(a) for a in arrays]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    if len(shape) > 1 or any(a.dtype.kind not in "biuf" for a in arrays):
+        raise ValueError("columns must be real numbers or 1-D arrays of them")
     fields = ("%d" if a.dtype.kind in "biu" else "%.12g" for a in arrays)
     row = ",".join(f if a.ndim else f % a.item() for f, a in zip(fields, arrays)) + "\n"
-    cols = [np.broadcast_to(a, shape).tolist() for a in arrays if a.ndim]
-    body = "".join([row % values for values in zip(*cols)])
-    Path(path).write_text(",".join(columns) + "\n" + body)
+    cols = [np.broadcast_to(a, shape) for a in arrays if a.ndim]
+    n_rows = shape[0] if cols else 0
+    with Path(path).open("w") as f:
+        f.write(",".join(columns) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = [c[start:start + _BLOCK_ROWS].tolist() for c in cols]
+            f.write("".join([row % values for values in zip(*block)]))
 
 
 def read_table(path, columns) -> dict[str, np.ndarray]:
     """Read a CSV written by :func:`write_table`; one float array per column.
 
     The header must equal ``columns``, every row must carry one number per
-    column, and there must be at least one row.  A bad row is reported as
-    ``path:line``.
+    column, and there must be at least one row.  A bad row, or a byte that is
+    not text in the default encoding, is reported as ``path:line``.
     """
-    lines = Path(path).read_text().strip().splitlines()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not {exc.encoding} text ({exc.reason})") from None
+    lines = text.strip().splitlines()
     if not lines or lines[0].split(",") != list(columns):
         raise ValueError(f"{path}: expected header {','.join(columns)}")
     body = lines[1:]

@@ -25,7 +25,8 @@ from dynsqueeze import (
 )
 from dynsqueeze import harness
 from dynsqueeze.analysis import RESIDUAL_COLUMNS, read_summary_csv, summarize
-from dynsqueeze.cli import GAP_NOTE, main
+from dynsqueeze.cli import GAP_NOTE, PWL_TARGETS, main
+from dynsqueeze.electronics import TARGETS
 from dynsqueeze.tables import read_moments_csv, read_table, write_moments_csv
 
 SMALL = RunConfig(bins_per_period=5, n_periods=2, n_trials=400, seed=7)
@@ -460,6 +461,17 @@ def test_analyze_edited_se_var_exits_1(cfg_path, tmp_path, capsys):
     assert not (an / "summary.csv").exists()
 
 
+def test_analyze_non_utf8_moments_file_exits_1_naming_file_and_line(cfg_path, tmp_path, capsys):
+    sim, an = tmp_path / "sim", tmp_path / "an"
+    assert _simulate(cfg_path, sim) == 0
+    path = sim / "moments_p.csv"
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    assert main(_analyze_argv(sim, an)) == 1
+    # the header and SMALL's 10 rows come first
+    assert capsys.readouterr().err == f"error: {path}:12: not utf-8 text (invalid start byte)\n"
+    assert not an.exists()
+
+
 def test_analyze_flags_zero_x_variance(cfg_path, tmp_path, capsys):
     sim, an = tmp_path / "sim", tmp_path / "an"
     assert _simulate(cfg_path, sim) == 0
@@ -499,10 +511,15 @@ def test_analyze_outputs_match_pinned_sha256(tmp_path, capsys):
 # Modules each subcommand must not load.  Every process pays to compile and
 # run what it imports: gate, config and harness (with hashlib's _hashlib, about
 # 3.5 MB) cost analyze and circuits 20-30 ms and 4 MB of a fresh process,
-# and numpy's unique() imports numpy.ma, 10-15 ms more.
+# and numpy's unique() imports numpy.ma, 10-15 ms more.  Parsing alone, as
+# --help does, loads neither electronics nor numpy.
 _NOT_LOADED = {
-    "analyze": {"dynsqueeze.gate", "dynsqueeze.config", "dynsqueeze.harness", "hashlib", "numpy.ma"},
+    "analyze": {
+        "dynsqueeze.gate", "dynsqueeze.config", "dynsqueeze.harness", "dynsqueeze.electronics",
+        "hashlib", "numpy.ma",
+    },
     "circuits": {"dynsqueeze.gate", "dynsqueeze.harness"},
+    "help": {"dynsqueeze.electronics", "numpy"},
     "simulate": {"dynsqueeze.analysis"},
 }
 
@@ -513,6 +530,7 @@ def test_subcommand_loads_only_what_it_runs(cfg_path, tmp_path, command):
     argv = {
         "analyze": _analyze_argv(sim, tmp_path / "an"),
         "circuits": ["circuits", "--out", str(tmp_path / "c")],
+        "help": ["--help"],
         "simulate": ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s")],
     }[command]
     if command == "analyze":
@@ -605,6 +623,10 @@ def test_usage_errors_fold_to_exit_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["-h"]) == 0
     assert "simulate" in capsys.readouterr().out
+
+
+def test_target_choices_are_the_electronics_targets():
+    assert PWL_TARGETS == tuple(sorted(TARGETS))
 
 
 def test_calibration_failure_exits_2(cfg_path, tmp_path, monkeypatch, capsys):

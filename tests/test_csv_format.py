@@ -5,13 +5,17 @@ with literal text, so any change to the column order, the number format
 (``%.12g`` for floats, the same bytes as ``{:.12g}``; plain integers for
 indices and flags) or the line endings shows up here rather than in a
 downstream reader.  A property test holds the table writer to a per-cell
-reference and the reader to ``float`` on what was written.
+reference and the reader to ``float`` on what was written; two more hold the
+writer to that reference where its blocks of rows meet, and its memory to a
+fixed bound.
 """
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,7 +26,7 @@ from dynsqueeze.analysis import (
     write_residuals_csv,
     write_summary_csv,
 )
-from dynsqueeze.tables import read_table, write_moments_csv, write_table
+from dynsqueeze.tables import _BLOCK_ROWS, read_table, write_moments_csv, write_table
 
 _P = np.pi / 2.0
 _TIME = np.array([0.0, 0.01, 0.02])
@@ -143,3 +147,53 @@ def test_write_table_matches_per_cell_reference_and_reads_back(table):
         keep = ~np.isnan(exact)
         assert np.array_equal(got[keep], exact[keep])
         assert np.array_equal(np.signbit(got[keep]), np.signbit(exact[keep]))
+
+
+@pytest.mark.parametrize(
+    "n_rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+)
+def test_write_table_matches_per_cell_reference_across_blocks(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    floats[::7] = np.resize(_EDGE_FLOATS, floats[::7].size)
+    kinds = ("int", "float", "float", "bool", "int")
+    values = [
+        np.arange(n_rows),
+        floats,
+        2.5,
+        rng.random(n_rows) < 0.5,
+        rng.integers(-(2**63), 2**63 - 1, n_rows),
+    ]
+    columns = [f"c{i}" for i in range(len(kinds))]
+    rows = [
+        ",".join(_reference_cell(k, np.broadcast_to(v, n_rows)[i]) for k, v in zip(kinds, values))
+        for i in range(n_rows)
+    ]
+    path = tmp_path / "t.csv"
+    write_table(path, columns, values)
+    assert path.read_text() == "".join(line + "\n" for line in [",".join(columns), *rows])
+
+
+@pytest.mark.parametrize(
+    "bad", [np.array(["a", "b"]), np.zeros((2, 2)), np.array([1j, 2j])], ids=["text", "2-D", "complex"]
+)
+def test_write_table_checks_every_column_before_opening_the_file(tmp_path, bad):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="columns must be real numbers or 1-D arrays of them"):
+        write_table(path, ["a", "b"], [np.arange(2), bad])
+    assert not path.exists()
+
+
+def test_write_table_memory_does_not_grow_with_the_rows(tmp_path):
+    # 20 000 rows of 8 columns are 2.2 MB of CSV; a whole-table string costs
+    # about 10 MiB of heap to write, one block of rows about 80 KiB
+    rng = np.random.default_rng(0)
+    arrays = [np.arange(20_000), *rng.standard_normal((7, 20_000))]
+    columns = [f"c{i}" for i in range(8)]
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "t.csv", columns, arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024

@@ -715,3 +715,12 @@ def test_read_table_names_the_row_with_a_non_number(tmp_path):
 
     with pytest.raises(ValueError, match=r"moments_x\.csv:3: not a number: 'abc'"):
         read_table(_edited_moments(tmp_path, spoil_line_3), MOMENTS_COLUMNS)
+
+
+def test_read_table_names_the_line_with_a_byte_that_is_not_text(tmp_path):
+    path = _edited_moments(tmp_path, lambda lines: None)
+    data = path.read_bytes()
+    third = data.index(b"\n", data.index(b"\n") + 1) + 1
+    path.write_bytes(data[:third] + b"\xff\xfe" + data[third:])
+    with pytest.raises(ValueError, match=r"moments_x\.csv:3: not utf-8 text \(invalid start byte\)"):
+        read_table(path, MOMENTS_COLUMNS)
