@@ -3,9 +3,10 @@
 The local-oscillator phase arctan(kappa) and the feed-forward gain
 sqrt(1 + kappa^2) have to be produced in real time by analog circuits, which
 realize them as clamped piecewise-linear (broken-line) approximations.  This
-module fits those tables, measures their worst-case error and saves/loads
-them as text.  With ``use_pwl_electronics`` the harness runs the gate off
-these tables instead of the exact functions.
+module fits those tables with the same worst error on every segment, measures
+that error exactly and saves/loads the tables as text.  With
+``use_pwl_electronics`` the harness runs the gate off these tables instead of
+the exact functions.
 """
 
 from __future__ import annotations
@@ -15,19 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from .states import Immutable
+from .tables import read_text
 
 _FMT = "{:.12g}"
 
-_DENSE_GRID = 20001
-
-# Largest table fit_pwl builds.  Its knots are quantiles of a density sampled
-# at _DENSE_GRID points; at 1000 segments on [-2, 2] the narrowest segment
-# still spans 25 (sqrt1px2) to 30 (arctan) of the grid's intervals.
+# Largest table fit_pwl builds.  A move of its knots takes time in proportion
+# to the segments, about 1 ms at 1000, so no fit takes much over 0.1 s.
 MAX_SEGMENTS = 1000
 
-
-def _arctan_d2(x):
-    return -2.0 * x / (1.0 + x**2) ** 2
+# Knot moves fit_pwl makes at most; it returns the best table it met.
+_MAX_STEPS = 100
 
 
 def _arctan_slope_inverse(a, b, ya, yb):
@@ -38,10 +36,6 @@ def _sqrt1px2(x):
     return np.sqrt(1.0 + x**2)
 
 
-def _sqrt1px2_d2(x):
-    return (1.0 + x**2) ** -1.5
-
-
 def _sqrt1px2_slope_inverse(a, b, ya, yb):
     # x = s / sqrt(1 - s^2) with s = dy / dx is dy / sqrt(dx^2 - dy^2).  Far
     # from 0, s rounds to +-1 and 1 - s^2 to 0; (dx - dy)(dx + dy), taken
@@ -49,13 +43,12 @@ def _sqrt1px2_slope_inverse(a, b, ya, yb):
     return (yb - ya) / np.sqrt(((b - yb) - (a - ya)) * ((b + yb) - (a + ya)))
 
 
-# target name -> (function, second derivative, slope inverse: an x where f'
-# equals the slope of the chord from (a, ya) to (b, yb), NaN or +-inf if
-# none); the functions are the exact electronics, read by GateParams.exact
-# and harness._gate_params
+# target name -> (function, slope inverse: an x where f' equals the slope of
+# the chord from (a, ya) to (b, yb), NaN or +-inf if none); the functions are
+# the exact electronics, read by GateParams.exact and harness._gate_params
 TARGETS = {
-    "arctan": (np.arctan, _arctan_d2, _arctan_slope_inverse),
-    "sqrt1px2": (_sqrt1px2, _sqrt1px2_d2, _sqrt1px2_slope_inverse),
+    "arctan": (np.arctan, _arctan_slope_inverse),
+    "sqrt1px2": (_sqrt1px2, _sqrt1px2_slope_inverse),
 }
 
 
@@ -103,55 +96,19 @@ def _lookup_target(target: str):
         ) from None
 
 
-def _cumulative_quantile(grid: np.ndarray, density: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Positions where the normalized cumulative integral of density hits q."""
-    steps = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
-    cum = np.concatenate([[0.0], np.cumsum(steps)])
-    if cum[-1] <= 0.0:
-        return np.interp(q, np.linspace(0.0, 1.0, grid.size), grid)
-    return np.interp(q, cum / cum[-1], grid)
-
-
-def _equidistributed_knots(target: str, n_segments: int, lo: float, hi: float) -> np.ndarray:
-    """Knots spaced so each segment carries equal integral of |f''|^(1/2).
-
-    That density equalizes the per-segment interpolation error h^2 |f''| / 8 to
-    leading order.  On a symmetric range the knots are built on [0, hi] and
-    mirrored, so odd/even targets yield exactly odd/even approximations.
-    """
-    d2 = _lookup_target(target)[1]
-    # atol=0: numpy's default 1e-8 would call a range as narrow as [0, 1e-8] symmetric
-    symmetric = np.isclose(lo, -hi, atol=0.0) and hi > 0.0
-    grid = np.linspace(0.0 if symmetric else lo, hi, _DENSE_GRID)
-    # where 1 + x^2 or 2 x overflows, f'' takes its true limit, 0, not inf / inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        density = np.nan_to_num(np.sqrt(np.abs(d2(grid))), nan=0.0)
-    density = np.maximum(density, 1e-9 * max(float(density.max()), 1.0))
-    if symmetric:
-        half = n_segments / 2.0
-        if n_segments % 2 == 0:
-            q = np.arange(n_segments // 2 + 1) / half
-            right = _cumulative_quantile(grid, density, q)
-            knots = np.concatenate([-right[:0:-1], right])
-        else:
-            # Odd count: the middle segment straddles 0, so the first knot on
-            # the right sits at half a segment's worth of density.
-            q = (np.arange(1, (n_segments + 1) // 2 + 1) - 0.5) / half
-            right = _cumulative_quantile(grid, density, q)
-            knots = np.concatenate([-right[::-1], right])
-    else:
-        knots = _cumulative_quantile(grid, density, np.linspace(0.0, 1.0, n_segments + 1))
-    knots[0], knots[-1] = lo, hi
-    return knots
-
-
 def fit_pwl(target: str, n_segments: int, lo: float, hi: float) -> PiecewiseLinearFunction:
     """Fit a clamped broken-line approximation of a registered target function.
 
-    Knots are placed by error equidistribution (density |f''|^(1/2)) and the
-    values are the target samples at the knots.  The fit falls back to uniform
-    knots whenever their max_error is lower, so the result is never worse
-    than the naive baseline.  A target not finite at ``lo`` or ``hi`` raises ValueError.
+    The values are the target samples at the knots, and the knots are moved
+    until every segment has the same worst error, which for these targets is
+    the table with the least max_error.  Each move is de Boor's
+    equidistribution: the knots go to equal steps of the running sum of the
+    square roots of the segment errors.  The moves start from knots even in
+    arcsinh(x) and stop once the segment errors agree to 1e-6 of the largest,
+    or after 100 moves; the best table met is returned.  On a range with
+    ``lo == -hi`` the knots are mirrored each move, so arctan's table is
+    exactly odd and sqrt1px2's exactly even.  A target not finite at ``lo``
+    or ``hi`` raises ValueError.
     """
     if not 1 <= n_segments <= MAX_SEGMENTS:
         raise ValueError(f"n_segments must lie in [1, {MAX_SEGMENTS}], got {n_segments}")
@@ -163,35 +120,55 @@ def fit_pwl(target: str, n_segments: int, lo: float, hi: float) -> PiecewiseLine
         ends = fun(np.array([lo, hi]))
     if not np.all(np.isfinite(ends)):
         raise ValueError(f"{target} is not finite at an end of the range [{lo:g}, {hi:g}]")
-    candidates = [
-        PiecewiseLinearFunction(xs, fun(xs))
-        for xs in (
-            _equidistributed_knots(target, n_segments, lo, hi),
-            np.linspace(lo, hi, n_segments + 1),
-        )
-    ]
-    # min keeps the first candidate on a tie
-    return min(candidates, key=lambda f: max_error(f, target))
+    # long double keeps the start's knots apart on a narrow range far from 0
+    t = np.linspace(np.arcsinh(np.longdouble(lo)), np.arcsinh(np.longdouble(hi)), n_segments + 1)
+    xs = np.concatenate([[lo], np.sinh(t[1:-1]).astype(float), [hi]])
+    best = None
+    for _ in range(_MAX_STEPS):
+        if lo == -hi:
+            xs = 0.5 * (xs - xs[::-1])
+        if best is not None and not np.all(np.diff(xs) > 0.0):
+            break  # a move took knots closer than floats resolve, or past them
+        f = PiecewiseLinearFunction(xs, fun(xs))
+        err = _segment_errors(f, target)
+        if best is None or err.max() < best_error:
+            best, best_error = f, err.max()
+        if err.max() - err.min() <= 1e-6 * err.max():
+            break
+        cum = np.concatenate([[0.0], np.cumsum(np.sqrt(err, dtype=float))])
+        xs = np.interp(np.linspace(0.0, cum[-1], n_segments + 1), cum, xs)
+    return best
+
+
+def _segment_errors(f: PiecewiseLinearFunction, target: str) -> np.ndarray:
+    """Max absolute deviation from the target on each segment of the table.
+
+    On a segment f - target peaks at an end or where the target's slope
+    equals the segment's, so only those points are evaluated, the table and
+    the target in long double there.
+    """
+    fun, slope_inverse = _lookup_target(target)
+    a, b, ya, yb = (v.astype(np.longdouble) for v in (f.xs[:-1], f.xs[1:], f.ys[:-1], f.ys[1:]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = slope_inverse(a, b, ya, yb)
+    # arctan' is even, so -x matches too (for sqrt1px2 it is one more point);
+    # fmax sends NaN (no match) to the segment's lower end, fmin/fmax clip inf
+    x = np.fmin(np.fmax(np.stack([a, b, x, -x]), a), b)
+    return np.max(np.abs(ya + (x - a) * (yb - ya) / (b - a) - fun(x)), axis=0)
 
 
 def max_error(f: PiecewiseLinearFunction, target: str) -> float:
     """Max absolute deviation from the target between the table's end breakpoints.
 
-    On each segment f - target peaks at an end or where the target's slope
-    equals the segment's, so only those points are evaluated.  The result is
-    exact up to the float rounding there, which is about an ulp of the
-    segment's end values: once sqrt1px2's pass about 1e15, evaluating the
-    table can round by more than the table deviates, and that rounding is
-    read only at those points.
+    The largest of the segment errors fit_pwl equalizes.  On each segment
+    f - target peaks at an end or where the target's slope equals the
+    segment's, and only those points are evaluated, in long double.  Where
+    long double is wider than float64 (80 bits on x86), the result is exact
+    to about 1e-19 of the segment's end values; where it is only float64
+    (Windows, macOS on Apple silicon), to about an ulp of them, which for
+    sqrt1px2 at 1000 segments on [0, 1e6] is 1e-4 of the error.
     """
-    fun, _d2, slope_inverse = _lookup_target(target)
-    lo, hi = f.xs[:-1], f.xs[1:]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = slope_inverse(lo, hi, f.ys[:-1], f.ys[1:])
-    # arctan' is even, so -x matches too (for sqrt1px2 it is one more point);
-    # fmax sends NaN (no match) to the segment's lower end, fmin/fmax clip inf
-    x = np.concatenate([f.xs, np.fmin(np.fmax(np.stack([x, -x]), lo), hi).ravel()])
-    return float(np.max(np.abs(f(x) - fun(x))))
+    return float(_segment_errors(f, target).max())
 
 
 def save_pwl_table(f: PiecewiseLinearFunction, path) -> None:
@@ -203,9 +180,13 @@ def save_pwl_table(f: PiecewiseLinearFunction, path) -> None:
 
 
 def load_pwl_table(path) -> PiecewiseLinearFunction:
-    """Read a breakpoint table written by :func:`save_pwl_table`."""
+    """Read a breakpoint table written by :func:`save_pwl_table`.
+
+    A line that is not two fields, or a byte that is not text, is reported
+    as ``path:line``.
+    """
     rows = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split()

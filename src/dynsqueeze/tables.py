@@ -46,6 +46,21 @@ def write_table(path, columns, arrays) -> None:
             f.write("".join([row % values for values in zip(*block)]))
 
 
+def read_text(path) -> str:
+    """A text file's contents, every line break read as ``"\\n"``.
+
+    Split it with ``split("\\n")``: ``str.splitlines`` also breaks at form
+    feeds, NEL and a few other characters, and so misnumbers the lines after
+    one.  A byte that is not text in the default encoding raises ValueError
+    naming ``path:line``.
+    """
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not {exc.encoding} text ({exc.reason})") from None
+
+
 def read_table(path, columns) -> dict[str, np.ndarray]:
     """Read a CSV written by :func:`write_table`; one float array per column.
 
@@ -53,13 +68,8 @@ def read_table(path, columns) -> dict[str, np.ndarray]:
     column, and there must be at least one row.  A bad row, or a byte that is
     not text in the default encoding, is reported as ``path:line``.
     """
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{line}: not {exc.encoding} text ({exc.reason})") from None
-    lines = text.strip().splitlines()
-    if not lines or lines[0].split(",") != list(columns):
+    lines = read_text(path).strip().split("\n")
+    if lines[0].split(",") != list(columns):
         raise ValueError(f"{path}: expected header {','.join(columns)}")
     body = lines[1:]
     if not body:

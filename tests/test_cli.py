@@ -690,6 +690,13 @@ def test_circuits_writes_both_tables(tmp_path, capsys):
         assert np.all(np.diff(table.xs) > 0)
 
 
+def test_circuits_prints_the_equal_error_tables_at_the_default_size(tmp_path, capsys):
+    assert main(["circuits", "--out", str(tmp_path / "pwl")]) == 0
+    text = capsys.readouterr().out
+    assert "arctan: 16 segments on [-2, 2], max error 3.014e-03\n" in text
+    assert "sqrt1px2: 16 segments on [-2, 2], max error 3.081e-03\n" in text
+
+
 def test_circuits_single_target(tmp_path):
     out = tmp_path / "pwl"
     rc = main(["circuits", "--out", str(out), "--target", "arctan", "--segments", "4"])
@@ -735,7 +742,7 @@ def test_circuits_takes_a_negative_range_end_in_exponent_form(tmp_path, capsys):
     out = tmp_path / "pwl"
     rc = main(["circuits", "--target", "arctan", "--range", "-1e6", "1e6", "--out", str(out)])
     assert rc == 0
-    assert "[-1e+06, 1e+06], max error 1.139e+00" in capsys.readouterr().out
+    assert "[-1e+06, 1e+06], max error 1.967e-02" in capsys.readouterr().out
     for lo, hi in (("-2", "2"), ("-2.0", "2.0"), ("-1.5E+3", "-.5e1")):
         assert main(["circuits", "--range", lo, hi, "--segments", "2", "--out", str(out)]) == 0
         assert f"[{float(lo):g}, {float(hi):g}]" in capsys.readouterr().out

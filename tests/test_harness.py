@@ -724,3 +724,13 @@ def test_read_table_names_the_line_with_a_byte_that_is_not_text(tmp_path):
     path.write_bytes(data[:third] + b"\xff\xfe" + data[third:])
     with pytest.raises(ValueError, match=r"moments_x\.csv:3: not utf-8 text \(invalid start byte\)"):
         read_table(path, MOMENTS_COLUMNS)
+
+
+@pytest.mark.parametrize("mark", ["\x0c", "\x85", "\u2028"])
+def test_read_table_counts_only_newlines_as_line_breaks(tmp_path, mark):
+    # str.splitlines breaks at these too, which named line 4, a good row;
+    # float() reads "4" followed by any of them as 4
+    path = tmp_path / "f.csv"
+    path.write_text(f"a,b\n1,2\n3,4{mark}\n5,6\nx,1\n")
+    with pytest.raises(ValueError, match=r"f\.csv:5: not a number: 'x'"):
+        read_table(path, ("a", "b"))
