@@ -182,7 +182,7 @@ def save_pwl_table(f: PiecewiseLinearFunction, path) -> None:
 def load_pwl_table(path) -> PiecewiseLinearFunction:
     """Read a breakpoint table written by :func:`save_pwl_table`.
 
-    A line that is not two fields, or a byte that is not text, is reported
+    A line that is not two numbers, or a byte that is not text, is reported
     as ``path:line``.
     """
     rows = []
@@ -192,7 +192,13 @@ def load_pwl_table(path) -> PiecewiseLinearFunction:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{ln}: expected 'x y', got {line!r}")
-        rows.append((float(parts[0]), float(parts[1])))
+        row = []
+        for part in parts:
+            try:
+                row.append(float(part))
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: not a number: {part!r}") from None
+        rows.append(row)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two breakpoints")
     xs, ys = zip(*rows)

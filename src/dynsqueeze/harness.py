@@ -9,9 +9,7 @@ material for the variance analysis.
 
 from __future__ import annotations
 
-import json
 import os
-import zipfile
 from typing import NamedTuple
 
 import numpy as np
@@ -127,7 +125,10 @@ class HomodyneRecordSet(Immutable):
 
     ``samples[angle]`` has shape (n_trials, n_bins); all angles share the time
     grid and the control trace.  ``config_digest`` ties the records back to the
-    configuration that produced them.
+    configuration that produced them.  A set built in memory holds its blocks;
+    one from :meth:`load` reads each block from its archive every time it is
+    asked for (``archive.ArchiveBlocks``), and its shapes, ``angles``,
+    ``n_trials`` and ``repr`` come from the archive's headers.
     """
 
     __slots__ = ("time_us", "kappa", "samples", "seed", "config_digest")
@@ -143,7 +144,7 @@ class HomodyneRecordSet(Immutable):
         n_bins = len(time_us)
         if len(kappa) != n_bins:
             raise ValueError("kappa and time grids differ in length")
-        shapes = {a: s.shape for a, s in samples.items()}
+        shapes = _block_shapes(samples)
         for angle, shape in shapes.items():
             if len(shape) != 2 or shape[1] != n_bins:
                 raise ValueError(f"samples at angle {angle} have shape {shape}, want (*, {n_bins})")
@@ -157,63 +158,32 @@ class HomodyneRecordSet(Immutable):
 
     @property
     def n_trials(self) -> int:
-        return next(iter(self.samples.values())).shape[0]
+        return next(iter(_block_shapes(self.samples).values()))[0]
 
     def save(self, path) -> None:
-        _write_records(
+        from .archive import write_records
+
+        write_records(
             path, self.time_us, self.kappa, self.samples.items(), self.seed, self.config_digest
         )
 
     @classmethod
     def load(cls, path) -> "HomodyneRecordSet":
-        with np.load(path) as data:
-            meta = json.loads(str(data["meta"]))
-            samples = {
-                float(angle): data[f"samples_{i}"]
-                for i, angle in enumerate(data["angles"])
-            }
-            return cls(
-                data["time_us"], data["kappa"], samples,
-                int(meta["seed"]), str(meta["config_digest"]),
-            )
+        """The records archived at ``path``, each block read only when it is asked for.
+
+        Reading a block raises ValueError once the archive has been replaced
+        or rewritten, or when its bytes fail the zip's CRC.
+        """
+        from .archive import read_records
+
+        return cls(*read_records(path))
 
 
-def _write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None:
-    """Write a records archive member by member, as ``np.savez`` lays it out.
-
-    The members are ``meta``, ``time_us``, ``kappa``, ``samples_0`` .. and
-    ``angles``, each an uncompressed ``.npy`` in a zip file, byte for byte
-    what ``np.savez`` writes, into ``path``'s directory, which is created if
-    need be.  ``blocks`` yields (angle, block) pairs; a C-ordered block is
-    written from its own buffer, not copied, and each block is dropped before
-    the next is taken.
-    """
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    angles, fmt = [], np.lib.format
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
-
-        def write(name, array):
-            array = np.asanyarray(array)
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                if array.ndim == 2 and array.flags.c_contiguous:
-                    # write_array copies up to 16 MiB at a time through tobytes()
-                    fmt.write_array_header_1_0(fh, fmt.header_data_from_array_1_0(array))
-                    fh.write(memoryview(array))
-                else:
-                    fmt.write_array(fh, array, allow_pickle=False)
-
-        write("meta", np.array(json.dumps({"seed": seed, "config_digest": digest})))
-        write("time_us", time_us)
-        write("kappa", kappa)
-        # not enumerate(blocks), which keeps its last tuple (see _shot_blocks)
-        for angle, block in blocks:
-            write(f"samples_{len(angles)}", block)
-            angles.append(angle)
-            del block
-        write("angles", np.array(angles))
+def _block_shapes(samples) -> dict:
+    """Each block's shape; a loaded set's blocks give theirs from the archive's headers."""
+    if hasattr(samples, "shapes"):
+        return samples.shapes()
+    return {angle: block.shape for angle, block in samples.items()}
 
 
 def _physical_memory() -> int | None:
@@ -342,13 +312,21 @@ def _block_moments(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
-    """Sample mean/variance per (angle, bin); needs at least two trials."""
+    """Sample mean/variance per (angle, bin); needs at least two trials.
+
+    Each block is taken, reduced and dropped before the next is asked for,
+    and the reduction makes no block-sized temporary, so on a loaded record
+    set, which reads a block each time one is asked for, one block is alive
+    at a time.
+    """
     n = records.n_trials
     if n < 2:
         raise ValueError("need at least two trials to estimate a variance")
     mean, variance = {}, {}
-    for angle, block in records.samples.items():
+    for angle in records.samples:
+        block = records.samples[angle]
         mean[angle], variance[angle] = _block_moments(block)
+        del block
     return _moment_estimates(records.time_us, records.kappa, n, mean, variance)
 
 
@@ -364,6 +342,10 @@ def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEst
     ConfigError, from _route, before drawing or writing anything, or creating
     that directory, when one block would not fit in physical memory.
     """
+    # imported first, so that what compiling it frees is reused by the run,
+    # not left beneath the block: imported last, it raised peak RSS 0.3 MiB
+    from .archive import write_records
+
     seed = cfg.seed if seed is None else seed
     n = cfg.n_trials
     traces, laws = _shot_laws(cfg, seed, RECORDS_PEAK_BLOCKS)
@@ -375,7 +357,7 @@ def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEst
             yield angle, block
             del block
 
-    _write_records(path, traces.time_us, traces.kappa, reduced(), int(seed), config_digest(cfg))
+    write_records(path, traces.time_us, traces.kappa, reduced(), int(seed), config_digest(cfg))
     return _moment_estimates(traces.time_us, traces.kappa, n, mean, variance)
 
 

@@ -64,11 +64,12 @@ def read_text(path) -> str:
 def read_table(path, columns) -> dict[str, np.ndarray]:
     """Read a CSV written by :func:`write_table`; one float array per column.
 
-    The header must equal ``columns``, every row must carry one number per
-    column, and there must be at least one row.  A bad row, or a byte that is
-    not text in the default encoding, is reported as ``path:line``.
+    The header, on the first line, must equal ``columns``, every row must
+    carry one number per column, and there must be at least one row.  A bad
+    row, or a byte that is not text in the default encoding, is reported as
+    ``path:line``.
     """
-    lines = read_text(path).strip().split("\n")
+    lines = read_text(path).rstrip().split("\n")
     if lines[0].split(",") != list(columns):
         raise ValueError(f"{path}: expected header {','.join(columns)}")
     body = lines[1:]

@@ -512,15 +512,16 @@ def test_analyze_outputs_match_pinned_sha256(tmp_path, capsys):
 # run what it imports: gate, config and harness (with hashlib's _hashlib, about
 # 3.5 MB) cost analyze and circuits 20-30 ms and 4 MB of a fresh process,
 # and numpy's unique() imports numpy.ma, 10-15 ms more.  Parsing alone, as
-# --help does, loads neither electronics nor numpy.
+# --help does, loads neither electronics nor numpy.  Only runs that save or
+# load raw records load the archive module, about 3.5 ms to compile and run.
 _NOT_LOADED = {
     "analyze": {
         "dynsqueeze.gate", "dynsqueeze.config", "dynsqueeze.harness", "dynsqueeze.electronics",
-        "hashlib", "numpy.ma",
+        "dynsqueeze.archive", "hashlib", "numpy.ma",
     },
-    "circuits": {"dynsqueeze.gate", "dynsqueeze.harness"},
+    "circuits": {"dynsqueeze.gate", "dynsqueeze.harness", "dynsqueeze.archive"},
     "help": {"dynsqueeze.electronics", "numpy"},
-    "simulate": {"dynsqueeze.analysis"},
+    "simulate": {"dynsqueeze.analysis", "dynsqueeze.archive"},
 }
 
 

@@ -267,6 +267,13 @@ def test_table_load_counts_only_newlines_as_line_breaks(tmp_path, mark):
         load_pwl_table(path)
 
 
+def test_table_load_names_the_line_of_a_non_number(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("0 1\n1 x\n")
+    with pytest.raises(ValueError, match=r"t\.txt:2: not a number: 'x'"):
+        load_pwl_table(path)
+
+
 def test_table_load_names_the_line_with_a_byte_that_is_not_text(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes(b"0 1\n1 2\n\xff 3\n")

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -25,7 +27,7 @@ from dynsqueeze import (
     simulate_records,
     theory_traces,
 )
-from dynsqueeze import harness
+from dynsqueeze import archive, harness
 from dynsqueeze.harness import HomodyneRecordSet
 from dynsqueeze.tables import (
     MOMENTS_COLUMNS,
@@ -339,6 +341,114 @@ def test_compressed_records_still_load(tmp_path):
         assert np.array_equal(back.samples[angle], rec.samples[angle])
 
 
+def _savez(path, rec, samples):
+    """``np.savez`` of ``rec``'s members with ``samples`` as its blocks."""
+    meta = json.dumps({"seed": rec.seed, "config_digest": rec.config_digest})
+    np.savez(
+        path, meta=np.array(meta), time_us=rec.time_us, kappa=rec.kappa,
+        **{f"samples_{i}": samples[a] for i, a in enumerate(rec.angles)},
+        angles=np.array(rec.angles),
+    )
+
+
+@pytest.mark.parametrize("change", ["replaced", "rewritten"])
+def test_loaded_records_refuse_an_archive_changed_after_load(tmp_path, change):
+    path = tmp_path / "records.npz"
+    run_experiment(SMALL).save(path)
+    back = HomodyneRecordSet.load(path)
+    if change == "replaced":
+        run_experiment(SMALL, 12).save(path)  # the same size, a new file
+    else:  # the same bytes written into the same file, a second later
+        data, st = path.read_bytes(), path.stat()
+        with path.open("r+b") as f:
+            f.write(data)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the archive changed")):
+        back.samples[0.0]
+
+
+def test_loaded_records_name_a_member_that_fails_its_crc(tmp_path):
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    rec.save(path)
+    data = bytearray(path.read_bytes())
+    second = rec.samples[rec.angles[1]].tobytes()
+    data[data.index(second) + len(second) // 2] ^= 0x10
+    path.write_bytes(data)
+    back = HomodyneRecordSet.load(path)
+    assert np.array_equal(back.samples[rec.angles[0]], rec.samples[rec.angles[0]])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: member samples_1 fails its CRC")):
+        back.samples[rec.angles[1]]
+
+
+def test_loaded_records_save_onto_their_own_archive(tmp_path):
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    rec.save(path)
+    back = HomodyneRecordSet.load(path)
+    angle = back.angles[1]
+    block = back.samples[angle].copy()
+    block[5, 1] += 1.0
+    back.samples[angle] = block
+    back.save(path)
+    _savez(tmp_path / "savez.npz", rec, {**rec.samples, angle: block})
+    assert path.read_bytes() == (tmp_path / "savez.npz").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.npz", "savez.npz"]
+    assert back.samples[angle] is block
+    with pytest.raises(ValueError, match="changed"):
+        back.samples[back.angles[0]]  # the archive it was loaded from is gone
+
+
+def test_a_save_that_fails_midway_leaves_the_old_archive(tmp_path):
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    rec.save(path)
+    before = path.read_bytes()
+
+    def blocks():
+        yield rec.angles[0], rec.samples[rec.angles[0]]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        archive.write_records(path, rec.time_us, rec.kappa, blocks(), rec.seed, "d")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["records.npz"]
+
+
+@pytest.mark.parametrize("content", ["text", "truncated"])
+def test_load_names_a_file_that_is_not_an_archive(tmp_path, content):
+    path = tmp_path / "records.npz"
+    run_experiment(SMALL).save(path)
+    data = path.read_bytes()
+    path.write_bytes(b"not a zip archive" if content == "text" else data[: len(data) // 2])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: File is not a zip file")):
+        HomodyneRecordSet.load(path)
+
+
+def test_load_refuses_a_block_of_python_objects(tmp_path):
+    # read raw into an object array, its bytes would become pointers
+    rec = run_experiment(SMALL)
+    samples = {**rec.samples, 0.0: rec.samples[0.0].astype(object)}
+    _savez(tmp_path / "records.npz", rec, samples)
+    with pytest.raises(ValueError, match="member samples_0 holds Python objects"):
+        HomodyneRecordSet.load(tmp_path / "records.npz")
+
+
+def test_loaded_records_describe_themselves_from_the_headers(tmp_path):
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    rec.save(path)
+    back = HomodyneRecordSet.load(path)
+    path.write_bytes(b"")  # any block read from here on fails
+    shapes = {a: (SMALL.n_trials, SMALL.n_bins) for a in MEASUREMENT_ANGLES}
+    assert repr(back.samples) == f"ArchiveBlocks({str(path)!r}, shapes={shapes!r})"
+    assert f"samples={back.samples!r}" in repr(back)
+    assert back.angles == rec.angles and back.n_trials == SMALL.n_trials
+    assert 0.0 in back.samples and len(back.samples) == 3
+    with pytest.raises(ValueError, match="changed"):
+        back.samples[0.0]
+
+
 def test_saved_records_are_uncompressed(tmp_path):
     rec = run_experiment(SMALL)
     path = tmp_path / "records.npz"
@@ -471,19 +581,42 @@ def test_block_moments_off_the_chunked_path_are_numpy_bit_for_bit(layout):
     assert variance.tobytes() == np.var(block, axis=0, ddof=1).tobytes()
 
 
-def test_estimate_moments_allocates_no_block_sized_temporary(tmp_path):
-    cfg = RunConfig(n_trials=2000, seed=3)
-    block = cfg.n_trials * cfg.n_bins * 8  # 3.05 MiB
-    run_experiment(cfg).save(tmp_path / "records.npz")
-    records = HomodyneRecordSet.load(tmp_path / "records.npz")
-    estimate_moments(records)  # first call pays for one-off imports and caches
+def _peak(call):
+    """The tracemalloc peak of ``call()``, after one untraced call."""
+    call()  # the first call pays for one-off imports and caches
     tracemalloc.start()
     try:
-        estimate_moments(records)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * block, peak / block
+
+
+MEMORY_CFG = RunConfig(n_trials=2000, seed=3)
+BLOCK = MEMORY_CFG.n_trials * MEMORY_CFG.n_bins * 8  # 3.05 MiB
+
+
+def test_estimate_moments_allocates_no_block_sized_temporary():
+    # in memory, so that no block is read inside the measured call
+    records = run_experiment(MEMORY_CFG)
+    peak = _peak(lambda: estimate_moments(records))
+    assert peak < 0.25 * BLOCK, peak / BLOCK
+
+
+def test_load_reads_no_block(tmp_path):
+    path = tmp_path / "records.npz"
+    run_experiment(MEMORY_CFG).save(path)
+    peak = _peak(lambda: HomodyneRecordSet.load(path))
+    assert peak < 0.1 * BLOCK, peak / BLOCK
+
+
+def test_moments_of_a_loaded_set_hold_one_block(tmp_path):
+    # a loaded set reads each block when it is asked for; all three read
+    # at once, or one kept while the next is read, would peak at 2 or more
+    path = tmp_path / "records.npz"
+    run_experiment(MEMORY_CFG).save(path)
+    peak = _peak(lambda: estimate_moments(HomodyneRecordSet.load(path)))
+    assert peak < 1.2 * BLOCK, peak / BLOCK
 
 
 def _csv_trials(tmp_path, est):
@@ -521,13 +654,7 @@ def test_trials_from_moments_rejects_disagreeing_bins():
 
 def _streamed_peak(n_trials):
     cfg = RunConfig(n_trials=n_trials)
-    simulate_moments(cfg)  # first call pays for one-off imports and caches
-    tracemalloc.start()
-    try:
-        simulate_moments(cfg)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return _peak(lambda: simulate_moments(cfg))
 
 
 def test_streamed_memory_does_not_grow_with_trials():
@@ -733,4 +860,12 @@ def test_read_table_counts_only_newlines_as_line_breaks(tmp_path, mark):
     path = tmp_path / "f.csv"
     path.write_text(f"a,b\n1,2\n3,4{mark}\n5,6\nx,1\n")
     with pytest.raises(ValueError, match=r"f\.csv:5: not a number: 'x'"):
+        read_table(path, ("a", "b"))
+
+
+def test_read_table_rejects_a_blank_first_line(tmp_path):
+    # stripped, it numbered every row one line too low: 'x' was named on line 3
+    path = tmp_path / "g.csv"
+    path.write_text("\na,b\n1,2\nx,1\n")
+    with pytest.raises(ValueError, match=r"g\.csv: expected header a,b"):
         read_table(path, ("a", "b"))
