@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     name: module
     for module, names in (
-        ("analysis", ("diagonalize", "reconstruct_variance_matrix", "scan_extrema", "summarize")),
+        ("analysis", ("diagonalize", "reconstruct_variance_matrix", "summarize")),
         ("config", ("ConfigError", "RunConfig", "config_digest", "load_config", "save_config")),
         ("electronics", (
             "PiecewiseLinearFunction", "fit_pwl", "load_pwl_table", "max_error", "save_pwl_table",

@@ -21,6 +21,7 @@ from .tables import (
     TheoryTraces,
     label_for_angle,
     read_table,
+    same_grid,
     write_table,
 )
 
@@ -49,13 +50,6 @@ RESIDUAL_COLUMNS = (
     "d_var_p",
     "d_var_pi4",
 )
-
-
-def same_grid(time_a, kappa_a, time_b, kappa_b) -> bool:
-    """Whether two bin grids have equal length and time and kappa within 1e-9."""
-    return len(time_a) == len(time_b) and all(
-        np.allclose(a, b, rtol=0.0, atol=1e-9) for a, b in ((time_a, time_b), (kappa_a, kappa_b))
-    )
 
 
 def reconstruct_variance_matrix(sigma_x2, sigma_p2, sigma_pi4_2) -> np.ndarray:
@@ -129,20 +123,6 @@ def diagonalize(matrix):
     if v.ndim == 2:
         return tuple(float(x) for x in spectrum)
     return spectrum
-
-
-def scan_extrema(matrix, n_angles: int = 10000) -> tuple[float, float, float, float]:
-    """Brute-force scan of the quadrature variance over angles in [0, pi).
-
-    Returns (min_value, argmin_angle, max_value, argmax_angle); used as an
-    independent check of :func:`diagonalize`.
-    """
-    v = np.asarray(matrix, dtype=float)
-    angles = np.linspace(0.0, np.pi, n_angles, endpoint=False)
-    cs, sn = np.cos(angles), np.sin(angles)
-    values = v[0, 0] * cs**2 + v[1, 1] * sn**2 + 2.0 * v[0, 1] * cs * sn
-    lo, hi = int(np.argmin(values)), int(np.argmax(values))
-    return float(values[lo]), float(angles[lo]), float(values[hi]), float(angles[hi])
 
 
 def _require_finite(source: str, moment: str, by_angle: dict) -> None:

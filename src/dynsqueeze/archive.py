@@ -171,7 +171,8 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
     """A records archive's ``time_us``, ``kappa``, blocks by angle, seed and config digest.
 
     The blocks are an :class:`ArchiveBlocks`: only their headers are read here.
-    A file that is not a zip archive raises ValueError naming it.
+    A file that is not a zip archive, or a zip that lacks a member or a
+    ``meta`` key of one, raises ValueError naming it and what is missing.
     """
     with open(path, "rb") as f:
         try:
@@ -180,12 +181,18 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
             raise ValueError(f"{path}: {exc}") from None
         with zf:
             small = {}
-            for name in ("meta", "time_us", "kappa", "angles"):
-                with zf.open(f"{name}.npy") as fh:
-                    small[name] = np.lib.format.read_array(fh, allow_pickle=False)
-            members = {
-                float(a): _member(f, zf, f"samples_{i}") for i, a in enumerate(small["angles"])
-            }
+            try:
+                for name in ("meta", "time_us", "kappa", "angles"):
+                    with zf.open(f"{name}.npy") as fh:
+                        small[name] = np.lib.format.read_array(fh, allow_pickle=False)
+                members = {
+                    float(a): _member(f, zf, f"samples_{i}") for i, a in enumerate(small["angles"])
+                }
+            except KeyError as exc:  # zipfile's message names the missing member
+                raise ValueError(f"{path}: {exc.args[0]}: not a records archive") from None
         blocks = ArchiveBlocks(path, _identity(f.fileno()), members)
     meta = json.loads(str(small["meta"]))
+    for key in ("seed", "config_digest"):
+        if key not in meta:
+            raise ValueError(f"{path}: meta has no {key!r} key: not a records archive")
     return small["time_us"], small["kappa"], blocks, int(meta["seed"]), str(meta["config_digest"])

@@ -17,8 +17,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .config import RunConfig
 
 # Printed with theory output so the model's reach is not oversold, for the
@@ -66,7 +64,7 @@ def cmd_simulate(args) -> int:
     from .config import ConfigError, config_digest
     from .gate import calibrate_signs
     from .harness import simulate_moments, simulate_records
-    from .tables import MEASUREMENT_ANGLES, label_for_angle, write_moments_csv
+    from .tables import write_moments_files
 
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -81,16 +79,11 @@ def cmd_simulate(args) -> int:
         # No shot is drawn: each bin's sample mean and variance come straight
         # from their exact law (see simulate_moments).
         est = simulate_moments(cfg, seed)
-    out = _outdir(args)
-    written = []
-    for angle in MEASUREMENT_ANGLES:
-        path = out / f"moments_{label_for_angle(angle)}.csv"
-        write_moments_csv(path, est, angle)
-        written.append(path)
+    written = write_moments_files(_outdir(args), est)
     if args.save_records:
         written.append(records)
     print(f"config {config_digest(cfg)} seed {seed}")
-    print(f"{est.n_trials} trials x {len(est.time_us)} bins x {len(MEASUREMENT_ANGLES)} angles")
+    print(f"{est.n_trials} trials x {len(est.time_us)} bins x {len(est.mean)} angles")
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -102,17 +95,14 @@ def cmd_theory(args) -> int:
     from .gate import closed_form_output
     from .harness import _route
     from .states import variance_to_db
-    from .tables import MEASUREMENT_ANGLES, label_for_angle, write_theory_csv
+    from .tables import write_theory_files
 
     cfg = _load_cfg(args)
     th, outs = _route(cfg, closed_form_output)
     # From the closed-form covariance itself: rebuilt from the three projected
     # variances, its cross term is lost to rounding at large |kappa|.
     minus_db = variance_to_db(diagonalize(outs.cov)[1])
-    out = _outdir(args)
-    for angle in MEASUREMENT_ANGLES:
-        path = out / f"theory_{label_for_angle(angle)}.csv"
-        write_theory_csv(path, th, angle)
+    for path in write_theory_files(_outdir(args), th):
         print(f"wrote {path}")
     print(f"config {config_digest(cfg)}")
     print(
@@ -124,46 +114,12 @@ def cmd_theory(args) -> int:
     return 0
 
 
-def _read_angle_files(paths) -> dict[str, dict[float, np.ndarray]]:
-    """Each column of three per-angle moments files, as a dict from angle to array."""
-    from .analysis import same_grid
-    from .tables import MEASUREMENT_ANGLES, measurement_angle, read_moments_csv
-
-    by_angle = {}
-    for path in paths:
-        data = read_moments_csv(path)
-        try:
-            angle = measurement_angle(data.pop("angle"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        if angle in by_angle:
-            raise ValueError(f"{path}: duplicate angle {angle}")
-        by_angle[angle] = data
-    if set(by_angle) != set(MEASUREMENT_ANGLES):
-        raise ValueError("need one moments file per angle: x, p, pi/4")
-    ref = by_angle[MEASUREMENT_ANGLES[0]]
-    for data in by_angle.values():
-        if not same_grid(data["time_us"], data["kappa"], ref["time_us"], ref["kappa"]):
-            raise ValueError("moments files are on different grids")
-    return {col: {a: data[col] for a, data in by_angle.items()} for col in ref}
-
-
 def cmd_analyze(args) -> int:
-    import numpy as np
-
     from .analysis import summarize, write_residuals_csv, write_summary_csv
-    from .tables import MEASUREMENT_ANGLES, MomentEstimates, TheoryTraces, trials_from_moments
+    from .tables import read_moments, read_theory
 
-    x = MEASUREMENT_ANGLES[0]
-    m = _read_angle_files(args.moments)
-    est = MomentEstimates(
-        m["time_us"][x], m["kappa"][x], trials_from_moments(m["variance"], m["se_var"]),
-        m["mean"], m["variance"], m["se_mean"], m["se_var"],
-    )
-    theory = None
-    if args.theory:
-        t = _read_angle_files(args.theory)
-        theory = TheoryTraces(t["time_us"][x], t["kappa"][x], t["mean"], t["variance"])
+    est = read_moments(args.moments)
+    theory = read_theory(args.theory) if args.theory else None
     summary, residuals = summarize(est, theory)
     out = _outdir(args)
     path = out / "summary.csv"
@@ -173,7 +129,7 @@ def cmd_analyze(args) -> int:
         path = out / "residuals.csv"
         write_residuals_csv(path, residuals)
         print(f"wrote {path}")
-    n_flagged = len(summary) - np.count_nonzero(summary.valid)
+    n_flagged = (~summary.valid).sum()
     print(f"{len(summary)} bins, {n_flagged} flagged non-positive-definite")
     if n_flagged < len(summary):
         print(f"best squeezed variance {summary.sigma_minus2_db[summary.valid].min():.3f} dB")

@@ -83,9 +83,11 @@ class RunConfig:
             if not (accepts(value) or (value is None and kind != f.type)):
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
             if value is not None and kind in ("float", "tuple[float, ...]"):
-                # an int beyond float range, which JSON allows, stops here
+                # -0.0 is stored as 0.0, so equal configs write equal files; an
+                # int beyond float range, which JSON allows, stops here
                 try:
-                    value = float(value) if kind == "float" else tuple(map(float, value))
+                    value = (float(value) + 0.0 if kind == "float"
+                             else tuple(float(v) + 0.0 for v in value))
                 except OverflowError:
                     raise ConfigError(f"{f.name} must lie within float range") from None
                 object.__setattr__(self, f.name, value)
@@ -193,9 +195,12 @@ class RunConfig:
                     f"{name} {frequency} overflows the phase 2 pi f t + phase "
                     f"over the {t_last:g} us grid"
                 )
-        # the gain sqrt(1 + kappa^2) at the largest |kappa| it is taken at:
-        # the control amplitude, and the ends of the look-up tables' range
-        ends = {"control_amplitude": self.control_amplitude}
+        # the gain sqrt(1 + kappa^2) at the largest |kappa| it is taken at: the
+        # control amplitude unless an override replaces that gain, and the ends
+        # of the look-up tables' range
+        ends = {}
+        if self.feedforward_gain_override is None:
+            ends["control_amplitude"] = self.control_amplitude
         if self.use_pwl_electronics:
             ends.update(pwl_lo=self.pwl_lo, pwl_hi=self.pwl_hi)
         for name, kappa in ends.items():
@@ -220,24 +225,8 @@ class RunConfig:
         return 1.0 / (self.control_frequency_mhz * self.bins_per_period)
 
 
-# Fields annotated float (or float | None).  RunConfig stores an int given
-# for one as a float, and -0.0 is written as 0.0, so configs that compare
-# equal share one canonical form.
-_FLOAT_FIELDS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "float | None"))
-
-
-def to_json_dict(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    for name in _FLOAT_FIELDS:
-        if d[name] is not None:
-            d[name] = d[name] + 0.0
-    if d["control_samples"] is not None:
-        d["control_samples"] = [s + 0.0 for s in d["control_samples"]]
-    return d
-
-
 def save_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(to_json_dict(cfg), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
 
 
 def load_config(path) -> RunConfig:
@@ -267,5 +256,5 @@ def config_digest(cfg: RunConfig) -> str:
     # here, not at the top: _hashlib alone adds about 3.5 MB to a process
     import hashlib
 
-    payload = json.dumps(to_json_dict(cfg), sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -3,6 +3,8 @@
 The moments, theory, summary and residual files all share this layout.  The
 per-angle moments schema, which the moments and theory files share, lives here
 too, with the records it reads into, so reading results needs no simulator.
+So does a run's set of them: one ``moments_<label>.csv`` (``theory_<label>.csv``)
+per measurement angle, all on one grid, named, written and read back here.
 """
 
 from __future__ import annotations
@@ -210,6 +212,23 @@ def write_theory_csv(path, theory: TheoryTraces, angle: float) -> None:
     _write_moments(path, angle, theory, theory.mean[angle], theory.variance[angle], 0.0, 0.0)
 
 
+def _write_set(outdir, kind: str, record, write) -> list[Path]:
+    paths = [Path(outdir) / f"{kind}_{label_for_angle(a)}.csv" for a in MEASUREMENT_ANGLES]
+    for angle, path in zip(MEASUREMENT_ANGLES, paths):
+        write(path, record, angle)
+    return paths
+
+
+def write_moments_files(outdir, est: MomentEstimates) -> list[Path]:
+    """``est`` as moments_x.csv, moments_p.csv and moments_pi4.csv in ``outdir``; their paths."""
+    return _write_set(outdir, "moments", est, write_moments_csv)
+
+
+def write_theory_files(outdir, theory: TheoryTraces) -> list[Path]:
+    """``theory`` as theory_x.csv, theory_p.csv and theory_pi4.csv in ``outdir``; their paths."""
+    return _write_set(outdir, "theory", theory, write_theory_csv)
+
+
 def write_simplified_csv(path, theory: TheoryTraces) -> None:
     """The ideal-gate shortcut 1 + kappa^2 Var(x_out) as the p variance, angle pi/2.
 
@@ -239,3 +258,49 @@ def read_moments_csv(path) -> dict:
         raise ValueError(f"{path}: bin_index {data['bin_index'][off[0]]:g} on line "
                          f"{off[0] + 2}, expected {off[0]}: bins must run 0..{len(angles) - 1}")
     return {"angle": float(angles[0]), **data}
+
+
+def same_grid(time_a, kappa_a, time_b, kappa_b) -> bool:
+    """Whether two bin grids have equal length and time and kappa within 1e-9."""
+    return len(time_a) == len(time_b) and all(
+        np.allclose(a, b, rtol=0.0, atol=1e-9) for a, b in ((time_a, time_b), (kappa_a, kappa_b))
+    )
+
+
+def _read_set(paths) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Three files, each angle once, in any order, on one grid: the grid, each column by angle."""
+    by_angle = {}
+    for path in paths:
+        data = read_moments_csv(path)
+        try:
+            angle = measurement_angle(data.pop("angle"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if angle in by_angle:
+            raise ValueError(f"{path}: duplicate angle {angle}")
+        by_angle[angle] = data
+    if set(by_angle) != set(MEASUREMENT_ANGLES):
+        raise ValueError("need one moments file per angle: x, p, pi/4")
+    ref = by_angle[MEASUREMENT_ANGLES[0]]
+    for data in by_angle.values():
+        if not same_grid(data["time_us"], data["kappa"], ref["time_us"], ref["kappa"]):
+            raise ValueError("moments files are on different grids")
+    columns = {col: {a: by_angle[a][col] for a in MEASUREMENT_ANGLES} for col in ref}
+    return ref["time_us"], ref["kappa"], columns
+
+
+def read_moments(paths) -> MomentEstimates:
+    """A run's three moments files, in any order, with n_trials from :func:`trials_from_moments`.
+
+    Raises ValueError, naming the file for a bad file or a repeated angle, and
+    when an angle is missing, the grids differ or the files disagree on n_trials.
+    """
+    time_us, kappa, m = _read_set(paths)
+    n = trials_from_moments(m["variance"], m["se_var"])
+    return MomentEstimates(time_us, kappa, n, m["mean"], m["variance"], m["se_mean"], m["se_var"])
+
+
+def read_theory(paths) -> TheoryTraces:
+    """A run's three theory files, in any order; ValueError as :func:`read_moments`."""
+    time_us, kappa, t = _read_set(paths)
+    return TheoryTraces(time_us, kappa, t["mean"], t["variance"])

@@ -33,13 +33,14 @@ from dynsqueeze import (
     run_experiment,
     run_output_states,
     save_config,
-    scan_extrema,
     summarize,
     symplectic_eigenvalues,
     theory_traces,
     variance_to_db,
 )
 from dynsqueeze.cli import GAP_NOTE, main
+
+from oracles import scan_extrema
 
 ANGLE_X, ANGLE_P, ANGLE_PI4 = MEASUREMENT_ANGLES
 

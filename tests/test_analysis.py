@@ -17,7 +17,6 @@ from dynsqueeze import (
     quadrature_variance,
     reconstruct_variance_matrix,
     run_experiment,
-    scan_extrema,
     summarize,
     theory_traces,
     variance_to_db,
@@ -31,6 +30,8 @@ from dynsqueeze.analysis import (
     write_summary_csv,
 )
 from dynsqueeze.tables import MomentEstimates
+
+from oracles import scan_extrema
 
 X, P, PI4 = MEASUREMENT_ANGLES
 

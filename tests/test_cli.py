@@ -12,7 +12,6 @@ import pytest
 
 import dynsqueeze
 from dynsqueeze import (
-    MEASUREMENT_ANGLES,
     GateCalibrationError,
     SignConventions,
     HomodyneRecordSet,
@@ -27,7 +26,7 @@ from dynsqueeze import harness
 from dynsqueeze.analysis import RESIDUAL_COLUMNS, read_summary_csv, summarize
 from dynsqueeze.cli import GAP_NOTE, PWL_TARGETS, main
 from dynsqueeze.electronics import TARGETS
-from dynsqueeze.tables import read_moments_csv, read_table, write_moments_csv
+from dynsqueeze.tables import read_moments_csv, read_table, write_moments_files
 
 SMALL = RunConfig(bins_per_period=5, n_periods=2, n_trials=400, seed=7)
 
@@ -174,15 +173,12 @@ def test_save_records_matches_the_in_memory_route_byte_for_byte(tmp_path, name):
     records = run_experiment(cfg, 5)
     ref.mkdir()
     records.save(ref / "records.npz")
-    est = estimate_moments(records)
-    for angle, moments in zip(MEASUREMENT_ANGLES, MOMENT_FILES):
-        write_moments_csv(ref / moments, est, angle)
+    write_moments_files(ref, estimate_moments(records))
     for file in ("records.npz", *MOMENT_FILES):
         assert (out / file).read_bytes() == (ref / file).read_bytes(), file
     # the moments of the reloaded records are the bytes simulate wrote
-    reloaded = estimate_moments(HomodyneRecordSet.load(out / "records.npz"))
-    for angle, moments in zip(MEASUREMENT_ANGLES, MOMENT_FILES):
-        write_moments_csv(tmp_path / moments, reloaded, angle)
+    write_moments_files(tmp_path, estimate_moments(HomodyneRecordSet.load(out / "records.npz")))
+    for moments in MOMENT_FILES:
         assert (tmp_path / moments).read_bytes() == (out / moments).read_bytes(), moments
 
 
@@ -246,6 +242,30 @@ def test_theory_writes_finite_files_where_the_ideal_gate_shortcut_overflows(tmp_
     assert sorted(p.name for p in out.iterdir()) == sorted(THEORY_FILES)
     for name in THEORY_FILES:
         assert "inf" not in (out / name).read_text(), name
+
+
+def test_gain_override_runs_where_sqrt1px2_of_the_amplitude_overflows(tmp_path, capsys):
+    # the override replaces sqrt(1 + kappa^2), which overflows at 1e155, so no
+    # step of the run takes it
+    path, out = tmp_path / "override.json", tmp_path / "out"
+    path.write_text(json.dumps({"control_amplitude": 1e155, "feedforward_gain_override": 1.0,
+                                "bins_per_period": 5, "n_trials": 200}))
+    assert main(["theory", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert _simulate(path, out, ("--save-records",)) == 0
+    assert main(_analyze_argv(out, out, theory=out)) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_negative_zero_control_sample_writes_the_files_of_zero(tmp_path):
+    for name, first in (("plus", 0.0), ("minus", -0.0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"control_waveform": "custom", "control_samples": [first, 1.0],
+                                    "bins_per_period": 5, "n_trials": 200}))
+        assert main(["theory", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        assert _simulate(path, tmp_path / name) == 0
+    for name in (*MOMENT_FILES, *THEORY_FILES):
+        assert (tmp_path / "plus" / name).read_bytes() == (tmp_path / "minus" / name).read_bytes()
 
 
 def test_simulate_at_extreme_ancilla_squeezing(tmp_path, capsys):
@@ -522,6 +542,7 @@ _NOT_LOADED = {
     "circuits": {"dynsqueeze.gate", "dynsqueeze.harness", "dynsqueeze.archive"},
     "help": {"dynsqueeze.electronics", "numpy"},
     "simulate": {"dynsqueeze.analysis", "dynsqueeze.archive"},
+    "theory": {"dynsqueeze.archive"},
 }
 
 
@@ -533,6 +554,7 @@ def test_subcommand_loads_only_what_it_runs(cfg_path, tmp_path, command):
         "circuits": ["circuits", "--out", str(tmp_path / "c")],
         "help": ["--help"],
         "simulate": ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s")],
+        "theory": ["theory", "--config", str(cfg_path), "--out", str(tmp_path / "t")],
     }[command]
     if command == "analyze":
         assert _simulate(cfg_path, sim) == 0

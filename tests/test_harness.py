@@ -32,10 +32,12 @@ from dynsqueeze.harness import HomodyneRecordSet
 from dynsqueeze.tables import (
     MOMENTS_COLUMNS,
     label_for_angle,
+    read_moments,
     read_moments_csv,
     read_table,
     trials_from_moments,
     write_moments_csv,
+    write_moments_files,
     write_simplified_csv,
     write_theory_csv,
 )
@@ -425,6 +427,29 @@ def test_load_names_a_file_that_is_not_an_archive(tmp_path, content):
         HomodyneRecordSet.load(path)
 
 
+@pytest.mark.parametrize("missing, message", [
+    ("meta", "There is no item named 'meta.npy' in the archive"),
+    ("samples_1", "There is no item named 'samples_1.npy' in the archive"),
+    ("config_digest", "meta has no 'config_digest' key"),
+], ids=["meta", "samples_1", "config_digest"])
+def test_load_names_what_a_zip_that_is_not_a_records_archive_lacks(tmp_path, missing, message):
+    rec = run_experiment(SMALL)
+    members = {
+        "meta": np.array(json.dumps({"seed": rec.seed, "config_digest": rec.config_digest})),
+        "time_us": rec.time_us, "kappa": rec.kappa,
+        **{f"samples_{i}": rec.samples[a] for i, a in enumerate(rec.angles)},
+        "angles": np.array(rec.angles),
+    }
+    if missing == "config_digest":
+        members["meta"] = np.array(json.dumps({"seed": rec.seed}))
+    else:
+        del members[missing]
+    path = tmp_path / "records.npz"
+    np.savez(path, **members)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        HomodyneRecordSet.load(path)
+
+
 def test_load_refuses_a_block_of_python_objects(tmp_path):
     # read raw into an object array, its bytes would become pointers
     rec = run_experiment(SMALL)
@@ -620,15 +645,8 @@ def test_moments_of_a_loaded_set_hold_one_block(tmp_path):
 
 
 def _csv_trials(tmp_path, est):
-    """trials_from_moments of ``est`` written to and read back from moments CSVs."""
-    read = {}
-    for angle in MEASUREMENT_ANGLES:
-        path = tmp_path / f"moments_{label_for_angle(angle)}.csv"
-        write_moments_csv(path, est, angle)
-        read[angle] = read_moments_csv(path)
-    return trials_from_moments(
-        {a: d["variance"] for a, d in read.items()}, {a: d["se_var"] for a, d in read.items()}
-    )
+    """The n_trials of ``est`` written to and read back from moments CSVs."""
+    return read_moments(write_moments_files(tmp_path, est)).n_trials
 
 
 @pytest.mark.parametrize("n", [2, 3, 400, 10851, 10**6, 10**9, 2 * 10**10])
