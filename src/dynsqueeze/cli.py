@@ -54,6 +54,14 @@ def _load_cfg(args) -> RunConfig:
     return RunConfig() if args.config is None else load_config(args.config)
 
 
+def _grid(args) -> str:
+    """Where a command that takes a config ran, for its error: " on a grid of N bins"."""
+    try:
+        return f" on a grid of {_load_cfg(args).n_bins} bins"
+    except (AttributeError, ValueError, OSError):  # no --config, or none that loads
+        return ""
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -207,6 +215,9 @@ def main(argv=None) -> int:
     # their modules
     try:
         return args.func(args)
+    except MemoryError:
+        print(f"error: out of memory{_grid(args)}", file=sys.stderr)
+        return 1
     except (RuntimeError, ArithmeticError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 2

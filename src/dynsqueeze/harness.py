@@ -10,6 +10,10 @@ material for the variance analysis.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
+from dataclasses import fields, replace
+from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +79,11 @@ def generate_traces(cfg: RunConfig) -> Traces:
     return Traces(t, kappa, cfg.input_x_amplitude * modulation, cfg.input_p_amplitude * modulation)
 
 
+# fit_pwl once a process for each table: a refusal re-runs the routes once per
+# field off its default, most of them on the same tables
+_fitted = lru_cache(maxsize=4)(fit_pwl)
+
+
 def _gate_params(cfg: RunConfig, kappa: np.ndarray) -> GateParams:
     """The configured operating point of the gate in each bin.
 
@@ -86,7 +95,7 @@ def _gate_params(cfg: RunConfig, kappa: np.ndarray) -> GateParams:
     """
     if cfg.use_pwl_electronics:
         phase, gain = (
-            fit_pwl(target, cfg.pwl_segments, cfg.pwl_lo, cfg.pwl_hi)
+            _fitted(target, cfg.pwl_segments, cfg.pwl_lo, cfg.pwl_hi)
             for target in ("arctan", "sqrt1px2")
         )
     else:
@@ -101,15 +110,51 @@ def _route(cfg: RunConfig, gate, blocks: int = 0) -> tuple[TheoryTraces, Gaussia
     """``cfg``'s coherent inputs through ``gate``, gate_output_state or closed_form_output.
 
     Returns the route's noise-free per-bin moments and its output states.  Every
-    run starts here, so check_records_memory first refuses, with ConfigError, a
-    grid that would not fit in physical memory beside ``blocks`` shot blocks.
+    run starts here: check_records_memory refuses a grid that would not fit in
+    memory beside ``blocks`` shot blocks, and :func:`_refused` a numpy error of
+    either route, both run on the same inputs, or a state either refuses.
     """
     check_records_memory(cfg, blocks)
+    return _refused(cfg, _both_routes, gate)
+
+
+# numpy errors that fail a run; not underflow, which 3080 dB meets harmlessly
+_RAISED = {"over": "raise", "invalid": "raise", "divide": "raise"}
+
+
+@np.errstate(**_RAISED)
+def _both_routes(cfg: RunConfig, gate) -> tuple[TheoryTraces, GaussianState]:
     traces = generate_traces(cfg)
-    states = gate(make_coherent(traces.mean_x, traces.mean_p), _gate_params(cfg, traces.kappa))
+    inputs, params = make_coherent(traces.mean_x, traces.mean_p), _gate_params(cfg, traces.kappa)
+    pipeline, closed = gate_output_state(inputs, params), closed_form_output(inputs, params)
+    states = pipeline if gate is gate_output_state else closed
     mean = {angle: quadrature_mean(states, angle) for angle in MEASUREMENT_ANGLES}
     variance = {angle: quadrature_variance(states, angle) for angle in MEASUREMENT_ANGLES}
     return TheoryTraces(traces.time_us, traces.kappa, mean, variance), states
+
+
+def _refused(cfg: RunConfig, run, *args):
+    """``run(cfg, *args)``, whose ArithmeticError or ValueError becomes a ConfigError.
+
+    The error names each field off its default whose reset alone lets ``run``
+    pass, or all of them when no one reset does, and ends with the cause.
+    """
+    try:
+        return run(cfg, *args)
+    except (ArithmeticError, ValueError) as exc:
+        cause = exc
+    changed = [f for f in fields(cfg) if getattr(cfg, f.name) != f.default]
+    clearing = []
+    for f in changed:
+        with suppress(ArithmeticError, ValueError):
+            reset = replace(cfg, **{f.name: f.default})
+            check_records_memory(reset, 0)
+            run(reset, *args)
+            clearing.append(f.name)
+    named = clearing or [f.name for f in changed]
+    values = ", ".join(f"{name} {getattr(cfg, name)!r}" for name in named)
+    verb = "makes" if len(named) == 1 else "each make" if clearing else "together make"
+    raise ConfigError(f"{values} {verb} the run fail: {cause}") from cause
 
 
 def run_output_states(cfg: RunConfig) -> GaussianState:
@@ -193,6 +238,31 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _memory_limits() -> dict[str, int]:
+    """Each limit on this process's memory that it can read, in bytes, by what sets it.
+
+    Physical memory, the soft RLIMIT_AS and RLIMIT_DATA, and the memory.max of
+    the process's cgroup (v2); a limit that is unset or unreadable is left out.
+    """
+    limits = {"physical memory": _physical_memory()}
+    try:
+        import resource  # not on Windows
+
+        for name in ("RLIMIT_AS", "RLIMIT_DATA"):
+            soft = resource.getrlimit(getattr(resource, name))[0]
+            limits[f"the soft {name}"] = None if soft == resource.RLIM_INFINITY else soft
+    except (ImportError, AttributeError, ValueError, OSError):
+        pass
+    try:
+        for line in Path("/proc/self/cgroup").read_text().split("\n"):
+            if line.startswith("0::"):
+                text = Path("/sys/fs/cgroup", line[3:].lstrip("/"), "memory.max").read_text()
+                limits["the cgroup's memory.max"] = None if text.strip() == "max" else int(text)
+    except (ValueError, OSError):
+        pass
+    return {what: limit for what, limit in limits.items() if limit is not None}
+
+
 # Shot blocks that simulate_records holds at its peak: the block in hand.  Its
 # variance is summed in chunks and it is written without a copy.
 RECORDS_PEAK_BLOCKS = 1
@@ -210,32 +280,32 @@ _CHUNK_BYTES = 1 << 17
 
 
 def check_records_memory(cfg: RunConfig, blocks: int) -> None:
-    """Raise ConfigError when a run on ``cfg``'s grid would not fit in physical memory.
+    """Raise ConfigError when a run on ``cfg``'s grid would not fit in memory.
 
     The run holds BIN_BYTES per bin plus ``blocks`` shot blocks, each
-    n_trials x n_bins float64, and with any block the chunk scratch.
+    n_trials x n_bins float64, and with any block the chunk scratch.  It must
+    fit within the least of :func:`_memory_limits`.
     """
     need = cfg.n_bins * (BIN_BYTES + blocks * cfg.n_trials * 8) + (blocks > 0) * _CHUNK_BYTES
-    have = _physical_memory()
+    limit, have = min(_memory_limits().items(), key=lambda item: item[1], default=(None, None))
     if have is not None and need > have:
         what = f"raw records of {cfg.n_trials} trials x " if blocks else "a grid of "
         # a float quotient of a need beyond 2**1000 bytes would overflow
         gib = need / 2**30 if need < 2**1000 else float("inf")
         raise ConfigError(
             f"{what}{cfg.n_bins} bins would need {gib:.1f} GiB, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory"
+            f"more than the {have / 2**30:.1f} GiB of {limit}"
         )
 
 
-def _shot_laws(cfg: RunConfig, seed: int, blocks: int = 0) -> tuple[TheoryTraces, dict]:
-    """The pipeline's moments and, per angle, (loc, variance, generator) of its shots.
+def _shot_laws(moments: TheoryTraces, seed: int) -> dict:
+    """Per angle, (loc, variance, generator) of the shots of the pipeline's ``moments``.
 
     Every shot of one (angle, bin) is N(loc, variance) for that bin; each angle
-    draws from its own child stream of ``seed``; the caller holds ``blocks`` blocks.
+    draws from its own child stream of ``seed``.
     """
-    moments, _ = _route(cfg, gate_output_state, blocks)
     children = np.random.SeedSequence(seed).spawn(len(MEASUREMENT_ANGLES))
-    return moments, {
+    return {
         angle: (moments.mean[angle], moments.variance[angle], np.random.default_rng(child))
         for angle, child in zip(MEASUREMENT_ANGLES, children)
     }
@@ -271,11 +341,12 @@ def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet
     independent child stream of the seed; identical (config, seed) pairs give
     bit-identical records.  Raises ConfigError, from _route, before drawing
     anything when the records (3 x n_trials x n_bins float64) would not fit in
-    physical memory.
+    memory.
     """
     if seed is None:
         seed = cfg.seed
-    traces, laws = _shot_laws(cfg, seed, len(MEASUREMENT_ANGLES))
+    traces = _route(cfg, gate_output_state, len(MEASUREMENT_ANGLES))[0]
+    laws = _shot_laws(traces, seed)
     return HomodyneRecordSet(
         traces.time_us, traces.kappa, dict(_shot_blocks(cfg.n_trials, laws)),
         int(seed), config_digest(cfg),
@@ -340,7 +411,7 @@ def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEst
     nor the writer copies it, so one block is alive at a time instead of
     three.  The archive's directory is created if need be.  Raises
     ConfigError, from _route, before drawing or writing anything, or creating
-    that directory, when one block would not fit in physical memory.
+    that directory, when one block would not fit in memory.
     """
     # imported first, so that what compiling it frees is reused by the run,
     # not left beneath the block: imported last, it raised peak RSS 0.3 MiB
@@ -348,7 +419,8 @@ def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEst
 
     seed = cfg.seed if seed is None else seed
     n = cfg.n_trials
-    traces, laws = _shot_laws(cfg, seed, RECORDS_PEAK_BLOCKS)
+    traces = _route(cfg, gate_output_state, RECORDS_PEAK_BLOCKS)[0]
+    laws = _shot_laws(traces, seed)
     mean, variance = {}, {}
 
     def reduced():
@@ -370,13 +442,20 @@ def simulate_moments(cfg: RunConfig, seed: int | None = None) -> MomentEstimates
     angle draws one standard normal and one chi-square per bin from its child
     stream of ``seed``, and no shot is drawn: the moments agree with those of
     the records in distribution, not in value, and their cost does not grow
-    with n_trials.
+    with n_trials.  Raises ConfigError as _route does, and so too where a drawn
+    moment or its standard error overflows: a variance near 1.8e308 scaled by
+    its chi-square draw, say.
     """
-    seed = cfg.seed if seed is None else seed
+    check_records_memory(cfg, 0)
+    return _refused(cfg, _drawn_moments, cfg.seed if seed is None else seed)
+
+
+@np.errstate(**_RAISED)
+def _drawn_moments(cfg: RunConfig, seed: int) -> MomentEstimates:
     n = cfg.n_trials
-    traces, laws = _shot_laws(cfg, seed)
+    traces = _both_routes(cfg, gate_output_state)[0]
     mean, variance = {}, {}
-    for angle, (loc, v, rng) in laws.items():
+    for angle, (loc, v, rng) in _shot_laws(traces, seed).items():
         mean[angle] = loc + np.sqrt(v / n) * rng.standard_normal(cfg.n_bins)
         variance[angle] = v * (rng.chisquare(n - 1, cfg.n_bins) / (n - 1))
     return _moment_estimates(traces.time_us, traces.kappa, n, mean, variance)
@@ -389,6 +468,6 @@ def theory_traces(cfg: RunConfig) -> TheoryTraces:
     pipeline), so Monte Carlo vs theory comparisons cross independent routes.
     Both routes run at the same configured operating point: look-up tables,
     gain override, feed-forward sign and detection efficiency included.
-    Raises ConfigError when the grid would not fit in physical memory.
+    Raises ConfigError as :func:`_route` does.
     """
     return _route(cfg, closed_form_output)[0]

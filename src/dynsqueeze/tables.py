@@ -165,25 +165,29 @@ class MomentEstimates(NamedTuple):
     se_var: dict[float, np.ndarray]
 
 
-def trials_from_moments(variance: dict, se_var: dict) -> int:
+def trials_from_moments(variance: dict, se_var: dict, sources: dict | None = None) -> int:
     """The n_trials behind per-angle variances and their ``se_var``, as a CSV holds them.
 
     se_var = v * sqrt(2 / (n - 1)) gives n = 1 + 2 (v / se_var)^2 in every bin
     whose variance and se_var are finite and positive.  %.12g keeps each to
     5e-12, so a bin's n is off by at most 2e-11 n: the midrange, rounded, is
-    exact below 2.5e10 trials.  Raises ValueError when two bins, in one angle
-    or across angles, differ by more than that rounding allows, or when no bin
-    carries n.
+    exact below 2.5e10 trials.  Raises ValueError when an angle has no bin
+    that carries n, naming it by ``sources[angle]`` (its file, say), or when
+    two bins, in one angle or across angles, differ by more than that
+    rounding allows.
     """
     ns = []
     for angle, v in variance.items():
         se = se_var[angle]
         usable = np.isfinite(v) & np.isfinite(se) & (v > 0) & (se > 0)
-        ns.append(1.0 + 2.0 * (v[usable] / se[usable]) ** 2)
+        n = 1.0 + 2.0 * (v[usable] / se[usable]) ** 2
+        n = n[np.isfinite(n)]  # a subnormal se_var overflows the ratio
+        if n.size == 0:
+            where = sources[angle] if sources else f"angle {angle:g}"
+            raise ValueError(f"{where}: no bin has a positive variance and se_var to recover "
+                             "n_trials from, as in a theory file")
+        ns.append(n)
     ns = np.concatenate(ns)
-    ns = ns[np.isfinite(ns)]  # a subnormal se_var overflows the ratio
-    if ns.size == 0:
-        raise ValueError("no bin has a positive variance and se_var to recover n_trials from")
     lo, hi = ns.min(), ns.max()
     if hi - lo > 5e-11 * hi:
         raise ValueError(
@@ -267,9 +271,12 @@ def same_grid(time_a, kappa_a, time_b, kappa_b) -> bool:
     )
 
 
-def _read_set(paths) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Three files, each angle once, in any order, on one grid: the grid, each column by angle."""
-    by_angle = {}
+def _read_set(paths) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+    """Three files, each angle once, in any order, on one grid.
+
+    Returns the grid, each column by angle and each file by angle.
+    """
+    by_angle, files = {}, {}
     for path in paths:
         data = read_moments_csv(path)
         try:
@@ -278,7 +285,7 @@ def _read_set(paths) -> tuple[np.ndarray, np.ndarray, dict]:
             raise ValueError(f"{path}: {exc}") from None
         if angle in by_angle:
             raise ValueError(f"{path}: duplicate angle {angle}")
-        by_angle[angle] = data
+        by_angle[angle], files[angle] = data, path
     if set(by_angle) != set(MEASUREMENT_ANGLES):
         raise ValueError("need one moments file per angle: x, p, pi/4")
     ref = by_angle[MEASUREMENT_ANGLES[0]]
@@ -286,21 +293,22 @@ def _read_set(paths) -> tuple[np.ndarray, np.ndarray, dict]:
         if not same_grid(data["time_us"], data["kappa"], ref["time_us"], ref["kappa"]):
             raise ValueError("moments files are on different grids")
     columns = {col: {a: by_angle[a][col] for a in MEASUREMENT_ANGLES} for col in ref}
-    return ref["time_us"], ref["kappa"], columns
+    return ref["time_us"], ref["kappa"], columns, files
 
 
 def read_moments(paths) -> MomentEstimates:
     """A run's three moments files, in any order, with n_trials from :func:`trials_from_moments`.
 
-    Raises ValueError, naming the file for a bad file or a repeated angle, and
-    when an angle is missing, the grids differ or the files disagree on n_trials.
+    Raises ValueError, naming the file for a bad file, a repeated angle or a
+    file with no bin that carries n (a theory file), and when an angle is
+    missing, the grids differ or the files disagree on n_trials.
     """
-    time_us, kappa, m = _read_set(paths)
-    n = trials_from_moments(m["variance"], m["se_var"])
+    time_us, kappa, m, files = _read_set(paths)
+    n = trials_from_moments(m["variance"], m["se_var"], files)
     return MomentEstimates(time_us, kappa, n, m["mean"], m["variance"], m["se_mean"], m["se_var"])
 
 
 def read_theory(paths) -> TheoryTraces:
     """A run's three theory files, in any order; ValueError as :func:`read_moments`."""
-    time_us, kappa, t = _read_set(paths)
+    time_us, kappa, t, _ = _read_set(paths)
     return TheoryTraces(time_us, kappa, t["mean"], t["variance"])

@@ -1,14 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import dynsqueeze
 from dynsqueeze import (
@@ -27,6 +31,8 @@ from dynsqueeze.analysis import RESIDUAL_COLUMNS, read_summary_csv, summarize
 from dynsqueeze.cli import GAP_NOTE, PWL_TARGETS, main
 from dynsqueeze.electronics import TARGETS
 from dynsqueeze.tables import read_moments_csv, read_table, write_moments_files
+
+from test_config import wide_configs
 
 SMALL = RunConfig(bins_per_period=5, n_periods=2, n_trials=400, seed=7)
 
@@ -134,6 +140,52 @@ def test_trillion_bin_grid_exits_1_before_allocating(tmp_path, capsys, command):
     assert "Traceback" not in err
     assert not out.exists()
     assert peak < 2**20
+
+
+def test_theory_under_an_address_space_limit_exits_1(tmp_path):
+    # 1e6 bins need about 1 GB, more than a 400 MB RLIMIT_AS lets numpy allocate
+    resource = pytest.importorskip("resource")
+    cfg, out = tmp_path / "big.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"bins_per_period": 500_000}))
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = 400 * 2**20 if hard == resource.RLIM_INFINITY else min(400 * 2**20, hard)
+    src = str(Path(dynsqueeze.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "dynsqueeze.cli", "theory", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (soft, hard)),
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: a grid of 1000000 bins would need")
+    assert "RLIMIT_AS" in done.stderr and done.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "theory"])
+def test_running_out_of_memory_exits_1_naming_the_grid(cfg_path, tmp_path, capsys, monkeypatch,
+                                                        command):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(harness, "generate_traces", exhausted)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: out of memory on a grid of {SMALL.n_bins} bins\n"
+    assert not out.exists()
+
+
+def test_analyze_refuses_a_theory_file_among_the_moments(cfg_path, tmp_path, capsys):
+    # a theory file's se_var is 0 in every bin, so no bin of it carries n
+    run, out = tmp_path / "run", tmp_path / "out"
+    assert _simulate(cfg_path, run) == 0
+    assert main(["theory", "--config", str(cfg_path), "--out", str(run)]) == 0
+    capsys.readouterr()
+    files = [run / "moments_x.csv", run / "moments_p.csv", run / "theory_pi4.csv"]
+    assert main(["analyze", "--out", str(out), "--moments", *map(str, files)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[2]}: no bin has") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_save_records_holds_one_block(tmp_path):
@@ -805,16 +857,65 @@ def test_theory_on_a_wide_look_up_table_range_exits_0_quietly(tmp_path, capsys):
     ({"input_frequency_mhz": 1e308}, "input_frequency_mhz"),
     ({"control_amplitude": 1e155}, "control_amplitude"),
     ({"feedforward_gain_override": 1.35e154}, "feedforward_gain_override"),
-], ids=["bin-width", "input-phase", "gain", "override-square"])
+    ({"control_frequency_mhz": 1e307}, "control_frequency_mhz"),
+    ({"control_frequency_mhz": 5e307, "bins_per_period": 2}, "control_frequency_mhz"),
+    ({"use_pwl_electronics": True, "pwl_hi": 1e200}, "pwl_hi"),
+    # on each of these only one route fails, or the two fail differently
+    ({"input_x_amplitude": 1e308}, "input_x_amplitude"),
+    ({"ancilla_db": 3080}, "ancilla_db"),
+    ({"feedforward_gain_override": 1.34e154, "hd1_efficiency": 0.5}, "feedforward_gain_override"),
+], ids=["bin-width", "input-phase", "gain", "override-square", "bin-width-zero", "control-phase",
+        "table-gain", "x-amplitude", "ancilla-3080-db", "override-at-half-efficiency"])
 @pytest.mark.parametrize("command", [["simulate"], ["simulate", "--save-records"], ["theory"]],
                          ids=["simulate", "records", "theory"])
 def test_config_that_overflows_the_run_exits_1(tmp_path, capsys, raw, name, command):
-    # before, these exited 1 naming no field ("moments must be finite") after
-    # numpy's RuntimeWarnings
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main([*command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: {name} ") and err.count("\n") == 1
+    # RunConfig names the file; the run's refusal names the field and the value
+    assert err.startswith((f"error: {path}: {name} ", f"error: {name} {float(raw[name])!r} "))
+    assert err.count("\n") == 1
     assert not out.exists()
+
+
+_FIELDS = [f.name for f in fields(RunConfig)]
+
+
+def _main_quietly(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@given(wide_configs())
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@example({"input_x_amplitude": 1e308, "bins_per_period": 2, "n_periods": 2})
+@example({"ancilla_db": 3080, "bins_per_period": 2, "n_periods": 2})
+@example({"feedforward_gain_override": 1.34e154, "hd1_efficiency": 0.5,
+          "bins_per_period": 2, "n_periods": 2})
+@example({"feedforward_sign": -1, "ancilla_db": 88, "bins_per_period": 2, "n_periods": 2})
+def test_theory_and_simulate_run_or_refuse_a_config_alike(raw):
+    # every config either runs in both commands, to finite files, or is refused
+    # by both with one line that names a field, before --out exists
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(raw))
+        codes = {}
+        for command in ("theory", "simulate"):
+            out = Path(tmp) / command
+            codes[command], err = _main_quietly([command, "--config", str(path), "--out", str(out)])
+            if codes[command] == 0:
+                assert err == ""
+                for csv in out.iterdir():  # %.12g writes a non-finite value as inf or nan
+                    text = csv.read_text()
+                    assert "inf" not in text and "nan" not in text, csv.name
+            else:
+                assert codes[command] == 1, err
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert any(name in err for name in _FIELDS), err
+                assert not out.exists()
+        assert codes["theory"] == codes["simulate"], raw

@@ -1,12 +1,15 @@
 import json
+import re
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynsqueeze import ConfigError, RunConfig, config_digest, load_config, save_config
 from dynsqueeze.config import VALID_WAVEFORMS, config_from_dict
+from dynsqueeze.harness import simulate_moments, theory_traces
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
@@ -54,6 +57,57 @@ def configs(draw):
     if values["feedforward_gain_override"] == 0.0:
         values["feedforward_sign"] = 1
     return RunConfig(**values)
+
+
+def magnitudes(signed: bool = False, most: float = 1e308):
+    """Floats log-uniform in magnitude from 1e-320 to ``most``, of either sign if ``signed``."""
+    drawn = st.floats(min_value=-320.0, max_value=np.log10(most)).map(lambda e: 10.0**e)
+    return st.tuples(drawn, st.sampled_from([1.0, -1.0] if signed else [1.0])).map(
+        lambda m: m[0] * m[1]
+    )
+
+
+# The magnitudes a wide config draws for each float field: any, or up to the
+# edge of the field's domain where RunConfig would refuse the rest by name.
+_WIDE_FLOATS = {
+    "ancilla_db": magnitudes(most=3083.0) | magnitudes(most=116.0).map(lambda m: -m),
+    "hd1_efficiency": magnitudes(most=1.0),
+    "control_frequency_mhz": magnitudes(),
+    "control_amplitude": magnitudes(),
+    "control_phase_rad": magnitudes(signed=True),
+    "input_x_amplitude": magnitudes(signed=True),
+    "input_p_amplitude": magnitudes(signed=True),
+    "input_frequency_mhz": magnitudes(),
+    "input_phase_rad": magnitudes(signed=True),
+    "feedforward_gain_override": magnitudes(),
+}
+
+
+@st.composite
+def wide_configs(draw):
+    """A JSON config on a 4-bin grid whose float fields keep their default or take any magnitude.
+
+    The look-up-table range and the custom samples are drawn around the
+    control amplitude, so that RunConfig accepts most configs and the run
+    meets the edges of float range.
+    """
+    raw = {"bins_per_period": 2, "n_periods": 2, "n_trials": draw(st.integers(2, 10**12)),
+           "seed": draw(st.integers(0, 2**32)), "feedforward_sign": draw(st.sampled_from([1, -1]))}
+    for name, values in _WIDE_FLOATS.items():
+        if draw(st.booleans()):
+            raw[name] = draw(values)
+    amplitude = raw.get("control_amplitude", 2.0)
+    raw["control_waveform"] = draw(st.sampled_from(VALID_WAVEFORMS))
+    if raw["control_waveform"] == "custom":
+        raw.pop("control_phase_rad", None)
+        fractions = st.lists(magnitudes(signed=True, most=1.0), min_size=1, max_size=4)
+        raw["control_samples"] = [amplitude * f for f in draw(fractions)]
+    if draw(st.booleans()):
+        raw.pop("feedforward_gain_override", None)
+        widths = magnitudes().map(lambda m: max(m, amplitude))
+        raw.update(use_pwl_electronics=True, pwl_segments=draw(st.integers(1, 8)),
+                   pwl_lo=-draw(widths), pwl_hi=draw(widths))
+    return raw
 
 
 def test_defaults():
@@ -334,8 +388,9 @@ def test_lookup_range_only_binds_the_table_electronics():
     assert config_from_dict({"control_amplitude": 3.0}).pwl_hi == 2.0
 
 
-# values whose run would overflow, each refused with the field's name; the
-# rules compute what the run computes, so no cap stands in for them
+# values whose run would overflow, each refused with the field's name: a bin
+# width out of float range by RunConfig, every other value by the run's own
+# numpy errors, which both routes raise, so no cap stands in for them
 OVERFLOWING = {
     "bin-width-inf": ({"control_frequency_mhz": 1e-320}, "control_frequency_mhz"),
     "bin-width-zero": ({"control_frequency_mhz": 1e307}, "control_frequency_mhz"),
@@ -350,21 +405,25 @@ OVERFLOWING = {
 
 @pytest.mark.parametrize("raw, name", list(OVERFLOWING.values()), ids=list(OVERFLOWING))
 def test_values_that_overflow_the_run_are_rejected(raw, name):
-    with pytest.raises(ConfigError) as info:
-        config_from_dict(raw)
-    assert str(info.value).startswith(f"config: {name} ")
+    for run in (theory_traces, simulate_moments):
+        with pytest.raises(ConfigError) as info:
+            run(config_from_dict(raw))
+        assert re.match(f"(config: )?{name} ", str(info.value))
 
 
 def test_values_just_inside_the_overflow_rules_pass():
     # sqrt(1 + kappa^2) of 1e150 is finite, and a custom waveform computes no control phase
-    assert config_from_dict({"control_amplitude": 1e150}).control_amplitude == 1e150
-    config_from_dict({"use_pwl_electronics": True, "pwl_lo": -1e150})
-    config_from_dict({"feedforward_gain_override": 1e154})
-    config_from_dict({"control_waveform": "custom", "control_samples": [1.0],
-                      "control_frequency_mhz": 5e307, "bins_per_period": 2})
+    for raw in ({"control_amplitude": 1e150},
+                {"use_pwl_electronics": True, "pwl_lo": -1e150},
+                {"feedforward_gain_override": 1e154},
+                {"control_waveform": "custom", "control_samples": [1.0],
+                 "control_frequency_mhz": 5e307, "bins_per_period": 2}):
+        cfg = config_from_dict(raw)
+        assert theory_traces(cfg).kappa.size == simulate_moments(cfg).kappa.size == cfg.n_bins
 
 
 def test_an_override_lifts_the_gain_overflow_rule():
     # an override replaces sqrt(1 + kappa^2), so the run never takes it at 1e155
     cfg = config_from_dict({"control_amplitude": 1e155, "feedforward_gain_override": 1.0})
     assert cfg.control_amplitude == 1e155 and cfg.feedforward_gain_override == 1.0
+    assert np.all(np.isfinite(theory_traces(cfg).variance[0.0]))

@@ -724,6 +724,30 @@ def test_every_route_refuses_a_grid_beyond_physical_memory(monkeypatch, run):
         run(cfg)
 
 
+def test_simulate_moments_refuses_a_drawn_variance_beyond_float_range():
+    # the pipeline's p variance is 8.5e307 here, finite in both routes, and a
+    # chi-square draw of one degree of freedom above 2.1 scales it past 1.8e308
+    cfg = RunConfig(feedforward_gain_override=1.3e154, hd1_efficiency=0.01, n_trials=2,
+                    bins_per_period=2)
+    assert max(v.max() for v in theory_traces(cfg).variance.values()) > 8e307
+    with pytest.raises(ConfigError, match=r"^feedforward_gain_override 1\.3e\+154, n_trials 2 "
+                                          "each make the run fail: overflow"):
+        simulate_moments(cfg, seed=0)
+
+
+def test_the_least_memory_limit_bounds_the_run(monkeypatch):
+    limits = {"physical memory": 2**40, "the soft RLIMIT_AS": 10_000, "the soft RLIMIT_DATA": 2**30}
+    monkeypatch.setattr(harness, "_memory_limits", lambda: limits)
+    with pytest.raises(ConfigError, match="a grid of 10 bins .* GiB of the soft RLIMIT_AS$"):
+        theory_traces(RunConfig(bins_per_period=5, n_periods=2))
+
+
+def test_memory_limits_hold_physical_memory_and_only_set_limits():
+    limits = harness._memory_limits()
+    assert limits["physical memory"] == harness._physical_memory()
+    assert all(isinstance(v, int) and v > 0 for v in limits.values())
+
+
 def test_simulate_records_creates_the_archive_directory_unless_refused(tmp_path, monkeypatch):
     path = tmp_path / "new" / "dir" / "records.npz"
     simulate_records(SMALL, path)
