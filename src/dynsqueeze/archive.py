@@ -1,13 +1,15 @@
-"""The raw records archive, ``records.npz``: written block by block, read a block at a time.
+"""The raw records archive, ``records.npz``, and the row buffer that streams shots through it.
 
-Only runs that save or load raw shots import this module, so the CLI runs
-that do neither do not compile it.
+Records are written and read a block, or a chunk of rows, at a time.  Only
+runs that draw, save or load raw shots import this module, so the CLI runs
+that do none of these do not compile it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import struct
 import zipfile
 import zlib
@@ -16,6 +18,62 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import ConfigError, RunConfig
+from .harness import _CHUNK_BYTES, _gib
+
+
+def check_records_space(cfg: RunConfig, path) -> None:
+    """Raise ConfigError when ``cfg``'s records archive would not fit in the free space at ``path``.
+
+    The archive, three n_trials x n_bins float64 blocks, the two traces and
+    under 4 KiB of headers, is written beside ``path`` before it replaces any
+    archive there.
+    """
+    need, where = 8 * cfg.n_bins * (3 * cfg.n_trials + 2) + 4096, os.path.abspath(path)
+    while not os.path.exists(where):
+        where = os.path.dirname(where)
+    if need > (have := shutil.disk_usage(where).free):
+        raise ConfigError(
+            f"raw records of n_trials {cfg.n_trials} x {cfg.n_bins} bins would need "
+            f"{_gib(need):.1f} GiB, more than the {have / 2**30:.1f} GiB free for {path}"
+        )
+
+
+def _row_buffer(n: int, m: int) -> np.ndarray:
+    """The row buffer of an (n, m) block: a running sum in row 0, then a chunk of rows."""
+    return np.empty((min(max(1, _CHUNK_BYTES // (8 * m)), n) + 1, m))
+
+
+def _row_sum(buf: np.ndarray, n: int, fill, mean: np.ndarray | None = None) -> np.ndarray:
+    """The per-bin sum of n rows, or with ``mean`` of their squared deviations from it.
+
+    ``fill(chunk, start)`` puts rows start .. into ``chunk``, the rows of
+    ``buf`` after the first, chunk by chunk in row order.  Each chunk is summed
+    onto the running sum in row 0, numpy's row-by-row order for a C-ordered
+    block two or more bins wide, and that row is returned, not copied.
+    """
+    rows = len(buf) - 1
+    buf[0] = -0.0  # -0.0 + x is x for every x, so the sum starts from row 0
+    for start in range(0, n, rows):
+        chunk = buf[1:min(rows, n - start) + 1]
+        fill(chunk, start)
+        if mean is not None:
+            np.subtract(chunk, mean, out=chunk)
+            np.square(chunk, out=chunk)
+        buf[0] = buf[:len(chunk) + 1].sum(axis=0)
+    return buf[0]
+
+
+def _row_moments(n: int, m: int, fill) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin mean and ddof-1 variance of the (n, m) block that ``fill`` puts, twice.
+
+    They are ``block.mean(axis=0)`` and ``block.var(axis=0, ddof=1)`` of the
+    C-ordered float64 block bit for bit, for m > 1, and no block is held.
+    """
+    buf = _row_buffer(n, m)
+    mean = _row_sum(buf, n, fill) / n
+    return mean, _row_sum(buf, n, fill, mean) / (n - 1)
+
 
 def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None:
     """Write a records archive member by member, as ``np.savez`` lays it out.
@@ -23,11 +81,14 @@ def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None:
     The members are ``meta``, ``time_us``, ``kappa``, ``samples_0`` .. and
     ``angles``, each an uncompressed ``.npy`` in a zip file, byte for byte
     what ``np.savez`` writes, into ``path``'s directory, which is created if
-    need be.  ``blocks`` yields (angle, block) pairs; a C-ordered block is
-    written from its own buffer, not copied, and each block is dropped before
-    the next is taken.  The archive is written beside ``path`` and renamed
-    onto it, so a write that fails leaves the old archive whole and no
-    partial file, and a record set loaded from ``path`` can be saved onto it.
+    need be.  ``blocks`` yields (angle, block) pairs, each block dropped
+    before the next is taken: an array, written from its own buffer when
+    C-ordered, or ``(shape, write, reread)``, C-ordered float64 rows that
+    ``write(put)`` passes to ``put`` a chunk at a time and, once their member
+    is closed, ``reread(fill)`` may read back, ``fill(chunk, start)`` reading
+    rows start .. into ``chunk``.  The archive is written beside ``path`` and
+    renamed onto it, so a write that fails leaves the old archive whole and
+    no partial file, and a record set loaded from ``path`` can be saved onto it.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
@@ -35,24 +96,34 @@ def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp, angles, fmt = f"{path}.{os.getpid()}.tmp", [], np.lib.format
     try:
-        with zipfile.ZipFile(tmp, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+        # zipfile seeks to the end before each member, so f may read one back
+        with open(tmp, "w+b") as f, zipfile.ZipFile(f, "w") as zf:
 
-            def write(name, array):
-                array = np.asanyarray(array)
+            def write(name, array, rows=None) -> int | None:
+                """Member ``name``: ``array``, or its header and ``rows(put)``; where data start."""
                 with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                    if array.ndim == 2 and array.flags.c_contiguous:
-                        # write_array copies up to 16 MiB at a time through tobytes()
-                        fmt.write_array_header_1_0(fh, fmt.header_data_from_array_1_0(array))
-                        fh.write(memoryview(array))
-                    else:
-                        fmt.write_array(fh, array, allow_pickle=False)
+                    if rows is None:
+                        return fmt.write_array(fh, np.asanyarray(array), allow_pickle=False)
+                    fmt.write_array_header_1_0(fh, fmt.header_data_from_array_1_0(array))
+                    data = f.tell()
+                    rows(fh.write)
+                return data
 
             write("meta", np.array(json.dumps({"seed": seed, "config_digest": digest})))
             write("time_us", time_us)
             write("kappa", kappa)
-            # not enumerate(blocks), which keeps its last tuple (see harness._shot_blocks)
+            # not enumerate(blocks), which keeps its last tuple
             for angle, block in blocks:
-                write(f"samples_{len(angles)}", block)
+                name = f"samples_{len(angles)}"
+                if isinstance(block, tuple):  # a zero-stride array of the rows' shape heads them
+                    shape, rows, reread = block
+                    data, row = write(name, np.broadcast_to(0.0, shape), rows), 8 * shape[1]
+                    reread(lambda chunk, start: _read_at(f, data + start * row, chunk, name))
+                elif block.ndim == 2 and block.flags.c_contiguous:
+                    # write_array copies up to 16 MiB at a time through tobytes()
+                    write(name, block, lambda put: put(memoryview(block)))
+                else:
+                    write(name, block)
                 angles.append(angle)
                 del block
             write("angles", np.array(angles))
@@ -61,6 +132,39 @@ def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_drawn(path, time_us, kappa, n: int, draws: dict, seed: int, digest: str):
+    """Write the records that ``draws`` draws, as :func:`write_records` does; their moments.
+
+    ``draws[angle](rows)`` fills ``rows`` with that angle's next shots, n
+    rows in all.  One row buffer serves every angle: each chunk of rows is
+    drawn into it, written and added to the running sum for the mean, and
+    once the angle's member is closed it is read back through the buffer for
+    the variance.  Returns the per-bin means and ddof-1 variances by angle,
+    those of ``_row_moments`` on the records, and holds no block.
+    """
+    m = len(time_us)
+    buf, mean, variance = _row_buffer(n, m), {}, {}
+
+    def streamed(angle, draw):
+        def write(put):
+            mean[angle] = _row_sum(buf, n, lambda chunk, start: put(draw(chunk))) / n
+
+        def reread(fill):
+            variance[angle] = _row_sum(buf, n, fill, mean[angle]) / (n - 1)
+
+        return angle, ((n, m), write, reread)
+
+    write_records(path, time_us, kappa, [streamed(*item) for item in draws.items()], seed, digest)
+    return mean, variance
+
+
+def _read_at(f, at: int, chunk: np.ndarray, name: str) -> None:
+    """Read ``chunk``'s bytes from offset ``at`` of ``f`` into it; ValueError if they run out."""
+    f.seek(at)
+    if f.readinto(chunk) != chunk.nbytes:
+        raise ValueError(f"{f.name}: member {name} ends early")
 
 
 class _Member(NamedTuple):
@@ -85,15 +189,15 @@ class ArchiveBlocks(MutableMapping):
 
     ``blocks[key]`` opens the archive and reads that one member into a fresh
     array: a stored member with one ``readinto``, and a compressed one, as
-    older versions wrote, through ``np.load``.  So a caller that takes one
-    block at a time and drops it holds one block.  A stored member's bytes
-    are checked against the zip's CRC the first time they are read; later
-    reads of the unchanged archive skip that pass.  An array assigned to a
-    key stays in memory and is returned in place of the member.  ``shapes``,
-    ``repr`` and iterating the keys read no block.  Reading from an archive
-    replaced or rewritten since it was opened (its device, inode, size or
-    mtime differ) raises ValueError naming the path, and reading a member
-    whose bytes fail the CRC, one naming the member.
+    older versions wrote, through ``np.load``; :meth:`reduce` reads a stored
+    member a chunk of rows at a time instead, and holds no block.  A stored
+    member's bytes are checked against the zip's CRC the first time they are
+    read, either way; later reads of the unchanged archive skip that pass.
+    An array assigned to a key stays in memory and is returned in place of
+    the member.  ``shapes``, ``repr`` and iterating the keys read no block.
+    Reading from an archive replaced or rewritten since it was opened (its
+    device, inode, size or mtime differ) raises ValueError naming the path,
+    and reading a member whose bytes fail the CRC, one naming the member.
     """
 
     __slots__ = ("path", "_identity", "_blocks", "_checked")
@@ -128,21 +232,57 @@ class ArchiveBlocks(MutableMapping):
         """Each block's shape, a member's from its ``.npy`` header."""
         return {key: block.shape for key, block in self._blocks.items()}
 
+    def reduce(self, key):
+        """``_row_moments`` of key's block as it is read; None if it must be read whole.
+
+        A stored member of C-ordered float64 rows, two or more wide, is read
+        a chunk of rows at a time, twice, and the first pass's read of the
+        last row checks the CRC.
+        """
+        m = self._blocks[key]
+        if not (isinstance(m, _Member) and m.offset is not None and m.dtype == float
+                and not m.fortran_order and len(m.shape) == 2 and m.shape[1] > 1):
+            return None
+        with self._open() as f:
+            return _row_moments(*m.shape, self._reader(f, m))
+
+    def _open(self):
+        f = open(self.path, "rb")
+        if _identity(f.fileno()) != self._identity:
+            f.close()
+            raise ValueError(f"{self.path}: the archive changed after it was loaded")
+        return f
+
+    def _reader(self, f, m: _Member):
+        """``fill(chunk, start)``: reads member ``m`` from row ``start`` on into ``chunk``.
+
+        The first read to reach the member's end, after reads from its start
+        in order, checks the CRC of all its bytes, unless a read did before.
+        """
+        size = m.dtype.itemsize * int(np.prod(m.shape))
+        row = m.dtype.itemsize * int(np.prod(m.shape[1:]))
+        crc = None if m.name in self._checked else m.header_crc
+
+        def fill(chunk, start):
+            nonlocal crc
+            _read_at(f, m.offset + start * row, chunk, m.name)
+            if crc is not None:
+                crc = zlib.crc32(chunk, crc)
+                if start * row + chunk.nbytes == size:
+                    if crc != m.crc:
+                        raise ValueError(f"{self.path}: member {m.name} fails its CRC check")
+                    self._checked.add(m.name)
+                    crc = None
+
+        return fill
+
     def _read(self, m: _Member) -> np.ndarray:
-        with open(self.path, "rb") as f:
-            if _identity(f.fileno()) != self._identity:
-                raise ValueError(f"{self.path}: the archive changed after it was loaded")
+        with self._open() as f:
             if m.offset is None:
                 with np.load(f) as data:
                     return data[m.name]
             flat = np.empty(int(np.prod(m.shape)), m.dtype)
-            raw = flat.view(np.uint8)
-            f.seek(m.offset)
-            if f.readinto(raw) != raw.size or (
-                m.name not in self._checked and zlib.crc32(raw, m.header_crc) != m.crc
-            ):
-                raise ValueError(f"{self.path}: member {m.name} fails its CRC check")
-        self._checked.add(m.name)
+            self._reader(f, m)(flat, 0)
         return flat.reshape(m.shape, order="F" if m.fortran_order else "C")
 
 

@@ -106,30 +106,48 @@ def _gate_params(cfg: RunConfig, kappa: np.ndarray) -> GateParams:
     )
 
 
-def _route(cfg: RunConfig, gate, blocks: int = 0) -> tuple[TheoryTraces, GaussianState]:
+def _route(cfg: RunConfig, gate, blocks: int | None = None) -> tuple[TheoryTraces, GaussianState]:
     """``cfg``'s coherent inputs through ``gate``, gate_output_state or closed_form_output.
 
     Returns the route's noise-free per-bin moments and its output states.  Every
     run starts here: check_records_memory refuses a grid that would not fit in
     memory beside ``blocks`` shot blocks, and :func:`_refused` a numpy error of
-    either route, both run on the same inputs, or a state either refuses.
+    either route, both run on the same inputs, or a state either refuses.  A
+    run that draws shots gives the blocks it will hold, 0 if it streams them,
+    and is refused too where the sums of its shots could overflow.
     """
-    check_records_memory(cfg, blocks)
-    return _refused(cfg, _both_routes, gate)
+    check_records_memory(cfg, blocks or 0)
+    return _refused(cfg, _both_routes, gate, blocks is not None)
 
 
 # numpy errors that fail a run; not underflow, which 3080 dB meets harmlessly
 _RAISED = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
+# numpy's ziggurat accepts a tail normal 3.654 + x only where x^2 < 2 log(1/u)
+# for a u of at least 2**-53, so no standard normal it draws lies beyond 12.3
+_SHOT_REACH = 13.0
+
 
 @np.errstate(**_RAISED)
-def _both_routes(cfg: RunConfig, gate) -> tuple[TheoryTraces, GaussianState]:
+def _both_routes(cfg: RunConfig, gate, shots: bool = False) -> tuple[TheoryTraces, GaussianState]:
     traces = generate_traces(cfg)
     inputs, params = make_coherent(traces.mean_x, traces.mean_p), _gate_params(cfg, traces.kappa)
     pipeline, closed = gate_output_state(inputs, params), closed_form_output(inputs, params)
     states = pipeline if gate is gate_output_state else closed
     mean = {angle: quadrature_mean(states, angle) for angle in MEASUREMENT_ANGLES}
     variance = {angle: quadrature_variance(states, angle) for angle in MEASUREMENT_ANGLES}
+    # A shot lies within c = _SHOT_REACH sigma of its mean mu, so a bin's sum
+    # of n shots stays under n B, B = |mu| + c sigma.  A shot's deviation from
+    # the sample mean stays under D = 2 (c sigma + (n + 2) eps B), the rounding
+    # of the shots and of that mean included, and the sum of the squares under
+    # n D^2.  Both must stay under half of float max, which leaves room for
+    # the rounding of up to 2**52 additions.
+    for angle in MEASUREMENT_ANGLES if shots else ():
+        n, spread = cfg.n_trials, _SHOT_REACH * np.sqrt(variance[angle])
+        shot, limit = np.abs(mean[angle]) + spread, np.finfo(float).max / (2.0 * n)
+        deviation = 2.0 * (spread + (n + 2) * np.finfo(float).eps * shot)
+        if np.any(shot > limit) or np.any(deviation > np.sqrt(limit)):
+            raise FloatingPointError(f"a sum of {n} shots a bin could overflow")
     return TheoryTraces(traces.time_us, traces.kappa, mean, variance), states
 
 
@@ -263,37 +281,36 @@ def _memory_limits() -> dict[str, int]:
     return {what: limit for what, limit in limits.items() if limit is not None}
 
 
-# Shot blocks that simulate_records holds at its peak: the block in hand.  Its
-# variance is summed in chunks and it is written without a copy.
-RECORDS_PEAK_BLOCKS = 1
-
 # Working set of a run per bin, shot blocks aside.  The tracemalloc peak of
 # simulate_moments was 1028 bytes a bin and that of theory_traces 338, at both
-# 2e4 and 2e5 bins; this rounds the larger up, with room for the three rows of
-# chunk scratch _block_moments holds beyond _CHUNK_BYTES.  Writing the CSVs is
-# outside this count: tables.write_table holds one fixed block of rows.
+# 2e4 and 2e5 bins; this rounds the larger up, with room for the rows of the
+# row buffer beyond _CHUNK_BYTES and the per-bin sums beside it.  Writing the
+# CSVs is outside this count: tables.write_table holds one fixed block of rows.
 BIN_BYTES = 1100
 
-# Squared deviations _block_moments sums at a time: 128 KiB of rows stays in
-# cache yet takes few Python-level steps.
+# Rows of shots that archive's one row buffer holds, to draw, write, read back
+# or reduce: 128 KiB of rows stays in cache yet takes few Python-level steps.
 _CHUNK_BYTES = 1 << 17
+
+
+def _gib(nbytes: int) -> float:
+    # a float quotient of more than 2**1000 bytes would overflow
+    return nbytes / 2**30 if nbytes < 2**1000 else float("inf")
 
 
 def check_records_memory(cfg: RunConfig, blocks: int) -> None:
     """Raise ConfigError when a run on ``cfg``'s grid would not fit in memory.
 
-    The run holds BIN_BYTES per bin plus ``blocks`` shot blocks, each
-    n_trials x n_bins float64, and with any block the chunk scratch.  It must
-    fit within the least of :func:`_memory_limits`.
+    The run holds BIN_BYTES per bin, the row buffer and ``blocks`` shot
+    blocks, each n_trials x n_bins float64.  It must fit within the least of
+    :func:`_memory_limits`.
     """
-    need = cfg.n_bins * (BIN_BYTES + blocks * cfg.n_trials * 8) + (blocks > 0) * _CHUNK_BYTES
+    need = cfg.n_bins * (BIN_BYTES + blocks * cfg.n_trials * 8) + _CHUNK_BYTES
     limit, have = min(_memory_limits().items(), key=lambda item: item[1], default=(None, None))
     if have is not None and need > have:
         what = f"raw records of {cfg.n_trials} trials x " if blocks else "a grid of "
-        # a float quotient of a need beyond 2**1000 bytes would overflow
-        gib = need / 2**30 if need < 2**1000 else float("inf")
         raise ConfigError(
-            f"{what}{cfg.n_bins} bins would need {gib:.1f} GiB, "
+            f"{what}{cfg.n_bins} bins would need {_gib(need):.1f} GiB, "
             f"more than the {have / 2**30:.1f} GiB of {limit}"
         )
 
@@ -311,22 +328,22 @@ def _shot_laws(moments: TheoryTraces, seed: int) -> dict:
     }
 
 
-def _shot_blocks(n_trials: int, laws: dict[float, tuple]):
-    """Yield each angle's (angle, block) of shots, shape (n_trials, n_bins), in turn.
+def _shots(loc: np.ndarray, variance: np.ndarray, rng):
+    """``draw(rows)``, which fills ``rows`` with the next shots of N(loc, variance) and returns it.
 
-    Every holder of a block must drop it before asking for the next: a plain
-    ``for`` loop and ``del``, not ``enumerate`` or ``zip``, which keep their
-    last tuple.  A block still alive during the next draw stays in malloc's
-    heap once freed and raises the process's peak RSS by about one block.
+    loc + scale * z, scaled and shifted in place, are the numbers
+    Generator.normal(loc, scale, size) draws, and z fills in stream order, so
+    rows drawn in turn, a chunk at a time, are those of one whole-block draw.
     """
-    for angle, (loc, variance, rng) in laws.items():
-        # loc + scale * z, scaled and shifted in place: the numbers
-        # Generator.normal(loc, scale, size) draws, without its broadcast
-        block = rng.standard_normal((n_trials, len(loc)))
-        block *= np.sqrt(variance)
-        block += loc
-        yield angle, block
-        del block
+    scale = np.sqrt(variance)
+
+    def draw(rows: np.ndarray) -> np.ndarray:
+        rng.standard_normal(out=rows)
+        rows *= scale
+        rows += loc
+        return rows
+
+    return draw
 
 
 def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet:
@@ -334,23 +351,23 @@ def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet
 
     This is the in-memory route: all three angles' blocks are held at once,
     and :func:`estimate_moments` reduces them with no block-sized temporary.
-    :func:`simulate_records` draws the same shots and writes them to disk one
-    angle at a time, and :func:`simulate_moments` draws no shot at all.
+    :func:`simulate_records` draws the same shots into a row buffer and writes
+    them to disk, and :func:`simulate_moments` draws no shot at all.
     Every bin's output state is Gaussian, so the n_trials samples per (angle,
     bin) are drawn directly from the projected normal law.  Each angle gets an
     independent child stream of the seed; identical (config, seed) pairs give
     bit-identical records.  Raises ConfigError, from _route, before drawing
     anything when the records (3 x n_trials x n_bins float64) would not fit in
-    memory.
+    memory or their sums could overflow.
     """
     if seed is None:
         seed = cfg.seed
     traces = _route(cfg, gate_output_state, len(MEASUREMENT_ANGLES))[0]
-    laws = _shot_laws(traces, seed)
-    return HomodyneRecordSet(
-        traces.time_us, traces.kappa, dict(_shot_blocks(cfg.n_trials, laws)),
-        int(seed), config_digest(cfg),
-    )
+    samples = {
+        angle: _shots(*law)(np.empty((cfg.n_trials, cfg.n_bins)))
+        for angle, law in _shot_laws(traces, seed).items()
+    }
+    return HomodyneRecordSet(traces.time_us, traces.kappa, samples, int(seed), config_digest(cfg))
 
 
 def _moment_estimates(time_us, kappa, n: int, mean: dict, variance: dict) -> MomentEstimates:
@@ -362,42 +379,33 @@ def _moment_estimates(time_us, kappa, n: int, mean: dict, variance: dict) -> Mom
 def _block_moments(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin ``block.mean(axis=0)`` and ``block.var(axis=0, ddof=1)``, bit for bit.
 
-    np.var holds every squared deviation at once.  Here they are squared a
-    row chunk at a time and summed onto the running sum in row 0 of a small
-    scratch, which keeps numpy's row-by-row order for a C-ordered float64
-    block two or more bins wide.  np.var takes any other block.
+    np.var holds every squared deviation at once; here a C-ordered float64
+    block two or more bins wide goes through archive's row buffer instead.
+    numpy reduces any other block in another order, so np.var takes it.
     """
-    mean = block.mean(axis=0)
+    from .archive import _row_moments
+
     n, m = block.shape
     if not (block.flags.c_contiguous and block.dtype == float and m > 1):
-        return mean, block.var(axis=0, ddof=1)
-    rows = max(1, _CHUNK_BYTES // (8 * m))
-    buf = np.zeros((min(rows, n) + 1, m))
-    for start in range(0, n, rows):
-        chunk = block[start:start + rows]
-        dev = buf[1:len(chunk) + 1]
-        np.subtract(chunk, mean, out=dev)
-        np.square(dev, out=dev)
-        buf[0] = buf[:len(chunk) + 1].sum(axis=0)
-    return mean, buf[0] / (n - 1)
+        return block.mean(axis=0), block.var(axis=0, ddof=1)
+    return _row_moments(n, m, lambda rows, start: np.copyto(rows, block[start:start + len(rows)]))
 
 
 def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
     """Sample mean/variance per (angle, bin); needs at least two trials.
 
-    Each block is taken, reduced and dropped before the next is asked for,
-    and the reduction makes no block-sized temporary, so on a loaded record
-    set, which reads a block each time one is asked for, one block is alive
-    at a time.
+    A set loaded from an archive reduces each stored float64 block through
+    the row buffer as it reads it (``archive.ArchiveBlocks.reduce``), and so
+    holds no block; any other block it reads whole and drops before the next.
     """
     n = records.n_trials
     if n < 2:
         raise ValueError("need at least two trials to estimate a variance")
     mean, variance = {}, {}
+    reduce = getattr(records.samples, "reduce", None)
     for angle in records.samples:
-        block = records.samples[angle]
-        mean[angle], variance[angle] = _block_moments(block)
-        del block
+        moments = reduce(angle) if reduce else None
+        mean[angle], variance[angle] = moments or _block_moments(records.samples[angle])
     return _moment_estimates(records.time_us, records.kappa, n, mean, variance)
 
 
@@ -406,31 +414,21 @@ def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEst
 
     The shots, the archive and the moments are those of
     ``run_experiment(cfg, seed).save(path)`` and ``estimate_moments`` of those
-    records, byte for byte.  Each angle's block is drawn, reduced to its
-    moments and written before the next is drawn, and neither the reduction
-    nor the writer copies it, so one block is alive at a time instead of
-    three.  The archive's directory is created if need be.  Raises
-    ConfigError, from _route, before drawing or writing anything, or creating
-    that directory, when one block would not fit in memory.
+    records, byte for byte, and no block is held (``archive.write_drawn``).
+    The archive's directory is created if need be.  Raises ConfigError,
+    before drawing or writing anything, or creating that directory, when the
+    archive would not fit in the free space there, or as :func:`_route` does.
     """
-    # imported first, so that what compiling it frees is reused by the run,
-    # not left beneath the block: imported last, it raised peak RSS 0.3 MiB
-    from .archive import write_records
+    from .archive import check_records_space, write_drawn
 
     seed = cfg.seed if seed is None else seed
-    n = cfg.n_trials
-    traces = _route(cfg, gate_output_state, RECORDS_PEAK_BLOCKS)[0]
-    laws = _shot_laws(traces, seed)
-    mean, variance = {}, {}
-
-    def reduced():
-        for angle, block in _shot_blocks(n, laws):
-            mean[angle], variance[angle] = _block_moments(block)
-            yield angle, block
-            del block
-
-    write_records(path, traces.time_us, traces.kappa, reduced(), int(seed), config_digest(cfg))
-    return _moment_estimates(traces.time_us, traces.kappa, n, mean, variance)
+    check_records_space(cfg, path)
+    traces = _route(cfg, gate_output_state, 0)[0]
+    draws = {angle: _shots(*law) for angle, law in _shot_laws(traces, seed).items()}
+    mean, variance = write_drawn(
+        path, traces.time_us, traces.kappa, cfg.n_trials, draws, int(seed), config_digest(cfg)
+    )
+    return _moment_estimates(traces.time_us, traces.kappa, cfg.n_trials, mean, variance)
 
 
 def simulate_moments(cfg: RunConfig, seed: int | None = None) -> MomentEstimates:

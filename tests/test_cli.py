@@ -1,4 +1,5 @@
 import contextlib
+import filecmp
 import hashlib
 import io
 import json
@@ -26,7 +27,7 @@ from dynsqueeze import (
     run_experiment,
     save_config,
 )
-from dynsqueeze import harness
+from dynsqueeze import archive, harness
 from dynsqueeze.analysis import RESIDUAL_COLUMNS, read_summary_csv, summarize
 from dynsqueeze.cli import GAP_NOTE, PWL_TARGETS, main
 from dynsqueeze.electronics import TARGETS
@@ -84,9 +85,13 @@ def test_simulate_save_records(cfg_path, tmp_path):
     assert records.config_digest == config_digest(SMALL)
 
 
-def test_records_beyond_physical_memory_exit_1(tmp_path, capsys):
-    # simulate --save-records holds one block: 1e6 trials x 2e5 bins x 8 bytes
-    # = 1.6 TB
+def test_records_beyond_physical_memory_exit_1(tmp_path, capsys, monkeypatch):
+    # 1e6 trials x 2e5 bins: 1.6 TB a block and 4.8 TB of archive, which is
+    # refused for the disk it needs before the grid is built or --out made.
+    # No shot can be drawn, so a run that is not refused fails at once
+    # instead of filling the disk.
+    monkeypatch.setattr(archive.shutil, "disk_usage", lambda where: _Usage(2**40))
+    monkeypatch.setattr(np.random, "default_rng", None)
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"n_trials": 10**6, "bins_per_period": 10**5}))
     out = tmp_path / "out"
@@ -98,9 +103,15 @@ def test_records_beyond_physical_memory_exit_1(tmp_path, capsys):
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error:") and "physical memory" in err
+    assert err == (f"error: raw records of n_trials 1000000 x 200000 bins would need 4470.4 GiB, "
+                   f"more than the 1024.0 GiB free for {out / 'records.npz'}\n")
     assert not out.exists()
     assert peak < 16 * 2**20
+
+
+class _Usage:
+    def __init__(self, free):
+        self.free = free
 
 
 _GUARDED = {
@@ -188,31 +199,36 @@ def test_analyze_refuses_a_theory_file_among_the_moments(cfg_path, tmp_path, cap
     assert not out.exists()
 
 
-def test_save_records_holds_one_block(tmp_path):
-    # Each angle's block is drawn, reduced and written before the next is
-    # drawn, and neither its variance nor the archive writer copies it.
-    # Holding all three blocks, or keeping the previous block alive while the
-    # next is drawn, peaks at 3 blocks or more; a block-sized temporary, at 2.
-    cfg = tmp_path / "run.json"
-    save_config(RunConfig(n_trials=2000), cfg)
-    block = 2000 * 200 * 8  # 3.05 MiB
-    assert _simulate(cfg, tmp_path / "warm", ("--save-records",)) == 0
-    tracemalloc.start()
-    try:
-        code = _simulate(cfg, tmp_path / "out", ("--save-records",))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < 1.5 * block, peak / block
+def test_save_records_memory_does_not_grow_with_trials(tmp_path):
+    # Each angle's shots are drawn, written and reduced a chunk of rows at a
+    # time, so the peak does not grow with n_trials; holding one block would
+    # add 27 MiB from 2000 to 20000 trials, at 200 bins.
+    def peak(n_trials):
+        cfg = tmp_path / f"{n_trials}.json"
+        save_config(RunConfig(n_trials=n_trials), cfg)
+        tracemalloc.start()
+        try:
+            assert _simulate(cfg, tmp_path / "out", ("--save-records",)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2000)  # the first run pays for one-off imports and caches
+    small, large = peak(2000), peak(20000)
+    assert large - small < 1 << 20, (small, large)
 
 
 RECORDS_CONFIGS = {
     "default": {},
     "lookup-table": {"use_pwl_electronics": True},
     "lossy": {"hd1_efficiency": 0.8, "feedforward_sign": -1, "feedforward_gain_override": 0.5},
-    # 4000 bins: the variance sums 4 rows a chunk, and 301 trials end on a ragged one
+    # the row buffer holds 81 rows of 200 bins, 4 of 4000 and 1 of 16400:
+    # 162 trials end on a whole chunk, 2000 and 301 on a ragged one
+    "whole-chunks": {"bins_per_period": 100, "n_trials": 162},
+    "ragged": {"bins_per_period": 100, "n_trials": 2000},
     "chunked": {"bins_per_period": 2000, "n_trials": 301},
+    "row-a-chunk": {"bins_per_period": 8200, "n_trials": 17},
+    "two-trials": {"n_trials": 2},
 }
 
 
@@ -228,8 +244,15 @@ def test_save_records_matches_the_in_memory_route_byte_for_byte(tmp_path, name):
     write_moments_files(ref, estimate_moments(records))
     for file in ("records.npz", *MOMENT_FILES):
         assert (out / file).read_bytes() == (ref / file).read_bytes(), file
-    # the moments of the reloaded records are the bytes simulate wrote
-    write_moments_files(tmp_path, estimate_moments(HomodyneRecordSet.load(out / "records.npz")))
+    # the moments of the reloaded records, reduced as they are read, are
+    # those of the records in memory, and so the bytes simulate wrote
+    streamed = estimate_moments(HomodyneRecordSet.load(out / "records.npz"))
+    held = estimate_moments(records)
+    for field in ("mean", "variance", "se_mean", "se_var"):
+        for angle in records.angles:
+            got, want = getattr(streamed, field)[angle], getattr(held, field)[angle]
+            assert got.tobytes() == want.tobytes(), (field, angle)
+    write_moments_files(tmp_path, streamed)
     for moments in MOMENT_FILES:
         assert (tmp_path / moments).read_bytes() == (out / moments).read_bytes(), moments
 
@@ -880,6 +903,69 @@ def test_config_that_overflows_the_run_exits_1(tmp_path, capsys, raw, name, comm
     assert not out.exists()
 
 
+# sigma_p^2 = 3.9e307: every moment is finite, but not the sums of 10851 shots
+SUMS_OVERFLOW = {"feedforward_gain_override": 1e154, "hd1_efficiency": 0.5, "ancilla_db": 30,
+                 "control_amplitude": 0.01, "bins_per_period": 5}
+
+
+def test_records_whose_sums_overflow_exit_1(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(SUMS_OVERFLOW))
+    out = tmp_path / "out"
+    assert main(["simulate", "--save-records", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: feedforward_gain_override 1e+154 makes the run fail: "
+        "a sum of 10851 shots a bin could overflow\n"
+    )
+    assert not out.exists()
+    # simulate without records and theory sum no shot: they run, to finite files
+    for command in ("simulate", "theory"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    for csv in out.iterdir():
+        assert "inf" not in csv.read_text() and "nan" not in csv.read_text(), csv.name
+
+
+_VM_PEAK = """import atexit, runpy, sys
+status = lambda: open("/proc/self/status").read()
+atexit.register(lambda: print(status().split("VmPeak:")[1].split()[0], file=sys.stderr))
+sys.argv = ["dynsqueeze", *sys.argv[1:]]
+runpy.run_module("dynsqueeze.cli", run_name="__main__")
+"""
+
+
+def test_save_records_under_an_address_space_limit_below_one_block(tmp_path):
+    # The limit admits the child's address space on a small run plus half a
+    # block of 20000 x 200 shots (32 MB), so only a run that holds no block
+    # fits; its 96 MB archive is the in-memory route's, byte for byte.
+    resource = pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc to read the child's VmPeak")
+    src = str(Path(dynsqueeze.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+
+    def run(cfg, out, soft=None):
+        path = tmp_path / "run.json"
+        save_config(cfg, path)
+        done = subprocess.run(
+            [sys.executable, "-c", _VM_PEAK, "simulate", "--save-records", "--config", str(path),
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=env,
+            preexec_fn=soft and (lambda: resource.setrlimit(resource.RLIMIT_AS, (soft, hard))),
+        )
+        assert done.returncode == 0, done.stderr
+        return int(done.stderr) * 1024
+
+    cfg = RunConfig(n_trials=20000, seed=5)
+    soft = run(replace(cfg, n_trials=2000), tmp_path / "small") + cfg.n_trials * cfg.n_bins * 4
+    if hard != resource.RLIM_INFINITY and soft > hard:
+        pytest.skip("the hard RLIMIT_AS is below the limit this test sets")
+    assert run(cfg, tmp_path / "out", soft) <= soft
+    run_experiment(cfg, 5).save(tmp_path / "records.npz")
+    assert filecmp.cmp(tmp_path / "out" / "records.npz", tmp_path / "records.npz", shallow=False)
+
+
 _FIELDS = [f.name for f in fields(RunConfig)]
 
 
@@ -900,17 +986,22 @@ def _main_quietly(argv) -> tuple[int, str]:
 @example({"feedforward_sign": -1, "ancilla_db": 88, "bins_per_period": 2, "n_periods": 2})
 def test_theory_and_simulate_run_or_refuse_a_config_alike(raw):
     # every config either runs in both commands, to finite files, or is refused
-    # by both with one line that names a field, before --out exists
+    # by both with one line that names a field, before --out exists.  On the
+    # configs of at most 1000 trials, simulate --save-records does the same,
+    # and may refuse more, as it also sums the shots.
+    commands = {"theory": ["theory"], "simulate": ["simulate"]}
+    if raw.get("n_trials", RunConfig().n_trials) <= 1000:
+        commands["records"] = ["simulate", "--save-records"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(raw))
         codes = {}
-        for command in ("theory", "simulate"):
+        for command, argv in commands.items():
             out = Path(tmp) / command
-            codes[command], err = _main_quietly([command, "--config", str(path), "--out", str(out)])
+            codes[command], err = _main_quietly([*argv, "--config", str(path), "--out", str(out)])
             if codes[command] == 0:
                 assert err == ""
-                for csv in out.iterdir():  # %.12g writes a non-finite value as inf or nan
+                for csv in out.glob("*.csv"):  # %.12g writes a non-finite value as inf or nan
                     text = csv.read_text()
                     assert "inf" not in text and "nan" not in text, csv.name
             else:
@@ -918,4 +1009,4 @@ def test_theory_and_simulate_run_or_refuse_a_config_alike(raw):
                 assert err.startswith("error: ") and err.count("\n") == 1, err
                 assert any(name in err for name in _FIELDS), err
                 assert not out.exists()
-        assert codes["theory"] == codes["simulate"], raw
+        assert codes["theory"] == codes["simulate"] <= codes.get("records", 1), raw

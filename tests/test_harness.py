@@ -3,7 +3,6 @@ import json
 import os
 import re
 import tracemalloc
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -367,6 +366,8 @@ def test_loaded_records_refuse_an_archive_changed_after_load(tmp_path, change):
         os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
     with pytest.raises(ValueError, match=re.escape(f"{path}: the archive changed")):
         back.samples[0.0]
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the archive changed")):
+        estimate_moments(back)
 
 
 def test_loaded_records_name_a_member_that_fails_its_crc(tmp_path):
@@ -381,6 +382,9 @@ def test_loaded_records_name_a_member_that_fails_its_crc(tmp_path):
     assert np.array_equal(back.samples[rec.angles[0]], rec.samples[rec.angles[0]])
     with pytest.raises(ValueError, match=re.escape(f"{path}: member samples_1 fails its CRC")):
         back.samples[rec.angles[1]]
+    # reduced as it is read, the block is checked before any moment is returned
+    with pytest.raises(ValueError, match=re.escape(f"{path}: member samples_1 fails its CRC")):
+        estimate_moments(HomodyneRecordSet.load(path))
 
 
 def test_loaded_records_save_onto_their_own_archive(tmp_path):
@@ -530,39 +534,41 @@ def test_simulate_records_writes_and_reduces_the_in_memory_records(tmp_path):
 
 
 def test_simulate_records_drops_each_block_before_drawing_the_next(tmp_path, monkeypatch):
-    # tracemalloc cannot see this: the draw overlapping the previous block
-    # peaks at two blocks, as the reduction does, but the freed blocks then
-    # stay in malloc's heap and raise the process RSS by about one block.
-    blocks, alive_at_draw = [], []
+    # No block exists to drop: every draw fills one chunk of the row buffer,
+    # at most 128 KiB of rows and never a whole block.  tracemalloc could not
+    # see a block drawn and freed between its snapshots; this sees each draw.
+    filled = []
     default_rng = np.random.default_rng
 
     class Spy:
         def __init__(self, seed):
             self.rng = default_rng(seed)
 
-        def standard_normal(self, shape):
-            alive_at_draw.append(sum(ref() is not None for ref in blocks))
-            block = self.rng.standard_normal(shape)
-            blocks.append(weakref.ref(block))
-            return block
+        def standard_normal(self, *args, out=None):
+            filled.append(out.shape)
+            return self.rng.standard_normal(*args, out=out)
 
     monkeypatch.setattr(np.random, "default_rng", Spy)
-    simulate_records(SMALL, tmp_path / "records.npz")
-    assert alive_at_draw == [0, 0, 0]
+    cfg = replace(SMALL, n_trials=2000)  # 409 rows of 40 bins a chunk
+    simulate_records(cfg, tmp_path / "records.npz")
+    assert filled == 3 * ([(409, 40)] * 4 + [(2000 - 4 * 409, 40)])
+    assert HomodyneRecordSet.load(tmp_path / "records.npz").n_trials == 2000
 
 
-def test_records_memory_guards_count_three_blocks_in_memory_and_one_streamed(tmp_path, monkeypatch):
-    # a block of 3.2 MB, so the 128 KiB chunk scratch and 1.1 kB a bin
-    # come to 0.11 block beside it: a guard counting two blocks in memory
-    # would admit run_experiment at 2.5
+def test_records_memory_guards_count_three_blocks_in_memory_and_none_streamed(tmp_path,
+                                                                             monkeypatch):
+    # a block of 3.2 MB, so the 128 KiB row buffer and 1.1 kB a bin come to
+    # 0.11 block: a guard counting two blocks in memory would admit
+    # run_experiment at 2.5, and one counting a block would refuse
+    # simulate_records at 0.9
     cfg = replace(SMALL, n_trials=2000, bins_per_period=100)
     block = cfg.n_trials * cfg.n_bins * 8
     monkeypatch.setattr(harness, "_physical_memory", lambda: int(2.5 * block))
     with pytest.raises(ConfigError, match="physical memory"):
         run_experiment(cfg)
-    monkeypatch.setattr(harness, "_physical_memory", lambda: int(1.5 * block))
-    simulate_records(cfg, tmp_path / "fits.npz")
     monkeypatch.setattr(harness, "_physical_memory", lambda: int(0.9 * block))
+    simulate_records(cfg, tmp_path / "fits.npz")
+    monkeypatch.setattr(harness, "_physical_memory", lambda: int(0.1 * block))
     with pytest.raises(ConfigError, match="physical memory"):
         simulate_records(cfg, tmp_path / "too_big.npz")
     assert not (tmp_path / "too_big.npz").exists()
@@ -635,13 +641,26 @@ def test_load_reads_no_block(tmp_path):
     assert peak < 0.1 * BLOCK, peak / BLOCK
 
 
-def test_moments_of_a_loaded_set_hold_one_block(tmp_path):
-    # a loaded set reads each block when it is asked for; all three read
-    # at once, or one kept while the next is read, would peak at 2 or more
+def test_moments_of_a_loaded_set_hold_no_block(tmp_path):
+    # a loaded set reduces each stored block through the row buffer as it
+    # reads it; a block read whole would peak at 1 block or more
     path = tmp_path / "records.npz"
     run_experiment(MEMORY_CFG).save(path)
     peak = _peak(lambda: estimate_moments(HomodyneRecordSet.load(path)))
-    assert peak < 1.2 * BLOCK, peak / BLOCK
+    assert peak < 0.25 * BLOCK, peak / BLOCK
+
+
+def test_records_memory_does_not_grow_with_trials(tmp_path):
+    # at 20000 trials one block is 30.5 MiB and the archive 92 MiB
+    def peaks(n_trials):
+        cfg, path = RunConfig(n_trials=n_trials, seed=3), tmp_path / f"{n_trials}.npz"
+        written = _peak(lambda: simulate_records(cfg, path))
+        read = _peak(lambda: estimate_moments(HomodyneRecordSet.load(path)))
+        path.unlink()
+        return np.array([written, read])
+
+    small, large = peaks(2000), peaks(20000)
+    assert np.all(large - small < 1 << 20), (small, large)
 
 
 def _csv_trials(tmp_path, est):
@@ -752,11 +771,63 @@ def test_simulate_records_creates_the_archive_directory_unless_refused(tmp_path,
     path = tmp_path / "new" / "dir" / "records.npz"
     simulate_records(SMALL, path)
     assert HomodyneRecordSet.load(path).n_trials == SMALL.n_trials
-    monkeypatch.setattr(harness, "_physical_memory", lambda: 10_000)
     refused = tmp_path / "refused" / "records.npz"
+    need = 8 * SMALL.n_bins * (3 * SMALL.n_trials + 2) + 4096
+    monkeypatch.setattr(archive.shutil, "disk_usage", lambda where: _Usage(need - 1))
+    with pytest.raises(ConfigError, match=r"^raw records of n_trials 300 x 40 bins would need "
+                                          r"0\.0 GiB, more than the 0\.0 GiB free for "):
+        simulate_records(SMALL, refused)
+    assert not refused.parent.exists()
+    monkeypatch.setattr(archive.shutil, "disk_usage", lambda where: _Usage(need))
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 10_000)
     with pytest.raises(ConfigError, match="physical memory"):
         simulate_records(SMALL, refused)
     assert not refused.parent.exists()
+
+
+class _Usage:
+    def __init__(self, free):
+        self.free = free
+
+
+def test_records_space_counts_the_archive_within_its_headers(tmp_path):
+    for cfg in (SMALL, replace(SMALL, n_trials=2, bins_per_period=2, n_periods=2)):
+        simulate_records(cfg, tmp_path / "records.npz")
+        data = 8 * cfg.n_bins * (3 * cfg.n_trials + 2)
+        assert 0 < (tmp_path / "records.npz").stat().st_size - data < 4096
+
+
+@pytest.mark.parametrize("run", [simulate_records, run_experiment])
+def test_records_whose_sums_could_overflow_are_refused_before_drawing(tmp_path, monkeypatch, run):
+    # sigma_p^2 = 3.9e307: one shot is finite, but the sum of n squared
+    # deviations is not, nor for two trials
+    cfg = RunConfig(feedforward_gain_override=1e154, hd1_efficiency=0.5, ancilla_db=30,
+                    control_amplitude=0.01, bins_per_period=5, n_trials=2)
+    monkeypatch.setattr(np.random, "default_rng", None)  # a draw would fail otherwise
+    monkeypatch.setattr(archive.shutil, "disk_usage", lambda where: _Usage(2**60))
+    path = tmp_path / "new" / "records.npz"
+    with pytest.raises(ConfigError, match=r"^feedforward_gain_override 1e\+154 makes the run "
+                                          r"fail: a sum of 2 shots a bin could overflow$"):
+        run(cfg, path) if run is simulate_records else run(cfg)
+    assert not path.parent.exists()
+    # at 1e150 the rule refuses a million shots but not the default 10851,
+    # so n_trials is named too
+    many = replace(cfg, feedforward_gain_override=1e150, n_trials=10**6)
+    with pytest.raises(ConfigError, match=r"^feedforward_gain_override 1e\+150, n_trials 1000000 "
+                                          r"each make the run fail: a sum of 1000000 shots"):
+        run(many, path) if run is simulate_records else run(many)
+    # theory and simulate, which sum no shot, run on it
+    monkeypatch.undo()
+    assert np.isfinite(theory_traces(cfg).variance[np.pi / 2]).all()
+    assert np.isfinite(simulate_moments(cfg).variance[np.pi / 2]).all()
+
+
+def test_shot_sums_rule_covers_every_normal_the_ziggurat_draws():
+    # numpy's tail draw is r + x with r = 3.654, accepted where
+    # x^2 < 2 log(1/u) for a u of at least 2**-53
+    largest = 3.6541528853610088 + np.sqrt(2.0 * np.log(2.0**53))
+    assert 12.2 < largest < 12.3 < harness._SHOT_REACH
+    assert np.abs(np.random.default_rng(0).standard_normal(10**6)).max() < largest
 
 
 def test_theory_pi4_mean_combines_quadratures():
