@@ -1,6 +1,7 @@
 """The raw records archive, ``records.npz``, and the row buffer that streams shots through it.
 
-Records are written and read a block, or a chunk of rows, at a time.  Only
+Records are written and read a block, or a chunk of rows, at a time, and a
+block read whole maps only its member's pages.  Only
 runs that draw, save or load raw shots import this module, so the CLI runs
 that do none of these do not compile it.
 """
@@ -187,12 +188,18 @@ def _identity(fd: int) -> tuple:
 class ArchiveBlocks(MutableMapping):
     """The sample blocks of a records archive, each read from it when asked for.
 
-    ``blocks[key]`` opens the archive and reads that one member into a fresh
-    array: a stored member with one ``readinto``, and a compressed one, as
-    older versions wrote, through ``np.load``; :meth:`reduce` reads a stored
-    member a chunk of rows at a time instead, and holds no block.  A stored
-    member's bytes are checked against the zip's CRC the first time they are
-    read, either way; later reads of the unchanged archive skip that pass.
+    ``blocks[key]`` opens the archive and returns that one member.  A stored
+    member is a copy-on-write view of a map of its own pages: they are read
+    in only when touched, writes stay private to the view, and the pages
+    leave memory when it is dropped.  Its ``flags.aligned`` is often False,
+    as the zip puts the data at any offset.  A compressed one, as older
+    versions wrote, is read through ``np.load`` into a fresh array.
+    :meth:`reduce` reads a stored member a chunk of rows at a time instead,
+    and holds no block.  A stored member's bytes are checked against the
+    zip's CRC the first time they are read, before any map is made; later
+    reads of the unchanged archive skip that pass.  While a block is in use,
+    the archive must be replaced, not rewritten in place, as this package's
+    writers do: untouched pages would read the new bytes.
     An array assigned to a key stays in memory and is returned in place of
     the member.  ``shapes``, ``repr`` and iterating the keys read no block.
     Reading from an archive replaced or rewritten since it was opened (its
@@ -244,7 +251,7 @@ class ArchiveBlocks(MutableMapping):
                 and not m.fortran_order and len(m.shape) == 2 and m.shape[1] > 1):
             return None
         with self._open() as f:
-            return _row_moments(*m.shape, self._reader(f, m))
+            return _row_moments(*m.shape, self._reader(f, m, 8 * m.shape[1]))
 
     def _open(self):
         f = open(self.path, "rb")
@@ -253,14 +260,13 @@ class ArchiveBlocks(MutableMapping):
             raise ValueError(f"{self.path}: the archive changed after it was loaded")
         return f
 
-    def _reader(self, f, m: _Member):
-        """``fill(chunk, start)``: reads member ``m`` from row ``start`` on into ``chunk``.
+    def _reader(self, f, m: _Member, row: int):
+        """``fill(chunk, start)``: reads member ``m`` from byte ``start * row`` on into ``chunk``.
 
         The first read to reach the member's end, after reads from its start
         in order, checks the CRC of all its bytes, unless a read did before.
         """
         size = m.dtype.itemsize * int(np.prod(m.shape))
-        row = m.dtype.itemsize * int(np.prod(m.shape[1:]))
         crc = None if m.name in self._checked else m.header_crc
 
         def fill(chunk, start):
@@ -281,8 +287,21 @@ class ArchiveBlocks(MutableMapping):
             if m.offset is None:
                 with np.load(f) as data:
                     return data[m.name]
-            flat = np.empty(int(np.prod(m.shape)), m.dtype)
-            self._reader(f, m)(flat, 0)
+            size = m.dtype.itemsize * int(np.prod(m.shape))
+            if m.offset + size > self._identity[2]:
+                raise ValueError(f"{self.path}: member {m.name} ends early")
+            if m.name not in self._checked:  # streamed, so that the check pages in nothing
+                fill, buf = self._reader(f, m, 1), np.empty(min(size, _CHUNK_BYTES), np.uint8)
+                for start in range(0, size or 1, _CHUNK_BYTES):  # an empty member's header too
+                    fill(buf[:size - start], start)
+            if not size:  # mmap maps no empty range
+                return np.empty(m.shape, m.dtype)
+            import mmap  # here, so that runs that only write records do not load it
+
+            # the member's own pages, read as they are touched; writes stay private
+            at = m.offset - m.offset % mmap.ALLOCATIONGRANULARITY
+            pages = mmap.mmap(f.fileno(), m.offset + size - at, access=mmap.ACCESS_COPY, offset=at)
+        flat = np.frombuffer(pages, m.dtype, offset=m.offset - at)
         return flat.reshape(m.shape, order="F" if m.fortran_order else "C")
 
 

@@ -189,8 +189,9 @@ class HomodyneRecordSet(Immutable):
     ``samples[angle]`` has shape (n_trials, n_bins); all angles share the time
     grid and the control trace.  ``config_digest`` ties the records back to the
     configuration that produced them.  A set built in memory holds its blocks;
-    one from :meth:`load` reads each block from its archive every time it is
-    asked for (``archive.ArchiveBlocks``), and its shapes, ``angles``,
+    one from :meth:`load` maps each block from its archive every time it is
+    asked for (``archive.ArchiveBlocks``), a copy-on-write view paged in as
+    it is touched and often not aligned, and its shapes, ``angles``,
     ``n_trials`` and ``repr`` come from the archive's headers.
     """
 
@@ -381,12 +382,14 @@ def _block_moments(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     np.var holds every squared deviation at once; here a C-ordered float64
     block two or more bins wide goes through archive's row buffer instead.
-    numpy reduces any other block in another order, so np.var takes it.
+    numpy reduces any other block in another order, so np.var takes it, an
+    unaligned one in an aligned copy, as numpy may round unaligned sums apart.
     """
     from .archive import _row_moments
 
     n, m = block.shape
     if not (block.flags.c_contiguous and block.dtype == float and m > 1):
+        block = block if block.flags.aligned else block.copy(order="K")
         return block.mean(axis=0), block.var(axis=0, ddof=1)
     return _row_moments(n, m, lambda rows, start: np.copyto(rows, block[start:start + len(rows)]))
 

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import mmap
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,6 +652,132 @@ def test_moments_of_a_loaded_set_hold_no_block(tmp_path):
     run_experiment(MEMORY_CFG).save(path)
     peak = _peak(lambda: estimate_moments(HomodyneRecordSet.load(path)))
     assert peak < 0.25 * BLOCK, peak / BLOCK
+
+
+def _child(script, *args, **kwargs) -> str:
+    """The stdout of ``script`` run with ``args`` in a fresh interpreter on this package."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True,
+                          text=True, timeout=120, env=env, **kwargs)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# VmHWM is the peak of resident memory, file pages a block maps in included
+_READ_BACK = """import hashlib, sys
+from dynsqueeze import HomodyneRecordSet, estimate_moments
+
+def peak():
+    with open("/proc/self/status") as f:
+        return int(next(line for line in f if line.startswith("VmHWM:")).split()[1]) * 1024
+
+records = HomodyneRecordSet.load(sys.argv[1])
+estimate_moments(records)
+for step in (lambda b: b.shape, lambda b: hashlib.sha256(b).hexdigest()):
+    before = peak()
+    {a: step(b) for a, b in records.samples.items()}
+    print(peak() - before)
+"""
+
+
+def test_reading_a_loaded_set_back_holds_at_most_one_block(tmp_path):
+    # Each block is a map of its member's pages, read as they are touched:
+    # the shapes touch none, and hashing holds one block's pages at a time,
+    # though the loop keeps the last block while it takes the next.  A block
+    # read into a fresh array peaks near two blocks in each step.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc to read the child's VmHWM")
+    path = tmp_path / "records.npz"
+    simulate_records(MEMORY_CFG, path)
+    shapes, hashes = map(int, _child(_READ_BACK, path).split())
+    assert shapes < 0.1 * BLOCK, shapes / BLOCK
+    assert hashes < 1.3 * BLOCK, hashes / BLOCK
+
+
+def test_writes_into_a_loaded_block_stay_private(tmp_path):
+    path = tmp_path / "records.npz"
+    rec = run_experiment(SMALL)
+    rec.save(path)
+    before = path.read_bytes()
+    back = HomodyneRecordSet.load(path)
+    block = back.samples[0.0]
+    assert block.flags.writeable
+    block[...] = 0.0
+    assert path.read_bytes() == before
+    assert np.array_equal(back.samples[0.0], rec.samples[0.0])
+
+
+def test_a_loaded_block_outlives_a_save_onto_its_archive(tmp_path):
+    # the writer replaces the archive, so the old file's pages stay behind the map
+    path = tmp_path / "records.npz"
+    rec = run_experiment(SMALL)
+    rec.save(path)
+    back = HomodyneRecordSet.load(path)
+    blocks = dict(back.samples.items())
+    back.samples[0.0] = rec.samples[0.0] + 1.0
+    back.save(path)
+    for angle in MEASUREMENT_ANGLES:
+        assert np.array_equal(blocks[angle], rec.samples[angle])
+    assert np.array_equal(HomodyneRecordSet.load(path).samples[0.0], rec.samples[0.0] + 1.0)
+
+
+def test_an_empty_member_loads_without_a_map(tmp_path, monkeypatch):
+    path = tmp_path / "records.npz"
+    rec = run_experiment(SMALL)
+    _savez(path, rec, {a: np.empty((0, SMALL.n_bins)) for a in rec.angles})
+    back = HomodyneRecordSet.load(path)
+    monkeypatch.setattr(mmap, "mmap", None)  # any map raises TypeError
+    for angle in rec.angles:
+        block = back.samples[angle]
+        assert block.shape == (0, SMALL.n_bins) and block.dtype == float
+
+
+_READ_EACH = """import hashlib, sys
+from dynsqueeze import HomodyneRecordSet
+
+records = HomodyneRecordSet.load(sys.argv[1])
+for angle in records.angles:
+    print(hashlib.sha256(records.samples[angle]).hexdigest())
+print(open("/proc/self/status").read().split("VmPeak:")[1].split()[0])
+"""
+
+
+def test_a_loaded_block_maps_only_its_member(tmp_path):
+    # Under an address-space limit of the child's own plus 1.5 blocks, each
+    # block can be read in turn; a map of the whole 3-block file could not.
+    resource = pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc to read the child's VmPeak")
+    cfg = replace(MEMORY_CFG, n_trials=10000)  # 15 MiB blocks
+    block = cfg.n_trials * cfg.n_bins * 8
+    for n_trials, name in ((2, "small.npz"), (cfg.n_trials, "records.npz")):
+        simulate_records(replace(cfg, n_trials=n_trials), tmp_path / name)
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = int(_child(_READ_EACH, tmp_path / "small.npz").split()[-1]) * 1024 + int(1.5 * block)
+    if hard != resource.RLIM_INFINITY and soft > hard:
+        pytest.skip("the hard RLIMIT_AS is below the limit this test sets")
+    out = _child(_READ_EACH, tmp_path / "records.npz",
+                 preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (soft, hard))).split()
+    with np.load(tmp_path / "records.npz") as data:
+        want = [hashlib.sha256(data[f"samples_{i}"]).hexdigest() for i in range(3)]
+    assert out[:-1] == want
+    assert int(out[-1]) * 1024 <= soft
+
+
+def test_moments_of_unaligned_loaded_blocks_match_the_in_memory_ones(tmp_path):
+    # blocks estimate_moments hands to numpy whole; numpy can sum an
+    # unaligned block, as a mapped member is, to other last bits
+    rec = run_experiment(replace(SMALL, n_trials=20000))
+    blocks = {a: np.asfortranarray(b) for a, b in rec.samples.items()}
+    rec = HomodyneRecordSet(rec.time_us, rec.kappa, blocks, rec.seed, rec.config_digest)
+    _savez(tmp_path / "records.npz", rec, blocks)
+    back = HomodyneRecordSet.load(tmp_path / "records.npz")
+    assert not all(back.samples[a].flags.aligned for a in back.angles)
+    got, want = estimate_moments(back), estimate_moments(rec)
+    for angle in MEASUREMENT_ANGLES:
+        assert got.mean[angle].tobytes() == want.mean[angle].tobytes()
+        assert got.variance[angle].tobytes() == want.variance[angle].tobytes()
 
 
 def test_records_memory_does_not_grow_with_trials(tmp_path):
