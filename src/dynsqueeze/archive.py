@@ -1,9 +1,10 @@
 """The raw records archive, ``records.npz``, and the row buffer that streams shots through it.
 
-Records are written and read a block, or a chunk of rows, at a time, and a
-block read whole maps only its member's pages.  Only
-runs that draw, save or load raw shots import this module, so the CLI runs
-that do none of these do not compile it.
+Records are written a block, or a chunk of rows, at a time.  Only
+:class:`ArchiveBlocks` reads them back, CRC checked: a chunk of rows at a
+time to reduce a block, or a map of its member's pages to read it whole.
+Only runs that draw, save or load raw shots import this module, so the CLI
+runs that do none of these do not compile it.
 """
 
 from __future__ import annotations
@@ -45,51 +46,47 @@ def _row_buffer(n: int, m: int) -> np.ndarray:
     return np.empty((min(max(1, _CHUNK_BYTES // (8 * m)), n) + 1, m))
 
 
-def _row_sum(buf: np.ndarray, n: int, fill, mean: np.ndarray | None = None) -> np.ndarray:
-    """The per-bin sum of n rows, or with ``mean`` of their squared deviations from it.
-
-    ``fill(chunk, start)`` puts rows start .. into ``chunk``, the rows of
-    ``buf`` after the first, chunk by chunk in row order.  Each chunk is summed
-    onto the running sum in row 0, numpy's row-by-row order for a C-ordered
-    block two or more bins wide, and that row is returned, not copied.
-    """
-    rows = len(buf) - 1
-    buf[0] = -0.0  # -0.0 + x is x for every x, so the sum starts from row 0
-    for start in range(0, n, rows):
-        chunk = buf[1:min(rows, n - start) + 1]
-        fill(chunk, start)
-        if mean is not None:
-            np.subtract(chunk, mean, out=chunk)
-            np.square(chunk, out=chunk)
-        buf[0] = buf[:len(chunk) + 1].sum(axis=0)
-    return buf[0]
-
-
 def _row_moments(n: int, m: int, fill) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin mean and ddof-1 variance of the (n, m) block that ``fill`` puts, twice.
 
-    They are ``block.mean(axis=0)`` and ``block.var(axis=0, ddof=1)`` of the
-    C-ordered float64 block bit for bit, for m > 1, and no block is held.
+    ``fill(chunk, start)`` puts rows start .. into ``chunk``, rows of the row
+    buffer after the first, in row order.  Each chunk, or its squared
+    deviations from the mean, is summed onto row 0 in numpy's row-by-row
+    order, so for m > 1 they are ``block.mean(axis=0)`` and ``block.var(axis=0,
+    ddof=1)`` of the C-ordered float64 block bit for bit, and no block is held.
     """
     buf = _row_buffer(n, m)
-    mean = _row_sum(buf, n, fill) / n
-    return mean, _row_sum(buf, n, fill, mean) / (n - 1)
+    rows = len(buf) - 1
+
+    def total(mean=None) -> np.ndarray:
+        buf[0] = -0.0  # -0.0 + x is x for every x, so the sum starts from row 0
+        for start in range(0, n, rows):
+            chunk = buf[1:min(rows, n - start) + 1]
+            fill(chunk, start)
+            if mean is not None:
+                np.subtract(chunk, mean, out=chunk)
+                np.square(chunk, out=chunk)
+            buf[0] = buf[:len(chunk) + 1].sum(axis=0)
+        return buf[0]
+
+    mean = total() / n  # a copy, so the second pass leaves it whole
+    return mean, total(mean) / (n - 1)
 
 
-def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None:
-    """Write a records archive member by member, as ``np.savez`` lays it out.
+def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> str:
+    """Write a records archive member by member, as ``np.savez`` lays it out; the path written.
 
     The members are ``meta``, ``time_us``, ``kappa``, ``samples_0`` .. and
     ``angles``, each an uncompressed ``.npy`` in a zip file, byte for byte
     what ``np.savez`` writes, into ``path``'s directory, which is created if
-    need be.  ``blocks`` yields (angle, block) pairs, each block dropped
-    before the next is taken: an array, written from its own buffer when
-    C-ordered, or ``(shape, write, reread)``, C-ordered float64 rows that
-    ``write(put)`` passes to ``put`` a chunk at a time and, once their member
-    is closed, ``reread(fill)`` may read back, ``fill(chunk, start)`` reading
-    rows start .. into ``chunk``.  The archive is written beside ``path`` and
-    renamed onto it, so a write that fails leaves the old archive whole and
-    no partial file, and a record set loaded from ``path`` can be saved onto it.
+    need be.  As with ``np.savez``, ``.npz`` is appended to a path that lacks
+    it.  ``blocks`` yields (angle, block) pairs, each block dropped before the
+    next is taken: an array, written from its own buffer when C-ordered, or
+    ``(shape, rows)``, C-ordered float64 rows that ``rows(put)`` passes to
+    ``put`` a chunk at a time, as :func:`drained` makes.  The archive is
+    written beside ``path`` and renamed onto it, so a write that fails leaves
+    the old archive whole and no partial file, and a record set loaded from
+    ``path`` can be saved onto it.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
@@ -97,18 +94,15 @@ def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp, angles, fmt = f"{path}.{os.getpid()}.tmp", [], np.lib.format
     try:
-        # zipfile seeks to the end before each member, so f may read one back
-        with open(tmp, "w+b") as f, zipfile.ZipFile(f, "w") as zf:
+        with zipfile.ZipFile(tmp, "w") as zf:
 
-            def write(name, array, rows=None) -> int | None:
-                """Member ``name``: ``array``, or its header and ``rows(put)``; where data start."""
+            def write(name, array, rows=None) -> None:
+                """Member ``name``: ``array``, or its header and then ``rows(put)``."""
                 with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
                     if rows is None:
                         return fmt.write_array(fh, np.asanyarray(array), allow_pickle=False)
                     fmt.write_array_header_1_0(fh, fmt.header_data_from_array_1_0(array))
-                    data = f.tell()
                     rows(fh.write)
-                return data
 
             write("meta", np.array(json.dumps({"seed": seed, "config_digest": digest})))
             write("time_us", time_us)
@@ -117,9 +111,7 @@ def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None:
             for angle, block in blocks:
                 name = f"samples_{len(angles)}"
                 if isinstance(block, tuple):  # a zero-stride array of the rows' shape heads them
-                    shape, rows, reread = block
-                    data, row = write(name, np.broadcast_to(0.0, shape), rows), 8 * shape[1]
-                    reread(lambda chunk, start: _read_at(f, data + start * row, chunk, name))
+                    write(name, np.broadcast_to(0.0, block[0]), block[1])
                 elif block.ndim == 2 and block.flags.c_contiguous:
                     # write_array copies up to 16 MiB at a time through tobytes()
                     write(name, block, lambda put: put(memoryview(block)))
@@ -133,39 +125,22 @@ def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+    return path
 
 
-def write_drawn(path, time_us, kappa, n: int, draws: dict, seed: int, digest: str):
-    """Write the records that ``draws`` draws, as :func:`write_records` does; their moments.
+def drained(n: int, m: int, draw) -> tuple:
+    """The ``(shape, rows)`` block for :func:`write_records` of the n rows of m that ``draw`` fills.
 
-    ``draws[angle](rows)`` fills ``rows`` with that angle's next shots, n
-    rows in all.  One row buffer serves every angle: each chunk of rows is
-    drawn into it, written and added to the running sum for the mean, and
-    once the angle's member is closed it is read back through the buffer for
-    the variance.  Returns the per-bin means and ddof-1 variances by angle,
-    those of ``_row_moments`` on the records, and holds no block.
+    ``draw(chunk)`` fills ``chunk`` with the next rows and returns it: each
+    chunk of the row buffer is drawn, written and drawn over, so no block is held.
     """
-    m = len(time_us)
-    buf, mean, variance = _row_buffer(n, m), {}, {}
 
-    def streamed(angle, draw):
-        def write(put):
-            mean[angle] = _row_sum(buf, n, lambda chunk, start: put(draw(chunk))) / n
+    def rows(put):
+        buf = _row_buffer(n, m)[1:]
+        for start in range(0, n, len(buf)):
+            put(draw(buf[:n - start]))
 
-        def reread(fill):
-            variance[angle] = _row_sum(buf, n, fill, mean[angle]) / (n - 1)
-
-        return angle, ((n, m), write, reread)
-
-    write_records(path, time_us, kappa, [streamed(*item) for item in draws.items()], seed, digest)
-    return mean, variance
-
-
-def _read_at(f, at: int, chunk: np.ndarray, name: str) -> None:
-    """Read ``chunk``'s bytes from offset ``at`` of ``f`` into it; ValueError if they run out."""
-    f.seek(at)
-    if f.readinto(chunk) != chunk.nbytes:
-        raise ValueError(f"{f.name}: member {name} ends early")
+    return (n, m), rows
 
 
 class _Member(NamedTuple):
@@ -271,7 +246,9 @@ class ArchiveBlocks(MutableMapping):
 
         def fill(chunk, start):
             nonlocal crc
-            _read_at(f, m.offset + start * row, chunk, m.name)
+            f.seek(m.offset + start * row)
+            if f.readinto(chunk) != chunk.nbytes:
+                raise ValueError(f"{self.path}: member {m.name} ends early")
             if crc is not None:
                 crc = zlib.crc32(chunk, crc)
                 if start * row + chunk.nbytes == size:
@@ -331,7 +308,8 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
 
     The blocks are an :class:`ArchiveBlocks`: only their headers are read here.
     A file that is not a zip archive, or a zip that lacks a member or a
-    ``meta`` key of one, raises ValueError naming it and what is missing.
+    ``meta`` key of one, raises ValueError naming it and what is missing, and
+    one that lists an angle twice, one naming it and the angle.
     """
     with open(path, "rb") as f:
         try:
@@ -344,9 +322,11 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
                 for name in ("meta", "time_us", "kappa", "angles"):
                     with zf.open(f"{name}.npy") as fh:
                         small[name] = np.lib.format.read_array(fh, allow_pickle=False)
-                members = {
-                    float(a): _member(f, zf, f"samples_{i}") for i, a in enumerate(small["angles"])
-                }
+                members = {}
+                for i, angle in enumerate(map(float, small["angles"])):
+                    if angle in members:
+                        raise ValueError(f"{path}: angle {angle!r} comes more than once")
+                    members[angle] = _member(f, zf, f"samples_{i}")
             except KeyError as exc:  # zipfile's message names the missing member
                 raise ValueError(f"{path}: {exc.args[0]}: not a records archive") from None
         blocks = ArchiveBlocks(path, _identity(f.fileno()), members)

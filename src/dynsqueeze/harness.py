@@ -289,8 +289,8 @@ def _memory_limits() -> dict[str, int]:
 # CSVs is outside this count: tables.write_table holds one fixed block of rows.
 BIN_BYTES = 1100
 
-# Rows of shots that archive's one row buffer holds, to draw, write, read back
-# or reduce: 128 KiB of rows stays in cache yet takes few Python-level steps.
+# Rows of shots that archive's row buffer holds, to draw and write, or to
+# reduce: 128 KiB of rows stays in cache yet takes few Python-level steps.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -415,23 +415,23 @@ def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
 def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEstimates:
     """Draw the records of ``run_experiment(cfg, seed)``, write them to ``path``, return their moments.
 
-    The shots, the archive and the moments are those of
-    ``run_experiment(cfg, seed).save(path)`` and ``estimate_moments`` of those
-    records, byte for byte, and no block is held (``archive.write_drawn``).
-    The archive's directory is created if need be.  Raises ConfigError,
+    The archive is that of ``run_experiment(cfg, seed).save(path)`` byte for
+    byte, drawn and written a chunk of rows at a time (``archive.drained``);
+    the moments are ``estimate_moments`` of it loaded back, CRC checked, and
+    no block is held.  As with ``save``, ``.npz`` is appended to a path that
+    lacks it, and the directory is created if need be.  Raises ConfigError,
     before drawing or writing anything, or creating that directory, when the
     archive would not fit in the free space there, or as :func:`_route` does.
     """
-    from .archive import check_records_space, write_drawn
+    from .archive import check_records_space, drained, write_records
 
     seed = cfg.seed if seed is None else seed
     check_records_space(cfg, path)
     traces = _route(cfg, gate_output_state, 0)[0]
-    draws = {angle: _shots(*law) for angle, law in _shot_laws(traces, seed).items()}
-    mean, variance = write_drawn(
-        path, traces.time_us, traces.kappa, cfg.n_trials, draws, int(seed), config_digest(cfg)
-    )
-    return _moment_estimates(traces.time_us, traces.kappa, cfg.n_trials, mean, variance)
+    blocks = [(angle, drained(cfg.n_trials, cfg.n_bins, _shots(*law)))
+              for angle, law in _shot_laws(traces, seed).items()]
+    path = write_records(path, traces.time_us, traces.kappa, blocks, int(seed), config_digest(cfg))
+    return estimate_moments(HomodyneRecordSet.load(path))
 
 
 def simulate_moments(cfg: RunConfig, seed: int | None = None) -> MomentEstimates:

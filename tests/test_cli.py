@@ -109,6 +109,33 @@ def test_records_beyond_physical_memory_exit_1(tmp_path, capsys, monkeypatch):
     assert peak < 16 * 2**20
 
 
+def test_save_records_fails_on_an_archive_corrupted_before_its_rename(cfg_path, tmp_path,
+                                                                       capsys, monkeypatch):
+    # One bit flipped midway through the file, in samples_1, between its write
+    # and its rename: the moments are read back from the archive as stored,
+    # so its CRC check fails.  Bit 0 of any byte of a shot scales it by 2**16
+    # or less, so no sum overflows first.
+    rename = os.replace
+
+    def corrupt(src, dst):
+        with open(src, "r+b") as f:
+            f.seek(os.path.getsize(src) // 2)
+            byte = f.read(1)[0]
+            f.seek(-1, os.SEEK_CUR)
+            f.write(bytes([byte ^ 0x01]))
+        rename(src, dst)
+
+    monkeypatch.setattr(archive.os, "replace", corrupt)
+    path = tmp_path / "lib" / "records.npz"
+    with pytest.raises(ValueError) as info:
+        harness.simulate_records(SMALL, path)
+    assert str(info.value) == f"{path}: member samples_1 fails its CRC check"
+    out = tmp_path / "out"
+    assert _simulate(cfg_path, out, ("--save-records",)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'records.npz'}: member samples_1 fails its CRC check\n"
+
+
 class _Usage:
     def __init__(self, free):
         self.free = free

@@ -458,6 +458,19 @@ def test_load_names_what_a_zip_that_is_not_a_records_archive_lacks(tmp_path, mis
         HomodyneRecordSet.load(path)
 
 
+def test_load_refuses_an_angle_that_comes_twice(tmp_path):
+    # keyed by angle, the second block would replace the first unseen
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    np.savez(
+        path, meta=np.array(json.dumps({"seed": rec.seed, "config_digest": rec.config_digest})),
+        time_us=rec.time_us, kappa=rec.kappa, samples_0=rec.samples[0.0],
+        samples_1=rec.samples[0.0] + 1.0, angles=np.array([0.0, 0.0]),
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}: angle 0.0 comes more than once")):
+        HomodyneRecordSet.load(path)
+
+
 def test_load_refuses_a_block_of_python_objects(tmp_path):
     # read raw into an object array, its bytes would become pointers
     rec = run_experiment(SMALL)
@@ -535,6 +548,18 @@ def test_simulate_records_writes_and_reduces_the_in_memory_records(tmp_path):
         assert list(got) == list(ref) == list(MEASUREMENT_ANGLES)
         for angle in MEASUREMENT_ANGLES:
             assert got[angle].tobytes() == ref[angle].tobytes(), (field, angle)
+
+
+def test_simulate_records_reduces_the_archive_it_wrote_at_npz_appended(tmp_path):
+    # like save, simulate_records appends .npz; its moments are read from there
+    est = simulate_records(SMALL, tmp_path / "records")
+    assert [p.name for p in tmp_path.iterdir()] == ["records.npz"]
+    want = estimate_moments(HomodyneRecordSet.load(tmp_path / "records.npz"))
+    assert est.n_trials == want.n_trials
+    for field in ("mean", "variance", "se_mean", "se_var"):
+        for angle in MEASUREMENT_ANGLES:
+            got, ref = getattr(est, field)[angle], getattr(want, field)[angle]
+            assert got.tobytes() == ref.tobytes(), (field, angle)
 
 
 def test_simulate_records_drops_each_block_before_drawing_the_next(tmp_path, monkeypatch):
@@ -673,24 +698,31 @@ def peak():
         return int(next(line for line in f if line.startswith("VmHWM:")).split()[1]) * 1024
 
 records = HomodyneRecordSet.load(sys.argv[1])
-estimate_moments(records)
-for step in (lambda b: b.shape, lambda b: hashlib.sha256(b).hexdigest()):
+for step in (
+    lambda: estimate_moments(records),
+    lambda: {a: b.shape for a, b in records.samples.items()},
+    lambda: {a: hashlib.sha256(b).hexdigest() for a, b in records.samples.items()},
+):
     before = peak()
-    {a: step(b) for a, b in records.samples.items()}
+    step()
     print(peak() - before)
 """
 
 
 def test_reading_a_loaded_set_back_holds_at_most_one_block(tmp_path):
-    # Each block is a map of its member's pages, read as they are touched:
-    # the shapes touch none, and hashing holds one block's pages at a time,
-    # though the loop keeps the last block while it takes the next.  A block
-    # read into a fresh array peaks near two blocks in each step.
+    # estimate_moments reduces each block through the row buffer and maps
+    # none; reduced through its map, a block's pages stay resident, about one
+    # block, which tracemalloc cannot see.  Each block is a map of its
+    # member's pages, read as they are touched: the shapes touch none, and
+    # hashing holds one block's pages at a time, though the loop keeps the
+    # last block while it takes the next.  A block read into a fresh array
+    # peaks near two blocks in each step.
     if not Path("/proc/self/status").exists():
         pytest.skip("needs /proc to read the child's VmHWM")
     path = tmp_path / "records.npz"
     simulate_records(MEMORY_CFG, path)
-    shapes, hashes = map(int, _child(_READ_BACK, path).split())
+    moments, shapes, hashes = map(int, _child(_READ_BACK, path).split())
+    assert moments < 0.1 * BLOCK, moments / BLOCK
     assert shapes < 0.1 * BLOCK, shapes / BLOCK
     assert hashes < 1.3 * BLOCK, hashes / BLOCK
 
