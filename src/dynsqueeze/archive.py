@@ -308,8 +308,10 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
 
     The blocks are an :class:`ArchiveBlocks`: only their headers are read here.
     A file that is not a zip archive, or a zip that lacks a member or a
-    ``meta`` key of one, raises ValueError naming it and what is missing, and
-    one that lists an angle twice, one naming it and the angle.
+    ``meta`` key of one, raises ValueError naming it and what is missing.
+    So does one whose ``angles`` are not a 1-D array of real numbers, or list
+    an angle twice (naming the angle), or that holds a ``samples_<i>`` member
+    beyond the listed angles (naming the member).
     """
     with open(path, "rb") as f:
         try:
@@ -322,11 +324,20 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
                 for name in ("meta", "time_us", "kappa", "angles"):
                     with zf.open(f"{name}.npy") as fh:
                         small[name] = np.lib.format.read_array(fh, allow_pickle=False)
+                angles = small["angles"]
+                if angles.ndim != 1 or angles.dtype.kind not in "iuf":
+                    raise ValueError(f"{path}: member angles is not a 1-D array of real numbers")
                 members = {}
-                for i, angle in enumerate(map(float, small["angles"])):
+                for i, angle in enumerate(map(float, angles)):
                     if angle in members:
                         raise ValueError(f"{path}: angle {angle!r} comes more than once")
                     members[angle] = _member(f, zf, f"samples_{i}")
+                listed = {f"samples_{i}.npy" for i in range(len(members))}
+                for name in zf.namelist():
+                    if name.startswith("samples_") and name not in listed:
+                        raise ValueError(
+                            f"{path}: member {name.removesuffix('.npy')} is not listed in angles"
+                        )
             except KeyError as exc:  # zipfile's message names the missing member
                 raise ValueError(f"{path}: {exc.args[0]}: not a records archive") from None
         blocks = ArchiveBlocks(path, _identity(f.fileno()), members)

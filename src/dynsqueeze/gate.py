@@ -131,7 +131,8 @@ class ShearDecomposition(NamedTuple):
     squeeze_factors: tuple[float, float]
 
     def recompose(self) -> np.ndarray:
-        return self.outer_rotation @ self.tilted_squeeze @ self.outer_rotation
+        rot = self.outer_rotation
+        return np.einsum("ij,jk->ik", np.einsum("ij,jk->ik", rot, self.tilted_squeeze), rot)
 
 
 def decompose_shear(kappa: float) -> ShearDecomposition:
@@ -211,7 +212,11 @@ def _premeasurement_moments(
     kept output port.  The two-mode moments are not checked for physicality:
     a symplectic map or a loss channel keeps a state physical, and with a
     strongly squeezed ancilla rounding alone fails a valid two-mode check.
-    The output state's check covers the whole chain.
+    The output state's check covers the whole chain.  The beamsplitter acts
+    through ``np.einsum``, not ``@``: numpy sends ``@`` to BLAS, whose first
+    call pages about 400 kB of native code and buffers into the process to
+    multiply 4x4 matrices, while einsum's default ``optimize=False`` runs
+    numpy's own loops.
     """
     ancilla = make_squeezed_vacuum(params.ancilla_vx)
     batch = state.batch_shape
@@ -220,8 +225,8 @@ def _premeasurement_moments(
     cov[..., :2, :2] = state.cov
     cov[..., 2:, 2:] = ancilla.cov
     s = _beamsplitter(conventions.beamsplitter_sign)
-    mean = mean @ s.T
-    cov = s @ cov @ s.T
+    mean = np.einsum("...j,ij->...i", mean, s)
+    cov = np.einsum("...ij,kj->...ik", np.einsum("ij,...jk->...ik", s, cov), s)
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     eta = params.hd1_efficiency
     if eta < 1.0:
@@ -261,10 +266,15 @@ def _feedforward_map(params: GateParams, conventions: SignConventions) -> np.nda
 def _output_state(
     state: GaussianState, params: GateParams, conventions: SignConventions
 ) -> GaussianState:
+    """The record-averaged output state of the pipeline under ``conventions``.
+
+    The feed-forward map is applied with ``np.einsum`` for the reason
+    :func:`_premeasurement_moments` gives: no product here reaches BLAS.
+    """
     mean, cov = _premeasurement_moments(state, params, conventions)
     c = _feedforward_map(params, conventions)
-    mean = (c @ mean[..., None])[..., 0]
-    cov = c @ cov @ c.swapaxes(-1, -2)
+    mean = np.einsum("...ij,...j->...i", c, mean)
+    cov = np.einsum("...ij,...kj->...ik", np.einsum("...ij,...jk->...ik", c, cov), c)
     return GaussianState(mean, 0.5 * (cov + cov.swapaxes(-1, -2)))
 
 

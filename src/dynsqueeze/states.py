@@ -185,9 +185,12 @@ def make_squeezed_vacuum(vx: float) -> GaussianState:
 def quadrature_mean(state: GaussianState, angle: float):
     """Mean of the rotated quadrature x*cos(angle) + p*sin(angle).
 
-    A float for a single state, an array over the batch axes otherwise.
+    A float for a single state, an array over the batch axes otherwise.  The
+    projection is an ``np.einsum``, not ``@``, which numpy would send to BLAS
+    and so page its native code in for a product of length 2.
     """
-    return _scalar_or_array(state.mean @ np.array([np.cos(angle), np.sin(angle)]))
+    u = np.array([np.cos(angle), np.sin(angle)])
+    return _scalar_or_array(np.einsum("...i,i->...", state.mean, u))
 
 
 def quadrature_variance(state: GaussianState, angle: float):
@@ -195,7 +198,8 @@ def quadrature_variance(state: GaussianState, angle: float):
 
     angle = 0 gives the x variance, pi/2 the p variance, and pi/4 the variance
     of (x + p) / sqrt(2).  A float for a single state, an array over the batch
-    axes otherwise.
+    axes otherwise.  Like :func:`quadrature_mean` it contracts with
+    ``np.einsum`` rather than ``@``, so that no BLAS code is paged in.
     """
     u = np.array([np.cos(angle), np.sin(angle)])
-    return _scalar_or_array(u @ state.cov @ u)
+    return _scalar_or_array(np.einsum("...j,j->...", np.einsum("i,...ij->...j", u, state.cov), u))

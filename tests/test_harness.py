@@ -245,9 +245,10 @@ def test_record_set_round_trip(tmp_path):
 
 def test_records_and_streamed_blocks_match_pinned_sha256():
     # The records of a 2000-bin x 150-trial run, pinned before the shots were
-    # drawn from standard normals.
+    # drawn from standard normals, and again when the gate's matrix products
+    # moved from BLAS to np.einsum, which rounds some loc and scale by an ulp.
     cfg = RunConfig(bins_per_period=1000, n_periods=2, n_trials=150, seed=99)
-    pin = "4c1b77cc342944dacd4ca1ee8ddcbb8020faa193f9a84131fc2fa15ef0940b3e"
+    pin = "857842a8cbc463d421f58537f0af73daef5282bc042998afdf8b079c9d639d15"
     rec = run_experiment(cfg)
     digest = hashlib.sha256()
     for angle in MEASUREMENT_ANGLES:
@@ -468,6 +469,41 @@ def test_load_refuses_an_angle_that_comes_twice(tmp_path):
         samples_1=rec.samples[0.0] + 1.0, angles=np.array([0.0, 0.0]),
     )
     with pytest.raises(ValueError, match=re.escape(f"{path}: angle 0.0 comes more than once")):
+        HomodyneRecordSet.load(path)
+
+
+def test_load_refuses_a_sample_member_beyond_the_listed_angles(tmp_path):
+    # read by index up to len(angles), samples_1 would be dropped unseen
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    np.savez(
+        path, meta=np.array(json.dumps({"seed": rec.seed, "config_digest": rec.config_digest})),
+        time_us=rec.time_us, kappa=rec.kappa, samples_0=rec.samples[0.0],
+        samples_1=rec.samples[0.0] + 1.0, angles=np.array([0.0]),
+    )
+    with pytest.raises(
+        ValueError, match=re.escape(f"{path}: member samples_1 is not listed in angles")
+    ):
+        HomodyneRecordSet.load(path)
+
+
+@pytest.mark.parametrize(
+    "angles", [np.array(["x", "y", "z"]), np.array(0.0), np.zeros((3, 1)), np.array([1j, 0, 0])],
+    ids=["strings", "scalar", "column", "complex"],
+)
+def test_load_refuses_angles_that_are_not_a_list_of_real_numbers(tmp_path, angles):
+    # float() of each would raise a message naming neither the file nor the member
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    np.savez(
+        path, meta=np.array(json.dumps({"seed": rec.seed, "config_digest": rec.config_digest})),
+        time_us=rec.time_us, kappa=rec.kappa,
+        **{f"samples_{i}": rec.samples[a] for i, a in enumerate(MEASUREMENT_ANGLES)},
+        angles=angles,
+    )
+    with pytest.raises(
+        ValueError, match=re.escape(f"{path}: member angles is not a 1-D array of real numbers")
+    ):
         HomodyneRecordSet.load(path)
 
 
