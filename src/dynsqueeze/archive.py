@@ -1,8 +1,8 @@
 """The raw records archive, ``records.npz``, and the row buffer that streams shots through it.
 
 Records are written a block, or a chunk of rows, at a time.  Only
-:class:`ArchiveBlocks` reads them back, CRC checked: a chunk of rows at a
-time to reduce a block, or a map of its member's pages to read it whole.
+:func:`read_records` reads them back, checking every CRC once; a block is
+then read a chunk of rows at a time to reduce it, or mapped to read it whole.
 Only runs that draw, save or load raw shots import this module, so the CLI
 runs that do none of these do not compile it.
 """
@@ -14,7 +14,6 @@ import os
 import shutil
 import struct
 import zipfile
-import zlib
 from collections.abc import MutableMapping
 from typing import NamedTuple
 
@@ -151,8 +150,6 @@ class _Member(NamedTuple):
     dtype: np.dtype
     fortran_order: bool
     offset: int | None
-    header_crc: int
-    crc: int
 
 
 def _identity(fd: int) -> tuple:
@@ -163,30 +160,21 @@ def _identity(fd: int) -> tuple:
 class ArchiveBlocks(MutableMapping):
     """The sample blocks of a records archive, each read from it when asked for.
 
-    ``blocks[key]`` opens the archive and returns that one member.  A stored
-    member is a copy-on-write view of a map of its own pages: they are read
-    in only when touched, writes stay private to the view, and the pages
-    leave memory when it is dropped.  Its ``flags.aligned`` is often False,
-    as the zip puts the data at any offset.  A compressed one, as older
-    versions wrote, is read through ``np.load`` into a fresh array.
-    :meth:`reduce` reads a stored member a chunk of rows at a time instead,
-    and holds no block.  A stored member's bytes are checked against the
-    zip's CRC the first time they are read, before any map is made; later
-    reads of the unchanged archive skip that pass.  While a block is in use,
-    the archive must be replaced, not rewritten in place, as this package's
-    writers do: untouched pages would read the new bytes.
-    An array assigned to a key stays in memory and is returned in place of
-    the member.  ``shapes``, ``repr`` and iterating the keys read no block.
-    Reading from an archive replaced or rewritten since it was opened (its
-    device, inode, size or mtime differ) raises ValueError naming the path,
-    and reading a member whose bytes fail the CRC, one naming the member.
+    ``blocks[key]`` opens the archive and returns that one member: a stored
+    one as a copy-on-write ``np.memmap`` of its own pages, often unaligned,
+    and a compressed one, as older versions wrote, through ``np.load``.
+    :meth:`reduce` reads a stored member a chunk of rows at a time instead.
+    A read from an archive replaced or rewritten since :func:`read_records`
+    checked it (its device, inode, size or mtime differ) raises ValueError
+    naming the path.  While a block is in use, replace the archive, never
+    rewrite it in place.  An array assigned to a key is returned in place of
+    the member; ``shapes``, ``repr`` and iterating the keys read no block.
     """
 
-    __slots__ = ("path", "_identity", "_blocks", "_checked")
+    __slots__ = ("path", "_identity", "_blocks")
 
     def __init__(self, path, identity: tuple, members: dict) -> None:
         self.path, self._identity, self._blocks = os.fspath(path), identity, members
-        self._checked = set()
 
     def __getitem__(self, key):
         block = self._blocks[key]
@@ -215,18 +203,19 @@ class ArchiveBlocks(MutableMapping):
         return {key: block.shape for key, block in self._blocks.items()}
 
     def reduce(self, key):
-        """``_row_moments`` of key's block as it is read; None if it must be read whole.
-
-        A stored member of C-ordered float64 rows, two or more wide, is read
-        a chunk of rows at a time, twice, and the first pass's read of the
-        last row checks the CRC.
-        """
+        """``_row_moments`` of key's block, read in chunks of rows, twice; None if read whole."""
         m = self._blocks[key]
         if not (isinstance(m, _Member) and m.offset is not None and m.dtype == float
                 and not m.fortran_order and len(m.shape) == 2 and m.shape[1] > 1):
             return None
         with self._open() as f:
-            return _row_moments(*m.shape, self._reader(f, m, 8 * m.shape[1]))
+
+            def fill(chunk, start):
+                f.seek(m.offset + start * 8 * m.shape[1])
+                if f.readinto(chunk) != chunk.nbytes:
+                    raise ValueError(f"{self.path}: member {m.name} ends early")
+
+            return _row_moments(*m.shape, fill)
 
     def _open(self):
         f = open(self.path, "rb")
@@ -235,83 +224,57 @@ class ArchiveBlocks(MutableMapping):
             raise ValueError(f"{self.path}: the archive changed after it was loaded")
         return f
 
-    def _reader(self, f, m: _Member, row: int):
-        """``fill(chunk, start)``: reads member ``m`` from byte ``start * row`` on into ``chunk``.
-
-        The first read to reach the member's end, after reads from its start
-        in order, checks the CRC of all its bytes, unless a read did before.
-        """
-        size = m.dtype.itemsize * int(np.prod(m.shape))
-        crc = None if m.name in self._checked else m.header_crc
-
-        def fill(chunk, start):
-            nonlocal crc
-            f.seek(m.offset + start * row)
-            if f.readinto(chunk) != chunk.nbytes:
-                raise ValueError(f"{self.path}: member {m.name} ends early")
-            if crc is not None:
-                crc = zlib.crc32(chunk, crc)
-                if start * row + chunk.nbytes == size:
-                    if crc != m.crc:
-                        raise ValueError(f"{self.path}: member {m.name} fails its CRC check")
-                    self._checked.add(m.name)
-                    crc = None
-
-        return fill
-
     def _read(self, m: _Member) -> np.ndarray:
         with self._open() as f:
             if m.offset is None:
                 with np.load(f) as data:
                     return data[m.name]
-            size = m.dtype.itemsize * int(np.prod(m.shape))
-            if m.offset + size > self._identity[2]:
-                raise ValueError(f"{self.path}: member {m.name} ends early")
-            if m.name not in self._checked:  # streamed, so that the check pages in nothing
-                fill, buf = self._reader(f, m, 1), np.empty(min(size, _CHUNK_BYTES), np.uint8)
-                for start in range(0, size or 1, _CHUNK_BYTES):  # an empty member's header too
-                    fill(buf[:size - start], start)
-            if not size:  # mmap maps no empty range
+            if not m.dtype.itemsize * int(np.prod(m.shape)):  # mmap maps no empty range
                 return np.empty(m.shape, m.dtype)
-            import mmap  # here, so that runs that only write records do not load it
-
-            # the member's own pages, read as they are touched; writes stay private
-            at = m.offset - m.offset % mmap.ALLOCATIONGRANULARITY
-            pages = mmap.mmap(f.fileno(), m.offset + size - at, access=mmap.ACCESS_COPY, offset=at)
-        flat = np.frombuffer(pages, m.dtype, offset=m.offset - at)
-        return flat.reshape(m.shape, order="F" if m.fortran_order else "C")
+            return np.memmap(f, m.dtype, "c", m.offset, m.shape, "F" if m.fortran_order else "C")
 
 
-def _member(f, zf: zipfile.ZipFile, name: str) -> _Member:
-    """The header, CRC and data offset of member ``name`` of ``zf``, open on ``f``."""
-    info = zf.getinfo(f"{name}.npy")
-    fmt = np.lib.format
-    with zf.open(info) as fh:
-        version = fmt.read_magic(fh)
-        read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
-        shape, fortran_order, dtype = read_header(fh)
-        header = fh.tell()
-        fh.seek(0)
-        header_crc = zlib.crc32(fh.read(header))
+def _member(f, zf: zipfile.ZipFile, name: str, header: bool = False):
+    """Member ``name`` of ``zf`` on ``f``, CRC checked: its array, or with ``header`` a _Member."""
+    info, fmt = zf.getinfo(f"{name}.npy"), np.lib.format
+    try:
+        with zf.open(info) as fh:
+            if header:
+                v1 = fmt.read_magic(fh) == (1, 0)
+                read = fmt.read_array_header_1_0 if v1 else fmt.read_array_header_2_0
+                (shape, fortran_order, dtype), start = read(fh), fh.tell()
+            else:
+                array = fmt.read_array(fh, allow_pickle=False)
+            # to the end, where zipfile checks the CRC; 128 KiB reads raised peak RSS 124 kB
+            while fh.read(1 << 16):
+                pass
+    except (zipfile.BadZipFile, EOFError, zipfile.zlib.error):  # the last, a bad deflate stream
+        raise ValueError(f"{f.name}: member {name} fails its CRC check") from None
+    if not header:
+        return array
     if dtype.hasobject:
         raise ValueError(f"{f.name}: member {name} holds Python objects")
     offset = None
     if info.compress_type == zipfile.ZIP_STORED:
+        if start + dtype.itemsize * int(np.prod(shape)) > info.file_size:
+            raise ValueError(f"{f.name}: member {name} ends early")
         # the data follow the 30-byte local header, its file name and extra field
         f.seek(info.header_offset + 26)
-        offset = info.header_offset + 30 + sum(struct.unpack("<2H", f.read(4))) + header
-    return _Member(name, shape, dtype, fortran_order, offset, header_crc, info.CRC)
+        offset = info.header_offset + 30 + sum(struct.unpack("<2H", f.read(4))) + start
+    return _Member(name, shape, dtype, fortran_order, offset)
 
 
 def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]:
     """A records archive's ``time_us``, ``kappa``, blocks by angle, seed and config digest.
 
-    The blocks are an :class:`ArchiveBlocks`: only their headers are read here.
-    A file that is not a zip archive, or a zip that lacks a member or a
-    ``meta`` key of one, raises ValueError naming it and what is missing.
-    So does one whose ``angles`` are not a 1-D array of real numbers, or list
-    an angle twice (naming the angle), or that holds a ``samples_<i>`` member
-    beyond the listed angles (naming the member).
+    Each member is read through once, which checks its CRC; of the sample
+    blocks only the headers are kept, in an :class:`ArchiveBlocks`.  Raises
+    ValueError naming the file, and the member, key or angle at fault, for
+    a file that is not a zip archive; a missing member or ``meta`` key; a
+    member that fails its CRC or ends before its data; a ``meta`` that is
+    not a JSON object, or a seed that is not an integer >= 0; ``time_us``,
+    ``kappa`` or ``angles`` that are not a 1-D array of real numbers; an
+    angle listed twice; or a ``samples_<i>`` member beyond the listed ones.
     """
     with open(path, "rb") as f:
         try:
@@ -319,30 +282,32 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
         except zipfile.BadZipFile as exc:
             raise ValueError(f"{path}: {exc}") from None
         with zf:
-            small = {}
             try:
-                for name in ("meta", "time_us", "kappa", "angles"):
-                    with zf.open(f"{name}.npy") as fh:
-                        small[name] = np.lib.format.read_array(fh, allow_pickle=False)
-                angles = small["angles"]
-                if angles.ndim != 1 or angles.dtype.kind not in "iuf":
-                    raise ValueError(f"{path}: member angles is not a 1-D array of real numbers")
+                small = {n: _member(f, zf, n) for n in ("meta", "time_us", "kappa", "angles")}
+                for n in ("time_us", "kappa", "angles"):
+                    if small[n].ndim != 1 or small[n].dtype.kind not in "iuf":
+                        raise ValueError(f"{path}: member {n} is not a 1-D array of real numbers")
                 members = {}
-                for i, angle in enumerate(map(float, angles)):
+                for i, angle in enumerate(map(float, small["angles"])):
                     if angle in members:
                         raise ValueError(f"{path}: angle {angle!r} comes more than once")
-                    members[angle] = _member(f, zf, f"samples_{i}")
+                    members[angle] = _member(f, zf, f"samples_{i}", header=True)
                 listed = {f"samples_{i}.npy" for i in range(len(members))}
-                for name in zf.namelist():
-                    if name.startswith("samples_") and name not in listed:
-                        raise ValueError(
-                            f"{path}: member {name.removesuffix('.npy')} is not listed in angles"
-                        )
+                for name in (n.removesuffix(".npy") for n in zf.namelist() if n not in listed):
+                    if name.startswith("samples_"):
+                        raise ValueError(f"{path}: member {name} is not listed in angles")
             except KeyError as exc:  # zipfile's message names the missing member
                 raise ValueError(f"{path}: {exc.args[0]}: not a records archive") from None
         blocks = ArchiveBlocks(path, _identity(f.fileno()), members)
-    meta = json.loads(str(small["meta"]))
+    try:
+        meta = json.loads(str(small["meta"]))
+    except json.JSONDecodeError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: member meta is not a JSON object")
     for key in ("seed", "config_digest"):
         if key not in meta:
             raise ValueError(f"{path}: meta has no {key!r} key: not a records archive")
-    return small["time_us"], small["kappa"], blocks, int(meta["seed"]), str(meta["config_digest"])
+    if type(meta["seed"]) is not int or meta["seed"] < 0:  # neither a bool nor 1.7
+        raise ValueError(f"{path}: meta key 'seed' is {meta['seed']!r}, not an integer >= 0")
+    return small["time_us"], small["kappa"], blocks, meta["seed"], str(meta["config_digest"])

@@ -11,6 +11,7 @@ simulator.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -162,6 +163,7 @@ def cmd_circuits(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was; a build takes about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynsqueeze",

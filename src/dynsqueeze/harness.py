@@ -190,7 +190,7 @@ class HomodyneRecordSet(Immutable):
     grid and the control trace.  ``config_digest`` ties the records back to the
     configuration that produced them.  A set built in memory holds its blocks;
     one from :meth:`load` maps each block from its archive every time it is
-    asked for (``archive.ArchiveBlocks``), a copy-on-write view paged in as
+    asked for (``archive.ArchiveBlocks``), a copy-on-write memmap paged in as
     it is touched and often not aligned, and its shapes, ``angles``,
     ``n_trials`` and ``repr`` come from the archive's headers.
     """
@@ -235,8 +235,8 @@ class HomodyneRecordSet(Immutable):
     def load(cls, path) -> "HomodyneRecordSet":
         """The records archived at ``path``, each block read only when it is asked for.
 
-        Reading a block raises ValueError once the archive has been replaced
-        or rewritten, or when its bytes fail the zip's CRC.
+        Raises ValueError naming a member whose bytes fail the zip's CRC;
+        reading a block raises one once the archive is replaced or rewritten.
         """
         from .archive import read_records
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -134,6 +135,30 @@ def test_save_records_fails_on_an_archive_corrupted_before_its_rename(cfg_path, 
     assert _simulate(cfg_path, out, ("--save-records",)) == 1
     err = capsys.readouterr().err
     assert err == f"error: {out / 'records.npz'}: member samples_1 fails its CRC check\n"
+
+
+def test_save_records_fails_on_a_kappa_corrupted_before_its_rename(cfg_path, tmp_path,
+                                                                   capsys, monkeypatch):
+    # kappa is read whole at load, where zipfile's own CRC error, a
+    # BadZipFile, is no ValueError: main would let it out as a traceback.
+    # Its last byte is the one before samples_0's local header.
+    rename = os.replace
+
+    def corrupt(src, dst):
+        with zipfile.ZipFile(src) as zf:
+            at = zf.getinfo("samples_0.npy").header_offset - 1
+        with open(src, "r+b") as f:
+            f.seek(at)
+            byte = f.read(1)[0]
+            f.seek(at)
+            f.write(bytes([byte ^ 0x01]))
+        rename(src, dst)
+
+    monkeypatch.setattr(archive.os, "replace", corrupt)
+    out = tmp_path / "out"
+    assert _simulate(cfg_path, out, ("--save-records",)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'records.npz'}: member kappa fails its CRC check\n"
 
 
 class _Usage:

@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import zipfile
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -347,6 +349,16 @@ def test_compressed_records_still_load(tmp_path):
         assert np.array_equal(back.samples[angle], rec.samples[angle])
 
 
+def _members(rec) -> dict:
+    """The arrays ``rec.save`` writes, by member name."""
+    return {
+        "meta": np.array(json.dumps({"seed": rec.seed, "config_digest": rec.config_digest})),
+        "time_us": rec.time_us, "kappa": rec.kappa,
+        **{f"samples_{i}": rec.samples[a] for i, a in enumerate(rec.angles)},
+        "angles": np.array(rec.angles),
+    }
+
+
 def _savez(path, rec, samples):
     """``np.savez`` of ``rec``'s members with ``samples`` as its blocks."""
     meta = json.dumps({"seed": rec.seed, "config_digest": rec.config_digest})
@@ -376,6 +388,7 @@ def test_loaded_records_refuse_an_archive_changed_after_load(tmp_path, change):
 
 
 def test_loaded_records_name_a_member_that_fails_its_crc(tmp_path):
+    # every member is read through at load, where zipfile checks its CRC
     rec = run_experiment(SMALL)
     path = tmp_path / "records.npz"
     rec.save(path)
@@ -383,13 +396,130 @@ def test_loaded_records_name_a_member_that_fails_its_crc(tmp_path):
     second = rec.samples[rec.angles[1]].tobytes()
     data[data.index(second) + len(second) // 2] ^= 0x10
     path.write_bytes(data)
-    back = HomodyneRecordSet.load(path)
-    assert np.array_equal(back.samples[rec.angles[0]], rec.samples[rec.angles[0]])
     with pytest.raises(ValueError, match=re.escape(f"{path}: member samples_1 fails its CRC")):
-        back.samples[rec.angles[1]]
-    # reduced as it is read, the block is checked before any moment is returned
-    with pytest.raises(ValueError, match=re.escape(f"{path}: member samples_1 fails its CRC")):
-        estimate_moments(HomodyneRecordSet.load(path))
+        HomodyneRecordSet.load(path)
+
+
+def _flip_last_byte(path, array) -> None:
+    """Flip bit 0 of the last byte of ``array``'s data, which the file at ``path`` holds once."""
+    data, raw = bytearray(path.read_bytes()), array.tobytes()
+    assert data.count(raw) == 1
+    data[data.index(raw) + len(raw) - 1] ^= 0x01
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize(
+    "member", ["meta", "time_us", "kappa", "samples_0", "samples_1", "samples_2", "angles"]
+)
+def test_load_names_any_member_that_fails_its_crc(tmp_path, member):
+    # zipfile's own CRC error, a BadZipFile, is no ValueError and names no file
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    rec.save(path)
+    _flip_last_byte(path, _members(rec)[member])
+    with pytest.raises(ValueError) as info:
+        HomodyneRecordSet.load(path)
+    assert str(info.value) == f"{path}: member {member} fails its CRC check"
+
+
+def test_a_corrupted_archive_is_refused_though_no_block_is_read(tmp_path, monkeypatch):
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    rec.save(path)
+    _flip_last_byte(path, rec.samples[rec.angles[2]])
+    monkeypatch.setattr(archive.ArchiveBlocks, "_read", None)  # any block read raises TypeError
+    monkeypatch.setattr(archive.ArchiveBlocks, "reduce", None)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: member samples_2 fails its CRC")):
+        HomodyneRecordSet.load(path)
+
+
+def _read_error(path, name):
+    """The type of error that reading member ``name`` of the zip at ``path`` raises, or None."""
+    try:
+        with zipfile.ZipFile(path) as zf, zf.open(name) as fh:
+            while fh.read(1 << 17):
+                pass
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def test_load_refuses_a_compressed_archive_with_a_flipped_byte(tmp_path):
+    # A flipped byte of a deflate stream mostly yields other bytes, which fail
+    # the CRC (BadZipFile), but may break the stream itself (zlib.error); load
+    # names the member either way.
+    rec = run_experiment(SMALL)
+    path = tmp_path / "old.npz"
+    np.savez_compressed(path, **_members(rec))
+    clean = path.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        start, end = (zf.getinfo(f"samples_{i}.npy").header_offset for i in (1, 2))
+    seen = set()
+    for at in range((start + end) // 2, end):
+        data = bytearray(clean)
+        data[at] ^= 0x01
+        path.write_bytes(data)
+        kind = _read_error(path, "samples_1.npy")
+        if kind is None or kind in seen:  # None: the same bytes, as from a flipped padding bit
+            continue
+        seen.add(kind)
+        with pytest.raises(ValueError) as info:
+            HomodyneRecordSet.load(path)
+        assert str(info.value) == f"{path}: member samples_1 fails its CRC check", kind
+        if {zipfile.BadZipFile, zlib.error} <= seen:
+            break
+    assert {zipfile.BadZipFile, zlib.error} <= seen, seen
+
+
+def test_load_refuses_a_member_that_ends_before_its_data(tmp_path):
+    # a header that gives one row more than the member holds: a map of it
+    # would take the next member's bytes for that row
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    fmt = np.lib.format
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in _members(rec).items():
+            with zf.open(f"{name}.npy", "w") as fh:
+                if name != "samples_0":
+                    fmt.write_array(fh, array, allow_pickle=False)
+                    continue
+                header = fmt.header_data_from_array_1_0(array)
+                fmt.write_array_header_1_0(fh, {**header, "shape": (len(array) + 1, SMALL.n_bins)})
+                fh.write(array.tobytes())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: member samples_0 ends early")):
+        HomodyneRecordSet.load(path)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ('5', "member meta is not a JSON object"),
+    ('{seed: 1}', "member meta is not a JSON object"),
+    ('{"seed": "x", "config_digest": "d"}', "meta key 'seed' is 'x', not an integer >= 0"),
+    ('{"seed": [1], "config_digest": "d"}', "meta key 'seed' is [1], not an integer >= 0"),
+    ('{"seed": 1.7, "config_digest": "d"}', "meta key 'seed' is 1.7, not an integer >= 0"),
+    ('{"seed": -3, "config_digest": "d"}', "meta key 'seed' is -3, not an integer >= 0"),
+    ('{"seed": true, "config_digest": "d"}', "meta key 'seed' is True, not an integer >= 0"),
+], ids=["number", "not-json", "string-seed", "list-seed", "float-seed", "negative-seed",
+        "bool-seed"])
+def test_load_refuses_a_meta_that_gives_no_seed_the_cli_takes(tmp_path, meta, message):
+    # each used to raise TypeError, a bare JSON or int() error, or to load
+    # a seed that --seed refuses (-3) or that was not the one written (1.7)
+    path = tmp_path / "records.npz"
+    np.savez(path, **{**_members(run_experiment(SMALL)), "meta": np.array(meta)})
+    with pytest.raises(ValueError) as info:
+        HomodyneRecordSet.load(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("member", ["time_us", "kappa"])
+def test_load_refuses_a_trace_that_is_not_a_list_of_real_numbers(tmp_path, member):
+    # a 0-d time_us raised TypeError: len() of unsized object
+    members = _members(run_experiment(SMALL))
+    members[member] = np.array(0.5)
+    path = tmp_path / "records.npz"
+    np.savez(path, **members)
+    with pytest.raises(ValueError) as info:
+        HomodyneRecordSet.load(path)
+    assert str(info.value) == f"{path}: member {member} is not a 1-D array of real numbers"
 
 
 def test_loaded_records_save_onto_their_own_archive(tmp_path):
