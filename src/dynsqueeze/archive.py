@@ -1,10 +1,11 @@
 """The raw records archive, ``records.npz``, and the row buffer that streams shots through it.
 
-Records are written a block, or a chunk of rows, at a time.  Only
-:func:`read_records` reads them back, checking every CRC once; a block is
-then read a chunk of rows at a time to reduce it, or mapped to read it whole.
-Only runs that draw, save or load raw shots import this module, so the CLI
-runs that do none of these do not compile it.
+A block is C-ordered float64 rows, which one ``fill(rows, start)`` puts a
+chunk at a time, to be written or reduced.  Only :func:`read_records` reads
+an archive back, checking every CRC once; a block is then read a chunk of
+rows at a time, or mapped to read it whole.  Only runs that draw, save or
+load raw shots import this module, so the CLI runs that do none of these do
+not compile it.
 """
 
 from __future__ import annotations
@@ -42,30 +43,40 @@ def check_records_space(cfg: RunConfig, path) -> None:
 
 def _row_buffer(n: int, m: int) -> np.ndarray:
     """The row buffer of an (n, m) block: a running sum in row 0, then a chunk of rows."""
-    return np.empty((min(max(1, _CHUNK_BYTES // (8 * m)), n) + 1, m))
+    return np.empty((min(max(1, _CHUNK_BYTES // (8 * max(m, 1))), max(n, 1)) + 1, m))
 
 
-def _row_moments(n: int, m: int, fill) -> tuple[np.ndarray, np.ndarray]:
+def _copied(block: np.ndarray) -> tuple:
+    """``block`` as ``(shape, fill)``: ``fill`` copies its rows as C-ordered float64."""
+    return block.shape, lambda rows, start: np.copyto(rows, block[start:start + len(rows)])
+
+
+def _filled(buf: np.ndarray, n: int, fill):
+    """Rows 1 .. of ``buf`` in turn, each given rows start .. of an n-row block by ``fill``."""
+    size = len(buf) - 1
+    for start in range(0, n, size):
+        rows = buf[1:min(size, n - start) + 1]
+        fill(rows, start)
+        yield rows
+
+
+def _row_moments(shape: tuple, fill) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin mean and ddof-1 variance of the (n, m) block that ``fill`` puts, twice.
 
-    ``fill(chunk, start)`` puts rows start .. into ``chunk``, rows of the row
-    buffer after the first, in row order.  Each chunk, or its squared
-    deviations from the mean, is summed onto row 0 in numpy's row-by-row
-    order, so for m > 1 they are ``block.mean(axis=0)`` and ``block.var(axis=0,
-    ddof=1)`` of the C-ordered float64 block bit for bit, and no block is held.
+    Each chunk (:func:`_filled`), or its squared deviations from the mean, is
+    summed onto row 0 in numpy's row-by-row order, so for m > 1 they are
+    ``block.mean(axis=0)`` and ``block.var(axis=0, ddof=1)`` of the C-ordered
+    float64 block bit for bit, and no block is held.
     """
-    buf = _row_buffer(n, m)
-    rows = len(buf) - 1
+    n, buf = shape[0], _row_buffer(*shape)
 
     def total(mean=None) -> np.ndarray:
         buf[0] = -0.0  # -0.0 + x is x for every x, so the sum starts from row 0
-        for start in range(0, n, rows):
-            chunk = buf[1:min(rows, n - start) + 1]
-            fill(chunk, start)
+        for rows in _filled(buf, n, fill):
             if mean is not None:
-                np.subtract(chunk, mean, out=chunk)
-                np.square(chunk, out=chunk)
-            buf[0] = buf[:len(chunk) + 1].sum(axis=0)
+                np.subtract(rows, mean, out=rows)
+                np.square(rows, out=rows)
+            buf[0] = buf[:len(rows) + 1].sum(axis=0)
         return buf[0]
 
     mean = total() / n  # a copy, so the second pass leaves it whole
@@ -79,13 +90,13 @@ def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> str:
     ``angles``, each an uncompressed ``.npy`` in a zip file, byte for byte
     what ``np.savez`` writes, into ``path``'s directory, which is created if
     need be.  As with ``np.savez``, ``.npz`` is appended to a path that lacks
-    it.  ``blocks`` yields (angle, block) pairs, each block dropped before the
-    next is taken: an array, written from its own buffer when C-ordered, or
-    ``(shape, rows)``, C-ordered float64 rows that ``rows(put)`` passes to
-    ``put`` a chunk at a time, as :func:`drained` makes.  The archive is
-    written beside ``path`` and renamed onto it, so a write that fails leaves
-    the old archive whole and no partial file, and a record set loaded from
-    ``path`` can be saved onto it.
+    it.  ``blocks`` yields (angle, (shape, fill)) pairs: ``fill(rows, start)``
+    puts the block's rows start .. into ``rows``, a chunk of the row buffer
+    (:func:`_filled`), which is written and filled over, so no block is held.
+    Every block is written as C-ordered float64.  The archive is written
+    beside ``path`` and renamed onto it, so a write that fails leaves the old
+    archive whole and no partial file, and a record set loaded from ``path``
+    can be saved onto it.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
@@ -95,29 +106,22 @@ def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> str:
     try:
         with zipfile.ZipFile(tmp, "w") as zf:
 
-            def write(name, array, rows=None) -> None:
-                """Member ``name``: ``array``, or its header and then ``rows(put)``."""
+            def write(name, array, chunks=None) -> None:
+                """Member ``name``: ``array``'s header, then its bytes or ``chunks``."""
+                array = np.asanyarray(array)
                 with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                    if rows is None:
-                        return fmt.write_array(fh, np.asanyarray(array), allow_pickle=False)
                     fmt.write_array_header_1_0(fh, fmt.header_data_from_array_1_0(array))
-                    rows(fh.write)
+                    for chunk in (array.tobytes(),) if chunks is None else chunks:
+                        fh.write(chunk)
 
             write("meta", np.array(json.dumps({"seed": seed, "config_digest": digest})))
             write("time_us", time_us)
             write("kappa", kappa)
-            # not enumerate(blocks), which keeps its last tuple
-            for angle, block in blocks:
-                name = f"samples_{len(angles)}"
-                if isinstance(block, tuple):  # a zero-stride array of the rows' shape heads them
-                    write(name, np.broadcast_to(0.0, block[0]), block[1])
-                elif block.ndim == 2 and block.flags.c_contiguous:
-                    # write_array copies up to 16 MiB at a time through tobytes()
-                    write(name, block, lambda put: put(memoryview(block)))
-                else:
-                    write(name, block)
+            for i, (angle, (shape, fill)) in enumerate(blocks):
+                # a zero-stride array of the block's shape gives its header
+                chunks = _filled(_row_buffer(*shape), shape[0], fill)
+                write(f"samples_{i}", np.broadcast_to(0.0, shape), chunks)
                 angles.append(angle)
-                del block
             write("angles", np.array(angles))
         os.replace(tmp, path)
     except BaseException:
@@ -127,29 +131,12 @@ def write_records(path, time_us, kappa, blocks, seed: int, digest: str) -> str:
     return path
 
 
-def drained(n: int, m: int, draw) -> tuple:
-    """The ``(shape, rows)`` block for :func:`write_records` of the n rows of m that ``draw`` fills.
-
-    ``draw(chunk)`` fills ``chunk`` with the next rows and returns it: each
-    chunk of the row buffer is drawn, written and drawn over, so no block is held.
-    """
-
-    def rows(put):
-        buf = _row_buffer(n, m)[1:]
-        for start in range(0, n, len(buf)):
-            put(draw(buf[:n - start]))
-
-    return (n, m), rows
-
-
 class _Member(NamedTuple):
-    """Where an archive keeps one ``.npy`` member; ``offset`` is None if compressed."""
+    """Where an archive keeps one C-ordered float64 ``.npy`` block, stored uncompressed."""
 
     name: str
     shape: tuple
-    dtype: np.dtype
-    fortran_order: bool
-    offset: int | None
+    offset: int
 
 
 def _identity(fd: int) -> tuple:
@@ -160,15 +147,15 @@ def _identity(fd: int) -> tuple:
 class ArchiveBlocks(MutableMapping):
     """The sample blocks of a records archive, each read from it when asked for.
 
-    ``blocks[key]`` opens the archive and returns that one member: a stored
-    one as a copy-on-write ``np.memmap`` of its own pages, often unaligned,
-    and a compressed one, as older versions wrote, through ``np.load``.
-    :meth:`reduce` reads a stored member a chunk of rows at a time instead.
-    A read from an archive replaced or rewritten since :func:`read_records`
-    checked it (its device, inode, size or mtime differ) raises ValueError
-    naming the path.  While a block is in use, replace the archive, never
-    rewrite it in place.  An array assigned to a key is returned in place of
-    the member; ``shapes``, ``repr`` and iterating the keys read no block.
+    Every stored block is a C-ordered 2-D float64 member, kept uncompressed.
+    ``blocks[key]`` opens the archive and returns that one member as a
+    copy-on-write ``np.memmap`` of its own pages, often unaligned;
+    :meth:`rows` reads it a chunk of rows at a time instead.  A read from an
+    archive replaced or rewritten since :func:`read_records` checked it (its
+    device, inode, size or mtime differ) raises ValueError naming the path.
+    While a block is in use, replace the archive, never rewrite it in place.
+    An array assigned to a key is returned in place of the member;
+    ``shapes``, ``repr`` and iterating the keys read no block.
     """
 
     __slots__ = ("path", "_identity", "_blocks")
@@ -202,20 +189,24 @@ class ArchiveBlocks(MutableMapping):
         """Each block's shape, a member's from its ``.npy`` header."""
         return {key: block.shape for key, block in self._blocks.items()}
 
-    def reduce(self, key):
-        """``_row_moments`` of key's block, read in chunks of rows, twice; None if read whole."""
-        m = self._blocks[key]
-        if not (isinstance(m, _Member) and m.offset is not None and m.dtype == float
-                and not m.fortran_order and len(m.shape) == 2 and m.shape[1] > 1):
-            return None
-        with self._open() as f:
+    def rows(self):
+        """Each key and its block as ``(shape, fill)``: an array's rows copied, or a member's read.
 
-            def fill(chunk, start):
-                f.seek(m.offset + start * 8 * m.shape[1])
-                if f.readinto(chunk) != chunk.nbytes:
-                    raise ValueError(f"{self.path}: member {m.name} ends early")
+        A member's ``fill`` reads with ``readinto`` from the archive, opened
+        and checked for it and closed when the next block is taken.
+        """
+        for key, m in self._blocks.items():
+            if not isinstance(m, _Member):
+                yield key, _copied(m)
+                continue
+            with self._open() as f:
 
-            return _row_moments(*m.shape, fill)
+                def fill(rows, start):
+                    f.seek(m.offset + start * 8 * m.shape[1])
+                    if f.readinto(rows) != rows.nbytes:
+                        raise ValueError(f"{self.path}: member {m.name} ends early")
+
+                yield key, (m.shape, fill)
 
     def _open(self):
         f = open(self.path, "rb")
@@ -226,42 +217,44 @@ class ArchiveBlocks(MutableMapping):
 
     def _read(self, m: _Member) -> np.ndarray:
         with self._open() as f:
-            if m.offset is None:
-                with np.load(f) as data:
-                    return data[m.name]
-            if not m.dtype.itemsize * int(np.prod(m.shape)):  # mmap maps no empty range
-                return np.empty(m.shape, m.dtype)
-            return np.memmap(f, m.dtype, "c", m.offset, m.shape, "F" if m.fortran_order else "C")
+            if not m.shape[0] * m.shape[1]:  # mmap maps no empty range
+                return np.empty(m.shape)
+            return np.memmap(f, float, "c", m.offset, m.shape)
 
 
-def _member(f, zf: zipfile.ZipFile, name: str, header: bool = False):
-    """Member ``name`` of ``zf`` on ``f``, CRC checked: its array, or with ``header`` a _Member."""
+def _member(f, zf: zipfile.ZipFile, name: str, block: bool = False):
+    """Member ``name`` of ``zf`` on ``f``, CRC checked: its array, or with ``block`` a _Member.
+
+    ``block`` refuses a member that is not a C-ordered 2-D float64 block.
+    """
     info, fmt = zf.getinfo(f"{name}.npy"), np.lib.format
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"{f.name}: member {name} is stored compressed")
     try:
         with zf.open(info) as fh:
-            if header:
-                v1 = fmt.read_magic(fh) == (1, 0)
-                read = fmt.read_array_header_1_0 if v1 else fmt.read_array_header_2_0
-                (shape, fortran_order, dtype), start = read(fh), fh.tell()
-            else:
+            v1 = fmt.read_magic(fh) == (1, 0)
+            read = fmt.read_array_header_1_0 if v1 else fmt.read_array_header_2_0
+            (shape, fortran_order, dtype), start = read(fh), fh.tell()
+            if block and (len(shape) != 2 or fortran_order or dtype != float):
+                raise ValueError(f"{f.name}: member {name} is not a C-ordered 2-D float64 block")
+            if dtype.hasobject:
+                raise ValueError(f"{f.name}: member {name} holds Python objects")
+            if start + dtype.itemsize * int(np.prod(shape)) > info.file_size:
+                raise ValueError(f"{f.name}: member {name} ends early")
+            if not block:
+                fh.seek(0)
                 array = fmt.read_array(fh, allow_pickle=False)
             # to the end, where zipfile checks the CRC; 128 KiB reads raised peak RSS 124 kB
             while fh.read(1 << 16):
                 pass
-    except (zipfile.BadZipFile, EOFError, zipfile.zlib.error):  # the last, a bad deflate stream
+    except (zipfile.BadZipFile, EOFError):
         raise ValueError(f"{f.name}: member {name} fails its CRC check") from None
-    if not header:
+    if not block:
         return array
-    if dtype.hasobject:
-        raise ValueError(f"{f.name}: member {name} holds Python objects")
-    offset = None
-    if info.compress_type == zipfile.ZIP_STORED:
-        if start + dtype.itemsize * int(np.prod(shape)) > info.file_size:
-            raise ValueError(f"{f.name}: member {name} ends early")
-        # the data follow the 30-byte local header, its file name and extra field
-        f.seek(info.header_offset + 26)
-        offset = info.header_offset + 30 + sum(struct.unpack("<2H", f.read(4))) + start
-    return _Member(name, shape, dtype, fortran_order, offset)
+    # the data follow the 30-byte local header, its file name and extra field
+    f.seek(info.header_offset + 26)
+    offset = info.header_offset + 30 + sum(struct.unpack("<2H", f.read(4))) + start
+    return _Member(name, shape, offset)
 
 
 def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]:
@@ -271,10 +264,12 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
     blocks only the headers are kept, in an :class:`ArchiveBlocks`.  Raises
     ValueError naming the file, and the member, key or angle at fault, for
     a file that is not a zip archive; a missing member or ``meta`` key; a
-    member that fails its CRC or ends before its data; a ``meta`` that is
-    not a JSON object, or a seed that is not an integer >= 0; ``time_us``,
-    ``kappa`` or ``angles`` that are not a 1-D array of real numbers; an
-    angle listed twice; or a ``samples_<i>`` member beyond the listed ones.
+    member stored compressed, that holds Python objects, fails its CRC or
+    ends before its data; a sample member that is not a C-ordered 2-D
+    float64 block; a ``meta`` that is not a JSON object, or a seed that is
+    not an integer >= 0; ``time_us``, ``kappa`` or ``angles`` that are not a
+    1-D array of real numbers; ``angles`` that list no angle, or one twice;
+    or a ``samples_<i>`` member beyond the listed ones.
     """
     with open(path, "rb") as f:
         try:
@@ -287,11 +282,13 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
                 for n in ("time_us", "kappa", "angles"):
                     if small[n].ndim != 1 or small[n].dtype.kind not in "iuf":
                         raise ValueError(f"{path}: member {n} is not a 1-D array of real numbers")
+                if not len(small["angles"]):
+                    raise ValueError(f"{path}: member angles lists no angle")
                 members = {}
                 for i, angle in enumerate(map(float, small["angles"])):
                     if angle in members:
                         raise ValueError(f"{path}: angle {angle!r} comes more than once")
-                    members[angle] = _member(f, zf, f"samples_{i}", header=True)
+                    members[angle] = _member(f, zf, f"samples_{i}", block=True)
                 listed = {f"samples_{i}.npy" for i in range(len(members))}
                 for name in (n.removesuffix(".npy") for n in zf.namelist() if n not in listed):
                     if name.startswith("samples_"):

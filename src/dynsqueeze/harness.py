@@ -188,11 +188,12 @@ class HomodyneRecordSet(Immutable):
 
     ``samples[angle]`` has shape (n_trials, n_bins); all angles share the time
     grid and the control trace.  ``config_digest`` ties the records back to the
-    configuration that produced them.  A set built in memory holds its blocks;
-    one from :meth:`load` maps each block from its archive every time it is
-    asked for (``archive.ArchiveBlocks``), a copy-on-write memmap paged in as
-    it is touched and often not aligned, and its shapes, ``angles``,
-    ``n_trials`` and ``repr`` come from the archive's headers.
+    configuration that produced them.  Any block, of real numbers in any
+    layout, is saved and reduced as its C-ordered float64 copy.  A set built
+    in memory holds its blocks; one from :meth:`load` maps each block from its
+    archive every time it is asked for (``archive.ArchiveBlocks``), a
+    copy-on-write memmap paged in as it is touched and often not aligned, and
+    its shapes, ``angles``, ``n_trials`` and ``repr`` come from the headers.
     """
 
     __slots__ = ("time_us", "kappa", "samples", "seed", "config_digest")
@@ -209,6 +210,11 @@ class HomodyneRecordSet(Immutable):
         if len(kappa) != n_bins:
             raise ValueError("kappa and time grids differ in length")
         shapes = _block_shapes(samples)
+        if not shapes:
+            raise ValueError("no sample blocks")
+        for angle, block in () if hasattr(samples, "shapes") else samples.items():
+            if block.dtype.kind not in "iuf":
+                raise ValueError(f"samples at angle {angle} are not real numbers")
         for angle, shape in shapes.items():
             if len(shape) != 2 or shape[1] != n_bins:
                 raise ValueError(f"samples at angle {angle} have shape {shape}, want (*, {n_bins})")
@@ -227,16 +233,23 @@ class HomodyneRecordSet(Immutable):
     def save(self, path) -> None:
         from .archive import write_records
 
-        write_records(
-            path, self.time_us, self.kappa, self.samples.items(), self.seed, self.config_digest
-        )
+        write_records(path, self.time_us, self.kappa, self._rows(), self.seed, self.config_digest)
+
+    def _rows(self):
+        """Each angle and its block as ``(shape, fill)``, as ``archive._filled`` takes it."""
+        from .archive import _copied
+
+        if hasattr(self.samples, "rows"):  # a loaded set reads its members
+            return self.samples.rows()
+        return ((angle, _copied(block)) for angle, block in self.samples.items())
 
     @classmethod
     def load(cls, path) -> "HomodyneRecordSet":
         """The records archived at ``path``, each block read only when it is asked for.
 
-        Raises ValueError naming a member whose bytes fail the zip's CRC;
-        reading a block raises one once the archive is replaced or rewritten.
+        Raises ValueError naming a member that fails the zip's CRC, or that
+        ``archive.read_records`` refuses, as one stored compressed; reading a
+        block raises one once the archive is replaced or rewritten.
         """
         from .archive import read_records
 
@@ -330,7 +343,7 @@ def _shot_laws(moments: TheoryTraces, seed: int) -> dict:
 
 
 def _shots(loc: np.ndarray, variance: np.ndarray, rng):
-    """``draw(rows)``, which fills ``rows`` with the next shots of N(loc, variance) and returns it.
+    """``fill(rows, start)``, which fills ``rows`` with the next shots of N(loc, variance).
 
     loc + scale * z, scaled and shifted in place, are the numbers
     Generator.normal(loc, scale, size) draws, and z fills in stream order, so
@@ -338,20 +351,20 @@ def _shots(loc: np.ndarray, variance: np.ndarray, rng):
     """
     scale = np.sqrt(variance)
 
-    def draw(rows: np.ndarray) -> np.ndarray:
+    def fill(rows: np.ndarray, start: int) -> None:
         rng.standard_normal(out=rows)
         rows *= scale
         rows += loc
-        return rows
 
-    return draw
+    return fill
 
 
 def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet:
     """Simulate the repeated-shot run and return the raw homodyne records in memory.
 
-    This is the in-memory route: all three angles' blocks are held at once,
-    and :func:`estimate_moments` reduces them with no block-sized temporary.
+    This is the in-memory route: all three angles' C-ordered float64 blocks
+    are held at once, and :func:`estimate_moments` reduces them with no
+    block-sized temporary.
     :func:`simulate_records` draws the same shots into a row buffer and writes
     them to disk, and :func:`simulate_moments` draws no shot at all.
     Every bin's output state is Gaussian, so the n_trials samples per (angle,
@@ -364,10 +377,9 @@ def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet
     if seed is None:
         seed = cfg.seed
     traces = _route(cfg, gate_output_state, len(MEASUREMENT_ANGLES))[0]
-    samples = {
-        angle: _shots(*law)(np.empty((cfg.n_trials, cfg.n_bins)))
-        for angle, law in _shot_laws(traces, seed).items()
-    }
+    samples = {angle: np.empty((cfg.n_trials, cfg.n_bins)) for angle in MEASUREMENT_ANGLES}
+    for angle, law in _shot_laws(traces, seed).items():
+        _shots(*law)(samples[angle], 0)
     return HomodyneRecordSet(traces.time_us, traces.kappa, samples, int(seed), config_digest(cfg))
 
 
@@ -377,38 +389,22 @@ def _moment_estimates(time_us, kappa, n: int, mean: dict, variance: dict) -> Mom
     return MomentEstimates(time_us, kappa, n, mean, variance, sem, sev)
 
 
-def _block_moments(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin ``block.mean(axis=0)`` and ``block.var(axis=0, ddof=1)``, bit for bit.
-
-    np.var holds every squared deviation at once; here a C-ordered float64
-    block two or more bins wide goes through archive's row buffer instead.
-    numpy reduces any other block in another order, so np.var takes it, an
-    unaligned one in an aligned copy, as numpy may round unaligned sums apart.
-    """
-    from .archive import _row_moments
-
-    n, m = block.shape
-    if not (block.flags.c_contiguous and block.dtype == float and m > 1):
-        block = block if block.flags.aligned else block.copy(order="K")
-        return block.mean(axis=0), block.var(axis=0, ddof=1)
-    return _row_moments(n, m, lambda rows, start: np.copyto(rows, block[start:start + len(rows)]))
-
-
 def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
     """Sample mean/variance per (angle, bin); needs at least two trials.
 
-    A set loaded from an archive reduces each stored float64 block through
-    the row buffer as it reads it (``archive.ArchiveBlocks.reduce``), and so
-    holds no block; any other block it reads whole and drops before the next.
+    Every block goes through ``archive._row_moments`` a chunk of rows at a
+    time, as its C-ordered float64 copy: a stored one read from its archive,
+    any other copied, so no block-sized temporary is made and the moments of
+    a set and of its archive loaded back are equal bit for bit.
     """
+    from .archive import _row_moments
+
     n = records.n_trials
     if n < 2:
         raise ValueError("need at least two trials to estimate a variance")
     mean, variance = {}, {}
-    reduce = getattr(records.samples, "reduce", None)
-    for angle in records.samples:
-        moments = reduce(angle) if reduce else None
-        mean[angle], variance[angle] = moments or _block_moments(records.samples[angle])
+    for angle, rows in records._rows():
+        mean[angle], variance[angle] = _row_moments(*rows)
     return _moment_estimates(records.time_us, records.kappa, n, mean, variance)
 
 
@@ -416,19 +412,19 @@ def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEst
     """Draw the records of ``run_experiment(cfg, seed)``, write them to ``path``, return their moments.
 
     The archive is that of ``run_experiment(cfg, seed).save(path)`` byte for
-    byte, drawn and written a chunk of rows at a time (``archive.drained``);
+    byte, drawn and written a chunk of rows at a time (:func:`_shots`);
     the moments are ``estimate_moments`` of it loaded back, CRC checked, and
     no block is held.  As with ``save``, ``.npz`` is appended to a path that
     lacks it, and the directory is created if need be.  Raises ConfigError,
     before drawing or writing anything, or creating that directory, when the
     archive would not fit in the free space there, or as :func:`_route` does.
     """
-    from .archive import check_records_space, drained, write_records
+    from .archive import check_records_space, write_records
 
     seed = cfg.seed if seed is None else seed
     check_records_space(cfg, path)
     traces = _route(cfg, gate_output_state, 0)[0]
-    blocks = [(angle, drained(cfg.n_trials, cfg.n_bins, _shots(*law)))
+    blocks = [(angle, ((cfg.n_trials, cfg.n_bins), _shots(*law)))
               for angle, law in _shot_laws(traces, seed).items()]
     path = write_records(path, traces.time_us, traces.kappa, blocks, int(seed), config_digest(cfg))
     return estimate_moments(HomodyneRecordSet.load(path))
