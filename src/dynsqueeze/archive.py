@@ -15,7 +15,7 @@ import os
 import shutil
 import struct
 import zipfile
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -144,36 +144,46 @@ def _identity(fd: int) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-class ArchiveBlocks(MutableMapping):
-    """The sample blocks of a records archive, each read from it when asked for.
+class ArchiveBlocks(Mapping):
+    """A record set's sample blocks by angle: arrays, or members of a records archive.
 
-    Every stored block is a C-ordered 2-D float64 member, kept uncompressed.
-    ``blocks[key]`` opens the archive and returns that one member as a
-    copy-on-write ``np.memmap`` of its own pages, often unaligned;
-    :meth:`rows` reads it a chunk of rows at a time instead.  A read from an
-    archive replaced or rewritten since :func:`read_records` checked it (its
-    device, inode, size or mtime differ) raises ValueError naming the path.
-    While a block is in use, replace the archive, never rewrite it in place.
-    An array assigned to a key is returned in place of the member;
-    ``shapes``, ``repr`` and iterating the keys read no block.
+    The store copies the mapping it is given and takes its one ``shape`` from
+    the first block.  Every block entering it, assigned ones too, must be an
+    array of real numbers or a C-ordered float64 member, of that shape, at a
+    real angle; none is deleted.  ``blocks[key]`` maps a member from ``path`` as a
+    copy-on-write ``np.memmap``, often unaligned; :meth:`rows` reads it a
+    chunk of rows at a time.  A read from an archive replaced or rewritten
+    since :func:`read_records` checked it raises ValueError naming the path.
     """
 
-    __slots__ = ("path", "_identity", "_blocks")
+    __slots__ = ("path", "shape", "_identity", "_blocks")
 
-    def __init__(self, path, identity: tuple, members: dict) -> None:
-        self.path, self._identity, self._blocks = os.fspath(path), identity, members
+    def __init__(self, blocks: Mapping, path=None, identity: tuple | None = None) -> None:
+        if isinstance(blocks, ArchiveBlocks):  # copied without reading a member
+            path, identity, blocks = blocks.path, blocks._identity, blocks._blocks
+        if not blocks:
+            raise ValueError("no sample blocks")
+        self.path, self._identity, self._blocks = path and os.fspath(path), identity, {}
+        self.shape = getattr(next(iter(blocks.values())), "shape", None)
+        for key, block in blocks.items():
+            self[key] = block
 
     def __getitem__(self, key):
         block = self._blocks[key]
         return self._read(block) if isinstance(block, _Member) else block
 
     def __setitem__(self, key, block) -> None:
-        self._blocks[key] = block
+        if isinstance(key, bool) or not isinstance(key, (int, float, np.integer, np.floating)):
+            raise ValueError(f"angle {key!r} is not a real number")
+        if not isinstance(block, _Member) and (
+            not isinstance(block, np.ndarray) or block.dtype.kind not in "iuf"
+        ):
+            raise ValueError(f"samples at angle {key} are not real numbers")
+        if block.shape != self.shape:
+            raise ValueError(f"samples at angle {key} have shape {block.shape}, want {self.shape}")
+        self._blocks[float(key)] = block
 
-    def __delitem__(self, key) -> None:
-        del self._blocks[key]
-
-    def __contains__(self, key) -> bool:
+    def __contains__(self, key) -> bool:  # Mapping's would read the block
         return key in self._blocks
 
     def __iter__(self):
@@ -183,11 +193,7 @@ class ArchiveBlocks(MutableMapping):
         return len(self._blocks)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.path!r}, shapes={self.shapes()!r})"
-
-    def shapes(self) -> dict:
-        """Each block's shape, a member's from its ``.npy`` header."""
-        return {key: block.shape for key, block in self._blocks.items()}
+        return f"{type(self).__name__}({self.path!r}, shapes={dict.fromkeys(self, self.shape)!r})"
 
     def rows(self):
         """Each key and its block as ``(shape, fill)``: an array's rows copied, or a member's read.
@@ -257,8 +263,8 @@ def _member(f, zf: zipfile.ZipFile, name: str, block: bool = False):
     return _Member(name, shape, offset)
 
 
-def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]:
-    """A records archive's ``time_us``, ``kappa``, blocks by angle, seed and config digest.
+def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, object, object]:
+    """A records archive's ``time_us``, ``kappa``, blocks by angle, and its meta's seed and digest.
 
     Each member is read through once, which checks its CRC; of the sample
     blocks only the headers are kept, in an :class:`ArchiveBlocks`.  Raises
@@ -266,10 +272,10 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
     a file that is not a zip archive; a missing member or ``meta`` key; a
     member stored compressed, that holds Python objects, fails its CRC or
     ends before its data; a sample member that is not a C-ordered 2-D
-    float64 block; a ``meta`` that is not a JSON object, or a seed that is
-    not an integer >= 0; ``time_us``, ``kappa`` or ``angles`` that are not a
-    1-D array of real numbers; ``angles`` that list no angle, or one twice;
-    or a ``samples_<i>`` member beyond the listed ones.
+    float64 block, or of another shape than the first; a ``meta`` that is
+    not a JSON object; ``angles`` that are not a 1-D array of real numbers,
+    list no angle, or one twice; or a ``samples_<i>`` member beyond the
+    listed ones.  ``HomodyneRecordSet`` checks the rest.
     """
     with open(path, "rb") as f:
         try:
@@ -279,9 +285,8 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
         with zf:
             try:
                 small = {n: _member(f, zf, n) for n in ("meta", "time_us", "kappa", "angles")}
-                for n in ("time_us", "kappa", "angles"):
-                    if small[n].ndim != 1 or small[n].dtype.kind not in "iuf":
-                        raise ValueError(f"{path}: member {n} is not a 1-D array of real numbers")
+                if small["angles"].ndim != 1 or small["angles"].dtype.kind not in "iuf":
+                    raise ValueError(f"{path}: member angles is not a 1-D array of real numbers")
                 if not len(small["angles"]):
                     raise ValueError(f"{path}: member angles lists no angle")
                 members = {}
@@ -295,7 +300,10 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
                         raise ValueError(f"{path}: member {name} is not listed in angles")
             except KeyError as exc:  # zipfile's message names the missing member
                 raise ValueError(f"{path}: {exc.args[0]}: not a records archive") from None
-        blocks = ArchiveBlocks(path, _identity(f.fileno()), members)
+        try:
+            blocks = ArchiveBlocks(members, path, _identity(f.fileno()))
+        except ValueError as exc:  # a block of another shape than the first
+            raise ValueError(f"{path}: {exc}") from None
     try:
         meta = json.loads(str(small["meta"]))
     except json.JSONDecodeError:
@@ -305,6 +313,4 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, int, str]
     for key in ("seed", "config_digest"):
         if key not in meta:
             raise ValueError(f"{path}: meta has no {key!r} key: not a records archive")
-    if type(meta["seed"]) is not int or meta["seed"] < 0:  # neither a bool nor 1.7
-        raise ValueError(f"{path}: meta key 'seed' is {meta['seed']!r}, not an integer >= 0")
-    return small["time_us"], small["kappa"], blocks, meta["seed"], str(meta["config_digest"])
+    return small["time_us"], small["kappa"], blocks, meta["seed"], meta["config_digest"]

@@ -188,12 +188,13 @@ class HomodyneRecordSet(Immutable):
 
     ``samples[angle]`` has shape (n_trials, n_bins); all angles share the time
     grid and the control trace.  ``config_digest`` ties the records back to the
-    configuration that produced them.  Any block, of real numbers in any
-    layout, is saved and reduced as its C-ordered float64 copy.  A set built
-    in memory holds its blocks; one from :meth:`load` maps each block from its
-    archive every time it is asked for (``archive.ArchiveBlocks``), a
-    copy-on-write memmap paged in as it is touched and often not aligned, and
-    its shapes, ``angles``, ``n_trials`` and ``repr`` come from the headers.
+    configuration that produced them.  ``samples`` is an ``archive.ArchiveBlocks``
+    of the blocks given, which checks each block as it enters, assigned ones
+    too; any block of real numbers, in any layout, is saved and reduced as its
+    C-ordered float64 copy.  One from :meth:`load` maps each block from its
+    archive every time it is asked for, a copy-on-write memmap often not
+    aligned; its ``samples.shape``, ``angles``, ``n_trials`` and ``repr`` come
+    from the headers.  Every set the constructor accepts saves and loads back.
     """
 
     __slots__ = ("time_us", "kappa", "samples", "seed", "config_digest")
@@ -206,21 +207,22 @@ class HomodyneRecordSet(Immutable):
         seed: int,
         config_digest: str,
     ) -> None:
-        n_bins = len(time_us)
-        if len(kappa) != n_bins:
+        from .archive import ArchiveBlocks
+
+        time_us, kappa = np.asarray(time_us), np.asarray(kappa)
+        for name, trace in (("time_us", time_us), ("kappa", kappa)):
+            if trace.ndim != 1 or trace.dtype.kind not in "iuf":
+                raise ValueError(f"{name} is not a 1-D array of real numbers")
+        if len(kappa) != len(time_us):
             raise ValueError("kappa and time grids differ in length")
-        shapes = _block_shapes(samples)
-        if not shapes:
-            raise ValueError("no sample blocks")
-        for angle, block in () if hasattr(samples, "shapes") else samples.items():
-            if block.dtype.kind not in "iuf":
-                raise ValueError(f"samples at angle {angle} are not real numbers")
-        for angle, shape in shapes.items():
-            if len(shape) != 2 or shape[1] != n_bins:
-                raise ValueError(f"samples at angle {angle} have shape {shape}, want (*, {n_bins})")
-        if len(set(shapes.values())) != 1:
-            raise ValueError(f"sample blocks disagree in shape: {shapes}")
-        self._set(time_us, kappa, samples, seed, config_digest)
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed is {seed!r}, not an integer >= 0")
+        if not isinstance(config_digest, str):
+            raise ValueError(f"config_digest is {config_digest!r}, not a string")
+        samples = ArchiveBlocks(samples)
+        if samples.shape[1:] != (len(time_us),):
+            raise ValueError(f"samples have shape {samples.shape}, want (*, {len(time_us)})")
+        self._set(time_us, kappa, samples, int(seed), config_digest)
 
     @property
     def angles(self) -> tuple[float, ...]:
@@ -228,39 +230,30 @@ class HomodyneRecordSet(Immutable):
 
     @property
     def n_trials(self) -> int:
-        return next(iter(_block_shapes(self.samples).values()))[0]
+        return self.samples.shape[0]
 
     def save(self, path) -> None:
         from .archive import write_records
 
-        write_records(path, self.time_us, self.kappa, self._rows(), self.seed, self.config_digest)
-
-    def _rows(self):
-        """Each angle and its block as ``(shape, fill)``, as ``archive._filled`` takes it."""
-        from .archive import _copied
-
-        if hasattr(self.samples, "rows"):  # a loaded set reads its members
-            return self.samples.rows()
-        return ((angle, _copied(block)) for angle, block in self.samples.items())
+        write_records(path, self.time_us, self.kappa, self.samples.rows(), self.seed,
+                      self.config_digest)
 
     @classmethod
     def load(cls, path) -> "HomodyneRecordSet":
         """The records archived at ``path``, each block read only when it is asked for.
 
-        Raises ValueError naming a member that fails the zip's CRC, or that
-        ``archive.read_records`` refuses, as one stored compressed; reading a
+        Raises ValueError naming the file, and the member that fails the
+        zip's CRC, or what ``archive.read_records`` or the constructor
+        refuses, as a member stored compressed or a negative seed; reading a
         block raises one once the archive is replaced or rewritten.
         """
         from .archive import read_records
 
-        return cls(*read_records(path))
-
-
-def _block_shapes(samples) -> dict:
-    """Each block's shape; a loaded set's blocks give theirs from the archive's headers."""
-    if hasattr(samples, "shapes"):
-        return samples.shapes()
-    return {angle: block.shape for angle, block in samples.items()}
+        records = read_records(path)
+        try:
+            return cls(*records)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _physical_memory() -> int | None:
@@ -393,9 +386,9 @@ def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
     """Sample mean/variance per (angle, bin); needs at least two trials.
 
     Every block goes through ``archive._row_moments`` a chunk of rows at a
-    time, as its C-ordered float64 copy: a stored one read from its archive,
-    any other copied, so no block-sized temporary is made and the moments of
-    a set and of its archive loaded back are equal bit for bit.
+    time, as ``samples.rows()`` gives its C-ordered float64 copy: a stored one
+    read from its archive, any other copied, so no block-sized temporary is
+    made, and a set's moments equal its archive's loaded back bit for bit.
     """
     from .archive import _row_moments
 
@@ -403,7 +396,7 @@ def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
     if n < 2:
         raise ValueError("need at least two trials to estimate a variance")
     mean, variance = {}, {}
-    for angle, rows in records._rows():
+    for angle, rows in records.samples.rows():
         mean[angle], variance[angle] = _row_moments(*rows)
     return _moment_estimates(records.time_us, records.kappa, n, mean, variance)
 

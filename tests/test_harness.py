@@ -6,13 +6,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import zipfile
+from collections.abc import MutableMapping
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from dynsqueeze import (
     ConfigError,
@@ -242,6 +246,170 @@ def test_record_set_refuses_no_blocks_and_blocks_that_are_not_real_numbers():
                 np.zeros(3), np.zeros(3), {0.0: np.zeros((5, 3)), 0.5: bad}, seed=0,
                 config_digest="d",
             )
+
+
+# a 50-trial x 10-bin set
+TEN_BINS = RunConfig(n_trials=50, bins_per_period=5, seed=11)
+
+
+def _record_set(kind, tmp_path):
+    """A 50 x 10 set as built by run_experiment, or saved and loaded back."""
+    rec = run_experiment(TEN_BINS)
+    if kind == "built":
+        return rec
+    rec.save(tmp_path / "records.npz")
+    return HomodyneRecordSet.load(tmp_path / "records.npz")
+
+
+def _state(rec, path) -> tuple:
+    """What a set reports: n_trials, its moments' bytes and the bytes it saves."""
+    est = estimate_moments(rec)
+    rec.save(path)
+    moments = [getattr(est, f)[a].tobytes() for f in ("mean", "variance") for a in rec.angles]
+    return rec.n_trials, moments, path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["built", "loaded"])
+def test_a_block_assigned_into_a_set_is_checked_as_it_enters(tmp_path, kind):
+    # an unchecked (7, 3) block made n_trials 7, and a complex one made
+    # estimate_moments raise numpy's bare TypeError
+    rec = _record_set(kind, tmp_path)
+    before = _state(rec, tmp_path / "before.npz")
+    for block, message in (
+        (np.zeros((7, 3)), "samples at angle 0.0 have shape (7, 3), want (50, 10)"),
+        (np.zeros((50, 10), complex), "samples at angle 0.0 are not real numbers"),
+        ([[0.0] * 10] * 50, "samples at angle 0.0 are not real numbers"),
+    ):
+        with pytest.raises(ValueError) as info:
+            rec.samples[0.0] = block
+        assert str(info.value) == message
+        assert _state(rec, tmp_path / "after.npz") == before
+
+
+def test_a_built_set_holds_a_copy_of_the_callers_mapping(tmp_path):
+    # the set held the caller's dict: a (7, 3) block put into it later made
+    # n_trials 7, and a complex one made estimate_moments raise TypeError
+    blocks = dict(run_experiment(TEN_BINS).samples)
+    rec = HomodyneRecordSet(np.arange(10.0), np.zeros(10), blocks, seed=0, config_digest="d")
+    before = _state(rec, tmp_path / "before.npz")
+    blocks[0.0], blocks[0.5] = np.zeros((7, 3)), np.zeros((50, 10), complex)
+    del blocks[np.pi / 2.0]
+    assert rec.samples is not blocks and rec.angles == MEASUREMENT_ANGLES
+    assert _state(rec, tmp_path / "after.npz") == before
+
+
+@pytest.mark.parametrize("kind", ["built", "loaded"])
+def test_a_set_keeps_every_block_in_one_store_that_allows_no_deletion(tmp_path, kind):
+    # deleting every key made n_trials raise a bare StopIteration, and save
+    # write an archive that load refused.  The store defines __setitem__ and
+    # no __delitem__, so Python refuses del with AttributeError('__delitem__').
+    rec = _record_set(kind, tmp_path)
+    assert type(rec.samples) is archive.ArchiveBlocks
+    assert not isinstance(rec.samples, MutableMapping)
+    for angle in rec.angles:
+        with pytest.raises(AttributeError, match="^__delitem__$"):
+            del rec.samples[angle]
+    for name in ("pop", "popitem", "clear", "update", "setdefault", "shapes"):
+        assert not hasattr(rec.samples, name), name
+    assert rec.angles == MEASUREMENT_ANGLES and rec.n_trials == 50
+    assert rec.samples.shape == (50, 10)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", -1, "seed is -1, not an integer >= 0"),
+    ("seed", 1.5, "seed is 1.5, not an integer >= 0"),
+    ("seed", True, "seed is True, not an integer >= 0"),
+    ("seed", np.bool_(True), f"seed is {np.bool_(True)!r}, not an integer >= 0"),
+    ("seed", None, "seed is None, not an integer >= 0"),
+    ("time_us", np.zeros((10, 1)), "time_us is not a 1-D array of real numbers"),
+    ("time_us", np.zeros(10, complex), "time_us is not a 1-D array of real numbers"),
+    ("kappa", np.array(0.5), "kappa is not a 1-D array of real numbers"),
+    ("kappa", np.zeros(10, bool), "kappa is not a 1-D array of real numbers"),
+    ("config_digest", 5, "config_digest is 5, not a string"),
+    ("samples", {"x": np.zeros((50, 10))}, "angle 'x' is not a real number"),
+    ("samples", {True: np.zeros((50, 10))}, "angle True is not a real number"),
+    ("samples", {0.0: np.zeros(10)}, "samples have shape (10,), want (*, 10)"),
+    ("samples", {0.0: np.zeros((50, 9))}, "samples have shape (50, 9), want (*, 10)"),
+])
+def test_record_set_refuses_what_load_would_refuse(field, value, message):
+    # each of these used to be accepted; save then wrote an archive that load
+    # refused, or, for the bool angle and the digest 5, one that loaded back
+    # otherwise
+    args = {"time_us": np.arange(10.0), "kappa": np.zeros(10),
+            "samples": {0.0: np.zeros((50, 10))}, "seed": 3, "config_digest": "d"}
+    with pytest.raises(ValueError) as info:
+        HomodyneRecordSet(**{**args, field: value})
+    assert str(info.value) == message
+
+
+def test_record_set_stores_a_numpy_integer_seed_as_an_int(tmp_path):
+    # np.int64 made save raise TypeError: Object of type int64 is not JSON serializable
+    rec = HomodyneRecordSet(np.arange(2), np.zeros(2), {1: np.zeros((3, 2))}, np.int64(7), "d")
+    assert type(rec.seed) is int and rec.seed == 7 and rec.angles == (1.0,)
+    rec.save(tmp_path / "records.npz")
+    assert HomodyneRecordSet.load(tmp_path / "records.npz").seed == 7
+
+
+_PARTS = ("time_us", "kappa", "samples", "angles", "seed", "config_digest")
+_REAL = [float, np.float32, np.int64, np.uint8]
+
+
+@st.composite
+def _record_set_args(draw):
+    """Constructor arguments: each part one the constructor takes, or, drawn broken, maybe not."""
+    broken = draw(st.sets(st.sampled_from(_PARTS), max_size=2))
+    n_trials, n_bins = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def array(part, shape):
+        dtypes = _REAL + [bool, complex, object] if part in broken else _REAL
+        if part in broken:
+            shape = draw(st.sampled_from([shape, shape[1:], (*shape, 1)]))
+        values = np.arange(int(np.prod(shape))).reshape(shape).astype(draw(st.sampled_from(dtypes)))
+        forms = [values, np.asfortranarray(values), values.tolist()]
+        return draw(st.sampled_from(forms if part in broken else forms[:2]))
+
+    angle = st.one_of(st.floats(), st.integers(-2**70, 2**70),
+                      st.sampled_from([np.float32(0.5), np.int64(3)]))
+    seed = st.one_of(st.integers(0, 2**64), st.sampled_from([np.int64(5), np.uint64(2**64 - 1)]))
+    digest = st.text()
+    if "angles" in broken:
+        angle = st.one_of(angle, st.booleans(), st.text(max_size=2), st.complex_numbers(),
+                          st.just(np.bool_(True)))
+    if "seed" in broken:
+        seed = st.one_of(st.integers(-2**64, -1), st.floats(), st.booleans(), st.none(),
+                         st.just(np.bool_(False)))
+    if "config_digest" in broken:
+        digest = st.one_of(st.integers(), st.none(), st.binary())
+    keys = draw(st.lists(angle, min_size=0 if "samples" in broken else 1, max_size=3))
+    return (
+        array("time_us", (n_bins,)), array("kappa", (n_bins,)),
+        {key: array("samples", (n_trials, n_bins)) for key in keys},
+        draw(seed), draw(digest),
+    )
+
+
+@given(_record_set_args())
+@settings(max_examples=300, deadline=None)
+def test_every_set_the_constructor_accepts_saves_and_loads_back(args):
+    try:
+        rec = HomodyneRecordSet(*args)
+    except ValueError:
+        event("refused")
+        return
+    event("accepted")
+    with tempfile.TemporaryDirectory() as tmp:
+        rec.save(Path(tmp, "records.npz"))
+        back = HomodyneRecordSet.load(Path(tmp, "records.npz"))
+        assert back.seed == rec.seed and type(back.seed) is int
+        assert back.config_digest == rec.config_digest
+        for name in ("time_us", "kappa"):
+            got, want = getattr(back, name), getattr(rec, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(back.angles, rec.angles, equal_nan=True)
+        assert back.samples.shape == rec.samples.shape
+        for a, b in zip(rec.angles, back.angles):
+            want = np.ascontiguousarray(rec.samples[a], dtype=float)
+            assert back.samples[b].tobytes() == want.tobytes()
 
 
 def test_record_set_round_trip(tmp_path):
@@ -476,11 +644,11 @@ def test_load_refuses_a_member_that_ends_before_its_data(tmp_path):
 @pytest.mark.parametrize("meta, message", [
     ('5', "member meta is not a JSON object"),
     ('{seed: 1}', "member meta is not a JSON object"),
-    ('{"seed": "x", "config_digest": "d"}', "meta key 'seed' is 'x', not an integer >= 0"),
-    ('{"seed": [1], "config_digest": "d"}', "meta key 'seed' is [1], not an integer >= 0"),
-    ('{"seed": 1.7, "config_digest": "d"}', "meta key 'seed' is 1.7, not an integer >= 0"),
-    ('{"seed": -3, "config_digest": "d"}', "meta key 'seed' is -3, not an integer >= 0"),
-    ('{"seed": true, "config_digest": "d"}', "meta key 'seed' is True, not an integer >= 0"),
+    ('{"seed": "x", "config_digest": "d"}', "seed is 'x', not an integer >= 0"),
+    ('{"seed": [1], "config_digest": "d"}', "seed is [1], not an integer >= 0"),
+    ('{"seed": 1.7, "config_digest": "d"}', "seed is 1.7, not an integer >= 0"),
+    ('{"seed": -3, "config_digest": "d"}', "seed is -3, not an integer >= 0"),
+    ('{"seed": true, "config_digest": "d"}', "seed is True, not an integer >= 0"),
 ], ids=["number", "not-json", "string-seed", "list-seed", "float-seed", "negative-seed",
         "bool-seed"])
 def test_load_refuses_a_meta_that_gives_no_seed_the_cli_takes(tmp_path, meta, message):
@@ -502,7 +670,7 @@ def test_load_refuses_a_trace_that_is_not_a_list_of_real_numbers(tmp_path, membe
     np.savez(path, **members)
     with pytest.raises(ValueError) as info:
         HomodyneRecordSet.load(path)
-    assert str(info.value) == f"{path}: member {member} is not a 1-D array of real numbers"
+    assert str(info.value) == f"{path}: {member} is not a 1-D array of real numbers"
 
 
 def test_loaded_records_save_onto_their_own_archive(tmp_path):
@@ -647,6 +815,23 @@ def test_load_refuses_angles_that_list_no_angle(tmp_path):
     with pytest.raises(ValueError) as info:
         HomodyneRecordSet.load(path)
     assert str(info.value) == f"{path}: member angles lists no angle"
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((299, 40), "samples at angle 1.5707963267948966 have shape (299, 40), want (300, 40)"),
+    ((300, 41), "samples have shape (300, 41), want (*, 40)"),
+], ids=["trials", "bins"])
+def test_load_names_the_file_of_sample_members_of_another_shape(tmp_path, shape, message):
+    # both named no file; blocks of two shapes read "sample blocks disagree in shape"
+    rec = run_experiment(SMALL)
+    samples = {a: np.zeros(shape) for a in rec.angles}
+    if shape[0] != SMALL.n_trials:  # the first block keeps the set's shape
+        samples[0.0] = rec.samples[0.0]
+    path = tmp_path / "records.npz"
+    _savez(path, rec, samples)
+    with pytest.raises(ValueError) as info:
+        HomodyneRecordSet.load(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_loaded_records_describe_themselves_from_the_headers(tmp_path):
