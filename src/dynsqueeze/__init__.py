@@ -28,10 +28,10 @@ _MODULE_OF = {
             "GateCalibrationError", "GateParams", "ShearDecomposition", "SignConventions",
             "calibrate_signs", "closed_form_output", "decompose_shear", "gate_output_state",
         )),
-        ("harness", (
-            "HomodyneRecordSet", "estimate_moments", "generate_traces", "run_experiment",
-            "run_output_states", "simulate_moments", "simulate_records", "theory_traces",
+        ("archive", (
+            "HomodyneRecordSet", "estimate_moments", "run_experiment", "simulate_records",
         )),
+        ("harness", ("generate_traces", "run_output_states", "simulate_moments", "theory_traces")),
         ("states", (
             "GaussianState", "db_to_variance", "make_coherent", "make_squeezed_vacuum",
             "quadrature_mean", "quadrature_variance", "symplectic_eigenvalues", "variance_to_db",

@@ -1,11 +1,11 @@
-"""The raw records archive, ``records.npz``, and the row buffer that streams shots through it.
+"""Raw homodyne records: their set, draws and reduction, and their archive, ``records.npz``.
 
 A block is C-ordered float64 rows, which one ``fill(rows, start)`` puts a
-chunk at a time, to be written or reduced.  Only :func:`read_records` reads
-an archive back, checking every CRC once; a block is then read a chunk of
-rows at a time, or mapped to read it whole.  Only runs that draw, save or
-load raw shots import this module, so the CLI runs that do none of these do
-not compile it.
+chunk at a time, to be drawn, written or reduced.  Only :func:`read_records`
+reads an archive back, checking every CRC once; a block is then read a chunk
+of rows at a time, or mapped to read it whole.  This module imports
+``harness``, never the reverse, and only runs that draw, save or load raw
+shots import it, so the CLI runs that do none of these do not compile it.
 """
 
 from __future__ import annotations
@@ -20,8 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
-from .harness import _CHUNK_BYTES, _gib
+from .config import ConfigError, RunConfig, config_digest
+from .gate import gate_output_state
+from .harness import _CHUNK_BYTES, _gib, _moment_estimates, _route, _seed, _shot_laws
+from .states import Immutable
+from .tables import MEASUREMENT_ANGLES, MomentEstimates
 
 
 def check_records_space(cfg: RunConfig, path) -> None:
@@ -157,10 +160,14 @@ class ArchiveBlocks(Mapping):
     """
 
     __slots__ = ("path", "shape", "_identity", "_blocks")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # Mapping's __eq__ reads every block
 
     def __init__(self, blocks: Mapping, path=None, identity: tuple | None = None) -> None:
         if isinstance(blocks, ArchiveBlocks):  # copied without reading a member
             path, identity, blocks = blocks.path, blocks._identity, blocks._blocks
+        if not isinstance(blocks, Mapping):
+            name = type(blocks).__name__
+            raise ValueError(f"samples is not a mapping of angles to blocks: {name}")
         if not blocks:
             raise ValueError("no sample blocks")
         self.path, self._identity, self._blocks = path and os.fspath(path), identity, {}
@@ -314,3 +321,141 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, object, o
         if key not in meta:
             raise ValueError(f"{path}: meta has no {key!r} key: not a records archive")
     return small["time_us"], small["kappa"], blocks, meta["seed"], meta["config_digest"]
+
+
+class HomodyneRecordSet(Immutable):
+    """Raw per-trial homodyne samples for each measurement angle.
+
+    ``samples[angle]`` has shape (n_trials, n_bins); all angles share the time
+    grid and the control trace.  ``config_digest`` ties the records back to the
+    configuration that produced them.  ``samples`` is an :class:`ArchiveBlocks`
+    of the blocks given, which checks each block as it enters, assigned ones
+    too; any block of real numbers, in any layout, is saved and reduced as its
+    C-ordered float64 copy.  One from :meth:`load` maps each block from its
+    archive every time it is asked for, a copy-on-write memmap often not
+    aligned; its ``samples.shape``, ``angles``, ``n_trials`` and ``repr`` come
+    from the headers.  Every set the constructor accepts saves and loads back.
+    """
+
+    __slots__ = ("time_us", "kappa", "samples", "seed", "config_digest")
+
+    def __init__(self, time_us: np.ndarray, kappa: np.ndarray, samples: Mapping, seed: int,
+                 config_digest: str) -> None:
+        time_us, kappa = np.asarray(time_us), np.asarray(kappa)
+        for name, trace in (("time_us", time_us), ("kappa", kappa)):
+            if trace.ndim != 1 or trace.dtype.kind not in "iuf":
+                raise ValueError(f"{name} is not a 1-D array of real numbers")
+        if len(kappa) != len(time_us):
+            raise ValueError("kappa and time grids differ in length")
+        seed = _seed(seed)
+        if not isinstance(config_digest, str):
+            raise ValueError(f"config_digest is {config_digest!r}, not a string")
+        samples = ArchiveBlocks(samples)
+        if samples.shape[1:] != (len(time_us),):
+            raise ValueError(f"samples have shape {samples.shape}, want (*, {len(time_us)})")
+        self._set(time_us, kappa, samples, seed, config_digest)
+
+    @property
+    def angles(self) -> tuple[float, ...]:
+        return tuple(self.samples)
+
+    @property
+    def n_trials(self) -> int:
+        return self.samples.shape[0]
+
+    def save(self, path) -> None:
+        write_records(path, self.time_us, self.kappa, self.samples.rows(), self.seed,
+                      self.config_digest)
+
+    @classmethod
+    def load(cls, path) -> "HomodyneRecordSet":
+        """The records archived at ``path``, each block read only when it is asked for.
+
+        Raises ValueError naming the file, and the member that fails the
+        zip's CRC, or what :func:`read_records` or the constructor
+        refuses, as a member stored compressed or a negative seed; reading a
+        block raises one once the archive is replaced or rewritten.
+        """
+        records = read_records(path)
+        try:
+            return cls(*records)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _shots(loc: np.ndarray, variance: np.ndarray, rng):
+    """``fill(rows, start)``, which fills ``rows`` with the next shots of N(loc, variance).
+
+    loc + scale * z, scaled and shifted in place, are the numbers
+    Generator.normal(loc, scale, size) draws, and z fills in stream order, so
+    rows drawn in turn, a chunk at a time, are those of one whole-block draw.
+    """
+    scale = np.sqrt(variance)
+
+    def fill(rows: np.ndarray, start: int) -> None:
+        rng.standard_normal(out=rows)
+        rows *= scale
+        rows += loc
+
+    return fill
+
+
+def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet:
+    """Simulate the repeated-shot run and return the raw homodyne records in memory.
+
+    This is the in-memory route: all three angles' C-ordered float64 blocks
+    are held at once, and :func:`estimate_moments` reduces them with no
+    block-sized temporary.  :func:`simulate_records` draws the same shots into
+    a row buffer and writes them to disk, and ``harness.simulate_moments``
+    draws no shot at all.  Every bin's output state is Gaussian, so the
+    n_trials samples per (angle, bin) are drawn directly from the projected
+    normal law.  Each angle gets an independent child stream of the seed;
+    identical (config, seed) pairs give bit-identical records.  Raises, before
+    drawing anything, ValueError for a bad ``seed`` and ConfigError, from
+    ``harness._route``, when the records (3 x n_trials x n_bins float64) would
+    not fit in memory or their sums could overflow.
+    """
+    seed = _seed(cfg.seed if seed is None else seed)
+    traces = _route(cfg, gate_output_state, len(MEASUREMENT_ANGLES))[0]
+    samples = {angle: np.empty((cfg.n_trials, cfg.n_bins)) for angle in MEASUREMENT_ANGLES}
+    for angle, law in _shot_laws(traces, seed).items():
+        _shots(*law)(samples[angle], 0)
+    return HomodyneRecordSet(traces.time_us, traces.kappa, samples, seed, config_digest(cfg))
+
+
+def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
+    """Sample mean/variance per (angle, bin); needs at least two trials.
+
+    Every block goes through :func:`_row_moments` a chunk of rows at a
+    time, as ``samples.rows()`` gives its C-ordered float64 copy: a stored one
+    read from its archive, any other copied, so no block-sized temporary is
+    made, and a set's moments equal its archive's loaded back bit for bit.
+    """
+    n = records.n_trials
+    if n < 2:
+        raise ValueError("need at least two trials to estimate a variance")
+    mean, variance = {}, {}
+    for angle, rows in records.samples.rows():
+        mean[angle], variance[angle] = _row_moments(*rows)
+    return _moment_estimates(records.time_us, records.kappa, n, mean, variance)
+
+
+def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEstimates:
+    """Draw the records of ``run_experiment(cfg, seed)``, write them to ``path``, return their moments.
+
+    The archive is that of ``run_experiment(cfg, seed).save(path)`` byte for
+    byte, drawn and written a chunk of rows at a time (:func:`_shots`);
+    the moments are ``estimate_moments`` of it loaded back, CRC checked, and
+    no block is held.  As with ``save``, ``.npz`` is appended to a path that
+    lacks it, and the directory is created if need be.  Raises ValueError for
+    a bad ``seed``, and ConfigError when the archive would not fit in the free
+    space there or as ``harness._route`` does, before drawing or writing
+    anything, or creating that directory.
+    """
+    seed = _seed(cfg.seed if seed is None else seed)
+    check_records_space(cfg, path)
+    traces = _route(cfg, gate_output_state, 0)[0]
+    blocks = [(angle, ((cfg.n_trials, cfg.n_bins), _shots(*law)))
+              for angle, law in _shot_laws(traces, seed).items()]
+    path = write_records(path, traces.time_us, traces.kappa, blocks, seed, config_digest(cfg))
+    return estimate_moments(HomodyneRecordSet.load(path))

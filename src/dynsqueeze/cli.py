@@ -72,7 +72,7 @@ def _outdir(args) -> Path:
 def cmd_simulate(args) -> int:
     from .config import ConfigError, config_digest
     from .gate import calibrate_signs
-    from .harness import simulate_moments, simulate_records
+    from .harness import simulate_moments
     from .tables import write_moments_files
 
     if args.seed is not None and args.seed < 0:
@@ -83,6 +83,7 @@ def cmd_simulate(args) -> int:
     # --out is created once the library has accepted the grid
     records = Path(args.out) / "records.npz"
     if args.save_records:
+        from .archive import simulate_records
         est = simulate_records(cfg, records, seed)
     else:
         # No shot is drawn: each bin's sample mean and variance come straight

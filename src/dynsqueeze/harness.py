@@ -1,10 +1,11 @@
-"""Repeated-shot experiment: dynamic control, input modulation, homodyne records.
+"""Repeated-shot experiment: dynamic control, input modulation, gate routes, drawn moments.
 
 The gate strength follows a control signal kappa(t) sampled on a uniform time
 grid (>= 2 control periods); the coherent input carries a faster mean-field
 modulation.  Each time bin is measured over many repetitions at three output
 homodyne angles (x, p, and pi/4), and the per-bin sample moments are the raw
-material for the variance analysis.
+material for the variance analysis.  The raw shots, their record set, draws
+and reduction live in ``archive``, which imports this module, not the reverse.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, config_digest
+from .config import ConfigError, RunConfig
 from .electronics import TARGETS, fit_pwl
 from .gate import GateParams, closed_form_output, gate_output_state
 from .states import (
     GaussianState,
-    Immutable,
     db_to_variance,
     make_coherent,
     quadrature_mean,
@@ -183,79 +183,6 @@ def run_output_states(cfg: RunConfig) -> GaussianState:
     return _route(cfg, gate_output_state)[1]
 
 
-class HomodyneRecordSet(Immutable):
-    """Raw per-trial homodyne samples for each measurement angle.
-
-    ``samples[angle]`` has shape (n_trials, n_bins); all angles share the time
-    grid and the control trace.  ``config_digest`` ties the records back to the
-    configuration that produced them.  ``samples`` is an ``archive.ArchiveBlocks``
-    of the blocks given, which checks each block as it enters, assigned ones
-    too; any block of real numbers, in any layout, is saved and reduced as its
-    C-ordered float64 copy.  One from :meth:`load` maps each block from its
-    archive every time it is asked for, a copy-on-write memmap often not
-    aligned; its ``samples.shape``, ``angles``, ``n_trials`` and ``repr`` come
-    from the headers.  Every set the constructor accepts saves and loads back.
-    """
-
-    __slots__ = ("time_us", "kappa", "samples", "seed", "config_digest")
-
-    def __init__(
-        self,
-        time_us: np.ndarray,
-        kappa: np.ndarray,
-        samples: dict[float, np.ndarray],
-        seed: int,
-        config_digest: str,
-    ) -> None:
-        from .archive import ArchiveBlocks
-
-        time_us, kappa = np.asarray(time_us), np.asarray(kappa)
-        for name, trace in (("time_us", time_us), ("kappa", kappa)):
-            if trace.ndim != 1 or trace.dtype.kind not in "iuf":
-                raise ValueError(f"{name} is not a 1-D array of real numbers")
-        if len(kappa) != len(time_us):
-            raise ValueError("kappa and time grids differ in length")
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed is {seed!r}, not an integer >= 0")
-        if not isinstance(config_digest, str):
-            raise ValueError(f"config_digest is {config_digest!r}, not a string")
-        samples = ArchiveBlocks(samples)
-        if samples.shape[1:] != (len(time_us),):
-            raise ValueError(f"samples have shape {samples.shape}, want (*, {len(time_us)})")
-        self._set(time_us, kappa, samples, int(seed), config_digest)
-
-    @property
-    def angles(self) -> tuple[float, ...]:
-        return tuple(self.samples)
-
-    @property
-    def n_trials(self) -> int:
-        return self.samples.shape[0]
-
-    def save(self, path) -> None:
-        from .archive import write_records
-
-        write_records(path, self.time_us, self.kappa, self.samples.rows(), self.seed,
-                      self.config_digest)
-
-    @classmethod
-    def load(cls, path) -> "HomodyneRecordSet":
-        """The records archived at ``path``, each block read only when it is asked for.
-
-        Raises ValueError naming the file, and the member that fails the
-        zip's CRC, or what ``archive.read_records`` or the constructor
-        refuses, as a member stored compressed or a negative seed; reading a
-        block raises one once the archive is replaced or rewritten.
-        """
-        from .archive import read_records
-
-        records = read_records(path)
-        try:
-            return cls(*records)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
 def _physical_memory() -> int | None:
     try:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -322,6 +249,13 @@ def check_records_memory(cfg: RunConfig, blocks: int) -> None:
         )
 
 
+def _seed(seed) -> int:
+    """``seed`` as an int; ValueError unless it is an integer >= 0 and not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed is {seed!r}, not an integer >= 0")
+    return int(seed)
+
+
 def _shot_laws(moments: TheoryTraces, seed: int) -> dict:
     """Per angle, (loc, variance, generator) of the shots of the pipeline's ``moments``.
 
@@ -335,92 +269,10 @@ def _shot_laws(moments: TheoryTraces, seed: int) -> dict:
     }
 
 
-def _shots(loc: np.ndarray, variance: np.ndarray, rng):
-    """``fill(rows, start)``, which fills ``rows`` with the next shots of N(loc, variance).
-
-    loc + scale * z, scaled and shifted in place, are the numbers
-    Generator.normal(loc, scale, size) draws, and z fills in stream order, so
-    rows drawn in turn, a chunk at a time, are those of one whole-block draw.
-    """
-    scale = np.sqrt(variance)
-
-    def fill(rows: np.ndarray, start: int) -> None:
-        rng.standard_normal(out=rows)
-        rows *= scale
-        rows += loc
-
-    return fill
-
-
-def run_experiment(cfg: RunConfig, seed: int | None = None) -> HomodyneRecordSet:
-    """Simulate the repeated-shot run and return the raw homodyne records in memory.
-
-    This is the in-memory route: all three angles' C-ordered float64 blocks
-    are held at once, and :func:`estimate_moments` reduces them with no
-    block-sized temporary.
-    :func:`simulate_records` draws the same shots into a row buffer and writes
-    them to disk, and :func:`simulate_moments` draws no shot at all.
-    Every bin's output state is Gaussian, so the n_trials samples per (angle,
-    bin) are drawn directly from the projected normal law.  Each angle gets an
-    independent child stream of the seed; identical (config, seed) pairs give
-    bit-identical records.  Raises ConfigError, from _route, before drawing
-    anything when the records (3 x n_trials x n_bins float64) would not fit in
-    memory or their sums could overflow.
-    """
-    if seed is None:
-        seed = cfg.seed
-    traces = _route(cfg, gate_output_state, len(MEASUREMENT_ANGLES))[0]
-    samples = {angle: np.empty((cfg.n_trials, cfg.n_bins)) for angle in MEASUREMENT_ANGLES}
-    for angle, law in _shot_laws(traces, seed).items():
-        _shots(*law)(samples[angle], 0)
-    return HomodyneRecordSet(traces.time_us, traces.kappa, samples, int(seed), config_digest(cfg))
-
-
 def _moment_estimates(time_us, kappa, n: int, mean: dict, variance: dict) -> MomentEstimates:
     sem = {angle: np.sqrt(v / n) for angle, v in variance.items()}
     sev = {angle: v * np.sqrt(2.0 / (n - 1)) for angle, v in variance.items()}
     return MomentEstimates(time_us, kappa, n, mean, variance, sem, sev)
-
-
-def estimate_moments(records: HomodyneRecordSet) -> MomentEstimates:
-    """Sample mean/variance per (angle, bin); needs at least two trials.
-
-    Every block goes through ``archive._row_moments`` a chunk of rows at a
-    time, as ``samples.rows()`` gives its C-ordered float64 copy: a stored one
-    read from its archive, any other copied, so no block-sized temporary is
-    made, and a set's moments equal its archive's loaded back bit for bit.
-    """
-    from .archive import _row_moments
-
-    n = records.n_trials
-    if n < 2:
-        raise ValueError("need at least two trials to estimate a variance")
-    mean, variance = {}, {}
-    for angle, rows in records.samples.rows():
-        mean[angle], variance[angle] = _row_moments(*rows)
-    return _moment_estimates(records.time_us, records.kappa, n, mean, variance)
-
-
-def simulate_records(cfg: RunConfig, path, seed: int | None = None) -> MomentEstimates:
-    """Draw the records of ``run_experiment(cfg, seed)``, write them to ``path``, return their moments.
-
-    The archive is that of ``run_experiment(cfg, seed).save(path)`` byte for
-    byte, drawn and written a chunk of rows at a time (:func:`_shots`);
-    the moments are ``estimate_moments`` of it loaded back, CRC checked, and
-    no block is held.  As with ``save``, ``.npz`` is appended to a path that
-    lacks it, and the directory is created if need be.  Raises ConfigError,
-    before drawing or writing anything, or creating that directory, when the
-    archive would not fit in the free space there, or as :func:`_route` does.
-    """
-    from .archive import check_records_space, write_records
-
-    seed = cfg.seed if seed is None else seed
-    check_records_space(cfg, path)
-    traces = _route(cfg, gate_output_state, 0)[0]
-    blocks = [(angle, ((cfg.n_trials, cfg.n_bins), _shots(*law)))
-              for angle, law in _shot_laws(traces, seed).items()]
-    path = write_records(path, traces.time_us, traces.kappa, blocks, int(seed), config_digest(cfg))
-    return estimate_moments(HomodyneRecordSet.load(path))
 
 
 def simulate_moments(cfg: RunConfig, seed: int | None = None) -> MomentEstimates:
@@ -432,12 +284,13 @@ def simulate_moments(cfg: RunConfig, seed: int | None = None) -> MomentEstimates
     angle draws one standard normal and one chi-square per bin from its child
     stream of ``seed``, and no shot is drawn: the moments agree with those of
     the records in distribution, not in value, and their cost does not grow
-    with n_trials.  Raises ConfigError as _route does, and so too where a drawn
-    moment or its standard error overflows: a variance near 1.8e308 scaled by
-    its chi-square draw, say.
+    with n_trials.  Raises ValueError for a bad ``seed``, and ConfigError as
+    _route does, and so too where a drawn moment or its standard error
+    overflows: a variance near 1.8e308 scaled by its chi-square draw, say.
     """
+    seed = _seed(cfg.seed if seed is None else seed)
     check_records_memory(cfg, 0)
-    return _refused(cfg, _drawn_moments, cfg.seed if seed is None else seed)
+    return _refused(cfg, _drawn_moments, seed)
 
 
 @np.errstate(**_RAISED)

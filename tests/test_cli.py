@@ -129,7 +129,7 @@ def test_save_records_fails_on_an_archive_corrupted_before_its_rename(cfg_path, 
     monkeypatch.setattr(archive.os, "replace", corrupt)
     path = tmp_path / "lib" / "records.npz"
     with pytest.raises(ValueError) as info:
-        harness.simulate_records(SMALL, path)
+        archive.simulate_records(SMALL, path)
     assert str(info.value) == f"{path}: member samples_1 fails its CRC check"
     out = tmp_path / "out"
     assert _simulate(cfg_path, out, ("--save-records",)) == 1

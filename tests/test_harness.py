@@ -18,6 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import dynsqueeze
 from dynsqueeze import (
     ConfigError,
     GateParams,
@@ -37,7 +38,7 @@ from dynsqueeze import (
     theory_traces,
 )
 from dynsqueeze import archive, harness
-from dynsqueeze.harness import HomodyneRecordSet
+from dynsqueeze.archive import HomodyneRecordSet
 from dynsqueeze.tables import (
     MOMENTS_COLUMNS,
     label_for_angle,
@@ -246,6 +247,46 @@ def test_record_set_refuses_no_blocks_and_blocks_that_are_not_real_numbers():
                 np.zeros(3), np.zeros(3), {0.0: np.zeros((5, 3)), 0.5: bad}, seed=0,
                 config_digest="d",
             )
+
+
+@pytest.mark.parametrize("samples", [[(0.0, np.zeros((5, 3)))], "abc", np.zeros((5, 3))],
+                         ids=["pairs", "string", "ndarray"])
+def test_record_set_refuses_samples_that_are_not_a_mapping(samples):
+    # each escaped as a bare AttributeError or numpy's ambiguous-truth error
+    name = type(samples).__name__
+    with pytest.raises(ValueError, match=f"^samples is not a mapping of angles to blocks: {name}$"):
+        HomodyneRecordSet(np.zeros(3), np.zeros(3), samples, seed=0, config_digest="d")
+
+
+# a bad seed, each to be refused before anything is drawn or written
+BAD_SEEDS = [-1, 1.5, True, np.True_]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=["negative", "float", "bool", "np-bool"])
+@pytest.mark.parametrize("run", ["simulate_moments", "run_experiment", "simulate_records"])
+def test_every_draw_refuses_a_bad_seed_by_the_record_sets_rule(run, seed, tmp_path):
+    # simulate_moments blamed config fields for a negative seed, the others
+    # raised numpy's bare errors, and a bool seed was stored as 1
+    cfg, out = RunConfig(bins_per_period=4, n_trials=10), tmp_path / "new"
+    args = (out / "records.npz",) if run == "simulate_records" else ()
+    with pytest.raises(ValueError) as info:
+        getattr(dynsqueeze, run)(cfg, *args, seed)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"seed is {seed!r}, not an integer >= 0"
+    assert not out.exists()
+
+
+def test_a_numpy_integer_seed_draws_what_its_int_draws(tmp_path):
+    cfg, five = RunConfig(bins_per_period=4, n_trials=10), np.int64(5)
+    for a, b in zip(simulate_moments(cfg, five), simulate_moments(cfg, 5)):
+        assert repr(a) == repr(b)
+    rec = run_experiment(cfg, five)
+    assert type(rec.seed) is int
+    for angle in rec.angles:
+        np.testing.assert_array_equal(rec.samples[angle], run_experiment(cfg, 5).samples[angle])
+    simulate_records(cfg, tmp_path / "a.npz", five)
+    simulate_records(cfg, tmp_path / "b.npz", 5)
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
 
 # a 50-trial x 10-bin set
@@ -618,6 +659,21 @@ def test_a_corrupted_archive_is_refused_though_no_block_is_read(tmp_path, monkey
     monkeypatch.setattr(archive.ArchiveBlocks, "rows", None)
     with pytest.raises(ValueError, match=re.escape(f"{path}: member samples_2 fails its CRC")):
         HomodyneRecordSet.load(path)
+
+
+def test_record_stores_compare_and_hash_by_identity_and_read_no_block(tmp_path, monkeypatch):
+    # Mapping's __eq__ mapped every stored block, then raised numpy's
+    # ambiguous-truth error; the store was unhashable
+    rec = run_experiment(TEN_BINS)
+    path = tmp_path / "records.npz"
+    rec.save(path)
+    stored = HomodyneRecordSet.load(path).samples
+    monkeypatch.setattr(archive.ArchiveBlocks, "_read", None)  # any block read raises TypeError
+    monkeypatch.setattr(archive.ArchiveBlocks, "rows", None)
+    assert (rec.samples == stored) is False
+    assert rec.samples != stored
+    assert stored == stored
+    assert {stored: 1, rec.samples: 2}[stored] == 1
 
 
 def test_load_refuses_a_member_that_ends_before_its_data(tmp_path):
