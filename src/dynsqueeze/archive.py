@@ -1,11 +1,12 @@
 """Raw homodyne records: their set, draws and reduction, and their archive, ``records.npz``.
 
 A block is C-ordered float64 rows, which one ``fill(rows, start)`` puts a
-chunk at a time, to be drawn, written or reduced.  Only :func:`read_records`
-reads an archive back, checking every CRC once; a block is then read a chunk
-of rows at a time, or mapped to read it whole.  This module imports
-``harness``, never the reverse, and only runs that draw, save or load raw
-shots import it, so the CLI runs that do none of these do not compile it.
+chunk at a time, to be drawn, written or reduced.  Only
+:meth:`HomodyneRecordSet.load` reads an archive back, checking every CRC
+once; a block is then read a chunk of rows at a time, or mapped to read it
+whole.  This module imports ``harness``, never the reverse, and only runs
+that draw, save or load raw shots import it, so the CLI runs that do none of
+these do not compile it.
 """
 
 from __future__ import annotations
@@ -153,10 +154,11 @@ class ArchiveBlocks(Mapping):
     The store copies the mapping it is given and takes its one ``shape`` from
     the first block.  Every block entering it, assigned ones too, must be an
     array of real numbers or a C-ordered float64 member, of that shape, at a
-    real angle; none is deleted.  ``blocks[key]`` maps a member from ``path`` as a
-    copy-on-write ``np.memmap``, often unaligned; :meth:`rows` reads it a
-    chunk of rows at a time.  A read from an archive replaced or rewritten
-    since :func:`read_records` checked it raises ValueError naming the path.
+    finite real angle; none is deleted.  ``blocks[key]`` maps a member from
+    ``path`` as a copy-on-write ``np.memmap``, often unaligned; :meth:`rows`
+    reads it a chunk of rows at a time.  A read from an archive replaced or
+    rewritten since :meth:`HomodyneRecordSet.load` checked it raises
+    ValueError naming the path.
     """
 
     __slots__ = ("path", "shape", "_identity", "_blocks")
@@ -182,6 +184,8 @@ class ArchiveBlocks(Mapping):
     def __setitem__(self, key, block) -> None:
         if isinstance(key, bool) or not isinstance(key, (int, float, np.integer, np.floating)):
             raise ValueError(f"angle {key!r} is not a real number")
+        if not -np.inf < key < np.inf:  # NaN != NaN, so two NaN angles would both enter
+            raise ValueError(f"angle {key} is not finite")
         if not isinstance(block, _Member) and (
             not isinstance(block, np.ndarray) or block.dtype.kind not in "iuf"
         ):
@@ -239,21 +243,22 @@ def _member(f, zf: zipfile.ZipFile, name: str, block: bool = False):
     """Member ``name`` of ``zf`` on ``f``, CRC checked: its array, or with ``block`` a _Member.
 
     ``block`` refuses a member that is not a C-ordered 2-D float64 block.
+    A refusal names the member, not the file.
     """
     info, fmt = zf.getinfo(f"{name}.npy"), np.lib.format
     if info.compress_type != zipfile.ZIP_STORED:
-        raise ValueError(f"{f.name}: member {name} is stored compressed")
+        raise ValueError(f"member {name} is stored compressed")
     try:
         with zf.open(info) as fh:
             v1 = fmt.read_magic(fh) == (1, 0)
             read = fmt.read_array_header_1_0 if v1 else fmt.read_array_header_2_0
             (shape, fortran_order, dtype), start = read(fh), fh.tell()
             if block and (len(shape) != 2 or fortran_order or dtype != float):
-                raise ValueError(f"{f.name}: member {name} is not a C-ordered 2-D float64 block")
+                raise ValueError(f"member {name} is not a C-ordered 2-D float64 block")
             if dtype.hasobject:
-                raise ValueError(f"{f.name}: member {name} holds Python objects")
+                raise ValueError(f"member {name} holds Python objects")
             if start + dtype.itemsize * int(np.prod(shape)) > info.file_size:
-                raise ValueError(f"{f.name}: member {name} ends early")
+                raise ValueError(f"member {name} ends early")
             if not block:
                 fh.seek(0)
                 array = fmt.read_array(fh, allow_pickle=False)
@@ -261,66 +266,13 @@ def _member(f, zf: zipfile.ZipFile, name: str, block: bool = False):
             while fh.read(1 << 16):
                 pass
     except (zipfile.BadZipFile, EOFError):
-        raise ValueError(f"{f.name}: member {name} fails its CRC check") from None
+        raise ValueError(f"member {name} fails its CRC check") from None
     if not block:
         return array
     # the data follow the 30-byte local header, its file name and extra field
     f.seek(info.header_offset + 26)
     offset = info.header_offset + 30 + sum(struct.unpack("<2H", f.read(4))) + start
     return _Member(name, shape, offset)
-
-
-def read_records(path) -> tuple[np.ndarray, np.ndarray, ArchiveBlocks, object, object]:
-    """A records archive's ``time_us``, ``kappa``, blocks by angle, and its meta's seed and digest.
-
-    Each member is read through once, which checks its CRC; of the sample
-    blocks only the headers are kept, in an :class:`ArchiveBlocks`.  Raises
-    ValueError naming the file, and the member, key or angle at fault, for
-    a file that is not a zip archive; a missing member or ``meta`` key; a
-    member stored compressed, that holds Python objects, fails its CRC or
-    ends before its data; a sample member that is not a C-ordered 2-D
-    float64 block, or of another shape than the first; a ``meta`` that is
-    not a JSON object; ``angles`` that are not a 1-D array of real numbers,
-    list no angle, or one twice; or a ``samples_<i>`` member beyond the
-    listed ones.  ``HomodyneRecordSet`` checks the rest.
-    """
-    with open(path, "rb") as f:
-        try:
-            zf = zipfile.ZipFile(f)
-        except zipfile.BadZipFile as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        with zf:
-            try:
-                small = {n: _member(f, zf, n) for n in ("meta", "time_us", "kappa", "angles")}
-                if small["angles"].ndim != 1 or small["angles"].dtype.kind not in "iuf":
-                    raise ValueError(f"{path}: member angles is not a 1-D array of real numbers")
-                if not len(small["angles"]):
-                    raise ValueError(f"{path}: member angles lists no angle")
-                members = {}
-                for i, angle in enumerate(map(float, small["angles"])):
-                    if angle in members:
-                        raise ValueError(f"{path}: angle {angle!r} comes more than once")
-                    members[angle] = _member(f, zf, f"samples_{i}", block=True)
-                listed = {f"samples_{i}.npy" for i in range(len(members))}
-                for name in (n.removesuffix(".npy") for n in zf.namelist() if n not in listed):
-                    if name.startswith("samples_"):
-                        raise ValueError(f"{path}: member {name} is not listed in angles")
-            except KeyError as exc:  # zipfile's message names the missing member
-                raise ValueError(f"{path}: {exc.args[0]}: not a records archive") from None
-        try:
-            blocks = ArchiveBlocks(members, path, _identity(f.fileno()))
-        except ValueError as exc:  # a block of another shape than the first
-            raise ValueError(f"{path}: {exc}") from None
-    try:
-        meta = json.loads(str(small["meta"]))
-    except json.JSONDecodeError:
-        meta = None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: member meta is not a JSON object")
-    for key in ("seed", "config_digest"):
-        if key not in meta:
-            raise ValueError(f"{path}: meta has no {key!r} key: not a records archive")
-    return small["time_us"], small["kappa"], blocks, meta["seed"], meta["config_digest"]
 
 
 class HomodyneRecordSet(Immutable):
@@ -371,15 +323,51 @@ class HomodyneRecordSet(Immutable):
     def load(cls, path) -> "HomodyneRecordSet":
         """The records archived at ``path``, each block read only when it is asked for.
 
-        Raises ValueError naming the file, and the member that fails the
-        zip's CRC, or what :func:`read_records` or the constructor
-        refuses, as a member stored compressed or a negative seed; reading a
-        block raises one once the archive is replaced or rewritten.
+        Each member is read through once, which checks its CRC; of the sample
+        blocks only the headers are kept, in an :class:`ArchiveBlocks`.
+        Raises ValueError naming the file, and the member, key or angle at
+        fault, for a file that is not a zip archive; a missing member or
+        ``meta`` key; a member stored compressed, that holds Python objects,
+        fails its CRC or ends before its data; a sample member that is not a
+        C-ordered 2-D float64 block; a ``meta`` that is not a JSON object;
+        ``angles`` that are not a 1-D array of real numbers, list no angle,
+        or one twice; a ``samples_<i>`` member beyond the listed ones; and
+        what the store or the constructor refuses, as a block of another
+        shape than the first, an angle that is not finite or a negative
+        seed.  Reading a block raises one once the archive is replaced or
+        rewritten.
         """
-        records = read_records(path)
         try:
-            return cls(*records)
-        except ValueError as exc:
+            with open(path, "rb") as f, zipfile.ZipFile(f) as zf:
+                small = {n: _member(f, zf, n) for n in ("meta", "time_us", "kappa", "angles")}
+                if small["angles"].ndim != 1 or small["angles"].dtype.kind not in "iuf":
+                    raise ValueError("member angles is not a 1-D array of real numbers")
+                if not len(small["angles"]):
+                    raise ValueError("member angles lists no angle")
+                members = {}
+                for i, angle in enumerate(map(float, small["angles"])):
+                    if angle in members:
+                        raise ValueError(f"angle {angle!r} comes more than once")
+                    members[angle] = _member(f, zf, f"samples_{i}", block=True)
+                listed = {f"samples_{i}.npy" for i in range(len(members))}
+                for name in (n.removesuffix(".npy") for n in zf.namelist() if n not in listed):
+                    if name.startswith("samples_"):
+                        raise ValueError(f"member {name} is not listed in angles")
+                blocks = ArchiveBlocks(members, path, _identity(f.fileno()))
+            try:
+                meta = json.loads(str(small["meta"]))
+            except json.JSONDecodeError:
+                meta = None
+            if not isinstance(meta, dict):
+                raise ValueError("member meta is not a JSON object")
+            for key in ("seed", "config_digest"):
+                if key not in meta:
+                    raise ValueError(f"meta has no {key!r} key: not a records archive")
+            return cls(small["time_us"], small["kappa"], blocks, meta["seed"],
+                       meta["config_digest"])
+        except KeyError as exc:  # zipfile's message names the missing member
+            raise ValueError(f"{path}: {exc.args[0]}: not a records archive") from None
+        except (ValueError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 

@@ -183,7 +183,8 @@ def load_pwl_table(path) -> PiecewiseLinearFunction:
     """Read a breakpoint table written by :func:`save_pwl_table`.
 
     A line that is not two numbers, or a byte that is not text, is reported
-    as ``path:line``.
+    as ``path:line``; a table that :class:`PiecewiseLinearFunction` refuses,
+    as ``path``.
     """
     rows = []
     for ln, line in enumerate(read_text(path).split("\n"), start=1):
@@ -199,7 +200,7 @@ def load_pwl_table(path) -> PiecewiseLinearFunction:
             except ValueError:
                 raise ValueError(f"{path}:{ln}: not a number: {part!r}") from None
         rows.append(row)
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least two breakpoints")
-    xs, ys = zip(*rows)
-    return PiecewiseLinearFunction(np.array(xs), np.array(ys))
+    try:
+        return PiecewiseLinearFunction(*np.array(rows).reshape(-1, 2).T)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

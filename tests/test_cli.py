@@ -799,6 +799,17 @@ def test_calibration_mismatch_exits_2(cfg_path, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "sim" / "moments_x.csv").exists()
 
 
+@pytest.mark.parametrize("tol, found", [(np.inf, 8), (-1.0, 0)], ids=["all", "none"])
+def test_calibration_that_matches_no_single_convention_exits_2(
+    cfg_path, tmp_path, monkeypatch, capsys, tol, found
+):
+    monkeypatch.setattr("dynsqueeze.gate.CALIBRATION_TOL", tol)
+    assert _simulate(cfg_path, tmp_path / "sim") == 2
+    want = f"internal check failed: expected exactly one sign convention to match, found {found}"
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys):
     # the string "false" is truthy, and once ran the look-up-table electronics
     path = tmp_path / "string_flag.json"

@@ -258,6 +258,21 @@ def test_table_load_rejects_malformed(tmp_path):
         load_pwl_table(short)
 
 
+@pytest.mark.parametrize("table, message", [
+    ("nan 0\n1 2\n", "breakpoints must be finite"),
+    ("inf 0\n1 2\n", "breakpoints must be finite"),
+    ("0 1\n0 2\n", "breakpoints must be strictly ascending"),
+    ("1 1\n0 2\n", "breakpoints must be strictly ascending"),
+], ids=["nan", "inf", "repeated", "descending"])
+def test_table_load_names_the_file_of_a_table_the_function_refuses(tmp_path, table, message):
+    # these gave the bare PiecewiseLinearFunction text, naming no file
+    path = tmp_path / "t.txt"
+    path.write_text(table)
+    with pytest.raises(ValueError) as info:
+        load_pwl_table(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("mark", ["\x0c", "\x1c", "\x1e", "\x85", "\u2028"])
 def test_table_load_counts_only_newlines_as_line_breaks(tmp_path, mark):
     # str.splitlines breaks at these too, which named line 5

@@ -133,6 +133,14 @@ def test_calibrate_signs_refuses_a_model_on_another_convention(monkeypatch):
         calibrate_signs()
 
 
+@pytest.mark.parametrize("tol, found", [(np.inf, 8), (-1.0, 0)], ids=["all", "none"])
+def test_calibrate_signs_refuses_anything_but_one_match(monkeypatch, tol, found):
+    monkeypatch.setattr("dynsqueeze.gate.CALIBRATION_TOL", tol)
+    with pytest.raises(GateCalibrationError) as info:
+        calibrate_signs()
+    assert str(info.value) == f"expected exactly one sign convention to match, found {found}"
+
+
 @pytest.mark.parametrize(
     "conv",
     [

@@ -371,11 +371,15 @@ def test_a_set_keeps_every_block_in_one_store_that_allows_no_deletion(tmp_path, 
     ("samples", {True: np.zeros((50, 10))}, "angle True is not a real number"),
     ("samples", {0.0: np.zeros(10)}, "samples have shape (10,), want (*, 10)"),
     ("samples", {0.0: np.zeros((50, 9))}, "samples have shape (50, 9), want (*, 10)"),
+    ("samples", {np.nan: np.zeros((50, 10)), np.float64(np.nan): np.ones((50, 10))},
+     "angle nan is not finite"),
+    ("samples", {0.0: np.zeros((50, 10)), np.inf: np.ones((50, 10))}, "angle inf is not finite"),
+    ("samples", {np.float64(-np.inf): np.zeros((50, 10))}, "angle -inf is not finite"),
 ])
 def test_record_set_refuses_what_load_would_refuse(field, value, message):
     # each of these used to be accepted; save then wrote an archive that load
     # refused, or, for the bool angle and the digest 5, one that loaded back
-    # otherwise
+    # otherwise.  Two NaN angles, unequal to each other, were both kept.
     args = {"time_us": np.arange(10.0), "kappa": np.zeros(10),
             "samples": {0.0: np.zeros((50, 10))}, "seed": 3, "config_digest": "d"}
     with pytest.raises(ValueError) as info:
@@ -773,6 +777,15 @@ def test_load_names_a_file_that_is_not_an_archive(tmp_path, content):
         HomodyneRecordSet.load(path)
 
 
+def test_load_names_the_file_of_a_member_that_is_not_npy(tmp_path):
+    # numpy's header errors named no file
+    path = tmp_path / "records.npz"
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("meta.npy", b"not an npy member")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the magic string is not correct")):
+        HomodyneRecordSet.load(path)
+
+
 @pytest.mark.parametrize("missing, message", [
     ("meta", "There is no item named 'meta.npy' in the archive"),
     ("samples_1", "There is no item named 'samples_1.npy' in the archive"),
@@ -861,6 +874,30 @@ def test_load_refuses_a_sample_member_that_is_not_a_c_ordered_float64_block(tmp_
     with pytest.raises(ValueError) as info:
         HomodyneRecordSet.load(path)
     assert str(info.value) == f"{path}: member samples_0 is not a C-ordered 2-D float64 block"
+
+
+@pytest.mark.parametrize("angles, message", [
+    ([np.nan, np.nan], "angle nan is not finite"),
+    ([np.inf, 0.0], "angle inf is not finite"),
+], ids=["nan-twice", "inf"])
+def test_load_refuses_an_angle_that_is_not_finite(tmp_path, angles, message):
+    # two NaN angles passed the "comes more than once" rule, as NaN != NaN
+    rec = run_experiment(SMALL)
+    path = tmp_path / "records.npz"
+    members = {n: a for n, a in _members(rec).items() if n not in ("samples_2", "angles")}
+    np.savez(path, **members, angles=np.array(angles))
+    with pytest.raises(ValueError) as info:
+        HomodyneRecordSet.load(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_load_refuses_a_small_member_that_holds_python_objects(tmp_path):
+    path = tmp_path / "records.npz"
+    np.savez(path, **{**_members(run_experiment(SMALL)),
+                      "time_us": np.array([1.0, "a"], dtype=object)})
+    with pytest.raises(ValueError) as info:
+        HomodyneRecordSet.load(path)
+    assert str(info.value) == f"{path}: member time_us holds Python objects"
 
 
 def test_load_refuses_angles_that_list_no_angle(tmp_path):
